@@ -1,7 +1,8 @@
 """Batch command-line front-end.
 
-Exit codes: 2 for usage errors (click), 3 for violated mathematical
-contracts (exact-division or symmetry failures), 1 for anything else.
+Exit codes: 2 for usage errors (click) and input the library rejects
+(ValueError), 3 for violated mathematical contracts (exact-division or
+symmetry failures), 1 for anything else.
 """
 
 from __future__ import annotations
@@ -63,7 +64,11 @@ def parse_poly(text: str, ring) -> SparsePoly:
             pos = m.end()
             matched = True
             if m.group(3):
-                c = Fraction(m.group(3))
+                try:
+                    c = Fraction(m.group(3))
+                except ZeroDivisionError:
+                    raise click.UsageError(
+                        f"zero denominator in {chunk!r}") from None
                 term = term * SparsePoly(ring, {(): c})
             else:
                 term = term * SparsePoly.var(
@@ -231,7 +236,7 @@ def flagring_group():
 
 
 @flagring_group.command("reduce")
-@click.option("--n", type=int, required=True)
+@click.option("--n", type=click.IntRange(min=1), required=True)
 @click.option("--trivial", is_flag=True,
               help="zero base Chern classes (trivial bundle)")
 @click.option("--input", "input_", required=True, help="polynomial to reduce")
@@ -275,11 +280,15 @@ def run():  # pragma: no cover
     try:
         main(standalone_mode=False)
     except click.UsageError as exc:
-        click.echo(str(exc), err=True)
+        click.echo(exc.format_message(), err=True)
         sys.exit(2)
     except (DivisionError, SymmetryError) as exc:
         click.echo(f"contract violation: {exc}", err=True)
         sys.exit(3)
+    except ValueError as exc:
+        # out-of-range permutations, indices, rank triples and rings
+        click.echo(f"invalid input: {exc}", err=True)
+        sys.exit(2)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,9 +1,11 @@
 """Divided-difference operators: sigma_i, phi_i, their specialisations and
 the generalised operators attached to a formal group law.
 
-The x-block denominator (x_i - x_{i+1}) is always split off symbolically
-and removed with an exact division, so the only inexact step for a general
-law is the final truncation at the context bound D.
+Every operator is partial_i(q p) for a fixed q: phi_i, partial_i and pi_i
+take q = 1 + beta x_{i+1}, and A_i takes q = 1/g, the inverse of the unit
+g with F(x_i, chi(x_{i+1})) = (x_i - x_{i+1}) g, truncated.  One
+closed-form kernel applies partial_i, so the only inexact step for a
+general law is the truncation at the context bound D.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fgl import FormalGroupLaw
+from .memo import TermMemo
 from .rings import (
     CoefficientRing,
     SparsePoly,
@@ -21,6 +24,47 @@ from .rings import (
 )
 
 __all__ = ["OperatorContext", "braid_check"]
+
+# 1/g per (law, i, D); see OperatorContext._denominator_unit
+_GINV_MEMO = TermMemo()
+
+
+def _divided_difference(p: SparsePoly, i: int) -> SparsePoly:
+    """partial_i p = (p - sigma_i p) / (x_i - x_{i+1}), term by term.
+
+    For a monomial m x_i^a x_{i+1}^c with a > c,
+    (x_i^a x_{i+1}^c - x_i^c x_{i+1}^a) / (x_i - x_{i+1})
+        = sum_{k=c}^{a-1} x_i^k x_{i+1}^(a+c-1-k),
+    the sign flips for a < c and the term vanishes for a = c.  x_i and
+    x_{i+1} are adjacent in the canonical variable order, so each new
+    monomial is the old one with that middle part replaced."""
+    xi, xj = f"x{i}", f"x{i + 1}"
+    out: dict = {}
+    for mono, coef in p.terms.items():
+        for pos, (v, e) in enumerate(mono):
+            if v == xi:
+                a, c, end = e, 0, pos + 1
+                if end < len(mono) and mono[end][0] == xj:
+                    c = mono[end][1]
+                    end += 1
+                break
+            if v == xj:
+                a, c, end = 0, e, pos + 1
+                break
+        else:
+            continue
+        if a == c:
+            continue
+        if a < c:
+            a, c, coef = c, a, -coef
+        head, tail = mono[:pos], mono[end:]
+        for k in range(c, a):
+            mid = ((xi, k),) if k else ()
+            if a + c - 1 - k:
+                mid += ((xj, a + c - 1 - k),)
+            m = head + mid + tail
+            out[m] = out.get(m, 0) + coef
+    return SparsePoly(p.ring, out)
 
 
 @dataclass(frozen=True)
@@ -56,13 +100,13 @@ class OperatorContext:
         return p.substitute({f"x{i}": xi1, f"x{i + 1}": xi})
 
     def _phi_with_beta(self, i: int, p: SparsePoly, beta) -> SparsePoly:
+        """partial_i((1 + beta x_{i+1}) p)."""
         self._check_index(i)
         one = SparsePoly.const(p.ring, 1)
         if not isinstance(beta, SparsePoly):
             beta = SparsePoly.const(p.ring, beta)
         q = (one + beta * SparsePoly.var(p.ring, f"x{i + 1}")) * p
-        numerator = q - self.swap(i, q)
-        return divide_by_difference(numerator, f"x{i}", f"x{i + 1}")
+        return _divided_difference(q, i)
 
     def phi_beta(self, i: int, p: SparsePoly) -> SparsePoly:
         """((1 + b x_{i+1}) p - (1 + b x_i) sigma_i p) / (x_i - x_{i+1})."""
@@ -84,25 +128,28 @@ class OperatorContext:
 
     def _denominator_unit(self, i: int) -> SparsePoly:
         """The reciprocal of the unit g with F(x_i, chi(x_{i+1})) =
-        (x_i - x_{i+1}) g, truncated at D - 1."""
+        (x_i - x_{i+1}) g, truncated at D - 1; memoised per law, i and D."""
         fgl = self.fgl
         if fgl is None:
             raise ValueError("context has no formal group law")
-        xi = SparsePoly.var(fgl.ring, f"x{i}")
-        xi1 = SparsePoly.var(fgl.ring, f"x{i + 1}")
-        denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
-        g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
-        ginv = series_reciprocal(TruncatedSeries(g, self.D - 1))
-        return ginv.body
+        key = (fgl, i, self.D)
+        ginv = _GINV_MEMO.get(key)
+        if ginv is None:
+            xi = SparsePoly.var(fgl.ring, f"x{i}")
+            xi1 = SparsePoly.var(fgl.ring, f"x{i + 1}")
+            denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
+            g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
+            ginv = series_reciprocal(TruncatedSeries(g, self.D - 1)).body
+            _GINV_MEMO.put(key, ginv)
+        return ginv
 
     def A_op(self, i: int, p: SparsePoly) -> SparsePoly:
-        """(1 + sigma_i)(p / F(x_i, chi(x_{i+1}))) modulo degree > D."""
+        """(1 + sigma_i)(p / F(x_i, chi(x_{i+1}))) modulo degree > D,
+        computed as partial_i of (p / g) truncated at D + 1."""
         self._check_index(i)
         ginv = self._denominator_unit(i)
         r = (p * ginv).truncate(self.D + 1)
-        numerator = r - self.swap(i, r)
-        out = divide_by_difference(numerator, f"x{i}", f"x{i + 1}")
-        return out.truncate(self.D)
+        return _divided_difference(r, i).truncate(self.D)
 
     # -- words ---------------------------------------------------------------
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from .divdiff import OperatorContext
 from .fgl import FormalGroupLaw
+from .memo import TermMemo
 from .perms import Permutation, apply_word, lex_smallest_reduced_word, longest_element
 from .rings import SparsePoly, beta_ring
 
@@ -20,8 +21,10 @@ __all__ = [
     "bott_samelson_class",
 ]
 
-_BETA_CACHE: dict = {}
-_BS_CACHE: dict = {}
+# h_v per permutation v, filled along the walks of beta_poly
+_FAMILY_MEMO = TermMemo()
+# push-forward classes per (law, n, word)
+_BS_MEMO = TermMemo()
 
 
 def h_top(n: int) -> SparsePoly:
@@ -49,15 +52,31 @@ def beta_poly_via_word(w: Permutation, word: tuple) -> SparsePoly:
 
 
 def beta_poly(w: Permutation) -> SparsePoly:
-    """h_w, computed along the lex-smallest reduced word of w0*w."""
-    key = w
-    if key in _BETA_CACHE:
-        return _BETA_CACHE[key]
+    """h_w, computed along the lex-smallest reduced word of w0*w.
+
+    The walk h_{v_0} = h_top(n), h_{v_k} = phi_{i_k} h_{v_{k-1}} with
+    v_k = w0 s_{i_1} ... s_{i_k} starts at the longest prefix already
+    memoised and memoises every h_{v_k} it passes.  Each prefix is the
+    lex-smallest reduced word of w0*v_k, and h_v does not depend on the
+    word, so a full sweep of S_n costs n! - 1 operator applications."""
     n = w.n
     word = lex_smallest_reduced_word(longest_element(n).compose(w))
-    out = OperatorContext(n).compose_word(word, h_top(n), mode="beta")
-    _BETA_CACHE[key] = out
-    return out
+    chain = [longest_element(n)]
+    for i in word:
+        chain.append(chain[-1].right_multiply(i))
+    k = len(word)
+    p = _FAMILY_MEMO.get(chain[k])
+    while p is None and k > 0:
+        k -= 1
+        p = _FAMILY_MEMO.get(chain[k])
+    if p is None:
+        p = h_top(n)
+        _FAMILY_MEMO.put(chain[0], p)
+    ctx = OperatorContext(n)
+    for k in range(k, len(word)):
+        p = ctx.phi_beta(word[k], p)
+        _FAMILY_MEMO.put(chain[k + 1], p)
+    return p
 
 
 def double_schubert(w: Permutation) -> SparsePoly:
@@ -97,14 +116,15 @@ def bott_samelson_class(fgl: FormalGroupLaw, word: tuple, n: int
 
     Results are word-dependent in general: no deduplication across words
     with equal products."""
-    key = (fgl.kind, fgl.ring, n, tuple(word), fgl.D)
-    if key in _BS_CACHE:
-        return _BS_CACHE[key]
+    key = (fgl, n, tuple(word))
+    out = _BS_MEMO.get(key)
+    if out is not None:
+        return out
     for i in word:
         if not 1 <= i <= n - 1:
             raise ValueError(f"index {i} out of range for n={n}")
     ctx = OperatorContext(n, fgl=fgl)
     out = ctx.compose_word(tuple(word), bott_samelson_initial(fgl, n),
                            mode="fgl")
-    _BS_CACHE[key] = out
+    _BS_MEMO.put(key, out)
     return out

@@ -1,0 +1,58 @@
+"""A bounded memo for polynomial results.
+
+Every cache of polynomials in flagcalc (the h_w family, the inverse
+denominator units of the generalised operators, the push-forward classes)
+is an instance of ``TermMemo``: a map whose size is measured in stored
+polynomial terms, evicted least-recently-used first, with hit and miss
+counts for inspection.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+
+__all__ = ["MAX_TERMS", "TermMemo"]
+
+# Terms one memo may hold: the whole S_5 family (about 153k terms, roughly
+# 30 MB) fits, and h_top(6) alone (188k terms) does too.
+MAX_TERMS = 200_000
+
+
+class TermMemo:
+    """LRU map from hashable keys to SparsePoly values, bounded by the total
+    number of terms stored.  A value larger than the bound is not kept."""
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+        self.terms = 0
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        """The stored value (now most recently used), or None."""
+        value = self._entries.get(key)
+        if value is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return value
+
+    def put(self, key, value) -> None:
+        size = len(value.terms)
+        if size > MAX_TERMS:
+            return
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.terms -= len(old.terms)
+        self._entries[key] = value
+        self.terms += size
+        while self.terms > MAX_TERMS:
+            _, evicted = self._entries.popitem(last=False)
+            self.terms -= len(evicted.terms)
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.terms = 0
+        self.hits = 0
+        self.misses = 0

@@ -83,7 +83,10 @@ class Permutation:
 
     @staticmethod
     def from_one_line(text: str) -> "Permutation":
-        return Permutation(tuple(int(tok) for tok in text.replace(",", " ").split()))
+        images = tuple(int(tok) for tok in text.replace(",", " ").split())
+        if not images:
+            raise ValueError("empty permutation")
+        return Permutation(images)
 
     def __repr__(self):
         return f"Permutation({self.one_line()})"

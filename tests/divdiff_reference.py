@@ -1,0 +1,51 @@
+"""Reference divided-difference operators: substitute x_i <-> x_{i+1},
+subtract and divide the numerator by (x_i - x_{i+1}) with synthetic
+division.  flagcalc.divdiff applies the same operators with one
+closed-form kernel; the property tests hold it to these."""
+
+from flagcalc.rings import (
+    SparsePoly,
+    TruncatedSeries,
+    divide_by_difference,
+    series_reciprocal,
+)
+
+
+def swap(i, p):
+    xi = SparsePoly.var(p.ring, f"x{i}")
+    xi1 = SparsePoly.var(p.ring, f"x{i + 1}")
+    return p.substitute({f"x{i}": xi1, f"x{i + 1}": xi})
+
+
+def phi(i, p, beta):
+    """((1 + beta x_{i+1}) p - sigma_i((1 + beta x_{i+1}) p)) / (x_i - x_{i+1})."""
+    one = SparsePoly.const(p.ring, 1)
+    if not isinstance(beta, SparsePoly):
+        beta = SparsePoly.const(p.ring, beta)
+    q = (one + beta * SparsePoly.var(p.ring, f"x{i + 1}")) * p
+    return divide_by_difference(q - swap(i, q), f"x{i}", f"x{i + 1}")
+
+
+def partial(i, p):
+    return phi(i, p, 0)
+
+
+def pi_op(i, p):
+    return phi(i, p, -1)
+
+
+def phi_beta(i, p):
+    return phi(i, p, SparsePoly.var(p.ring, "b"))
+
+
+def A_op(fgl, D, i, p):
+    """(1 + sigma_i)(p / F(x_i, chi(x_{i+1}))) modulo degree > D, with the
+    unit g of F(x_i, chi(x_{i+1})) = (x_i - x_{i+1}) g inverted afresh."""
+    xi = SparsePoly.var(fgl.ring, f"x{i}")
+    xi1 = SparsePoly.var(fgl.ring, f"x{i + 1}")
+    denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
+    g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
+    ginv = series_reciprocal(TruncatedSeries(g, D - 1)).body
+    r = (p * ginv).truncate(D + 1)
+    out = divide_by_difference(r - swap(i, r), f"x{i}", f"x{i + 1}")
+    return out.truncate(D)

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from flagcalc.cli import main, parse_poly
+from flagcalc.cli import main, parse_poly, run
 from flagcalc.families import double_grothendieck, double_schubert
 from flagcalc.perms import Permutation
 from flagcalc.rings import QQ, SparsePoly, beta_ring
@@ -157,3 +158,22 @@ class TestErrors:
         res = runner.invoke(main, ["flagring", "reduce", "--n", "2",
                                    "--input", "(x1)"])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ("family", "--perm", "1 1"),
+        ("family", "--perm", ""),
+        ("porteous", "--e", "1", "--f", "1", "--r", "5"),
+        ("bott-samelson", "--word", "5", "--n", "3"),
+        ("braid", "--n", "2"),
+        ("flagring", "reduce", "--n", "2", "--input", "1/0 x1"),
+        ("flagring", "reduce", "--n", "0", "--input", "x1"),
+    ], ids=["repeated-image", "empty-perm", "rank-above-min", "word-index",
+            "braid-n2", "zero-denominator", "flagring-n0"])
+    def test_bad_input_exits_2(self, args, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["flagcalc", *args])
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1

@@ -183,6 +183,16 @@ class TestBottSamelson:
         with pytest.raises(ValueError):
             bott_samelson_class(fgl, (3,), 3)
 
+    def test_cache_keys_on_the_law(self):
+        # two multiplicative laws that differ only in b, on one word, n, D
+        ring = beta_ring()
+        word = (1, 2, 1)
+        first = bott_samelson_class(make_multiplicative(2, 5), word, 3)
+        second = bott_samelson_class(make_multiplicative(5, 5), word, 3)
+        y = V(ring, "y1", 2) * V(ring, "y2")
+        assert first == 1 + 8 * y
+        assert second == 1 + 125 * y
+
     def test_empty_word_is_initial(self):
         fgl = make_additive(5, ZZ)
         assert bott_samelson_class(fgl, (), 3) == \

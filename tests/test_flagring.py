@@ -5,7 +5,7 @@ import pytest
 
 from flagcalc.flagring import FlagRingPresentation
 from flagcalc.porteous import elementary_symmetric
-from flagcalc.rings import SparsePoly, ZZ
+from flagcalc.rings import SparsePoly, ZZ, beta_ring
 
 from conftest import random_poly
 
@@ -105,3 +105,17 @@ class TestRingStructure:
     def test_equal_in_ring_detects_difference(self):
         pres = FlagRingPresentation.trivial(2, ZZ)
         assert not pres.equal_in_ring(V("x1"), SparsePoly.const(ZZ, 1))
+
+
+class TestHighPowers:
+    def test_no_recursion_limit(self):
+        # a chain of 1500 rewrites, beyond the interpreter's recursion limit
+        ring = beta_ring()
+        pres = FlagRingPresentation.symbolic(2, ring)
+        big = pres.reduce(SparsePoly.var(ring, "x1", 1500))
+        assert not big.is_zero()
+        for mono in big.terms:
+            exps = dict(mono)
+            assert exps.get("x1", 0) <= 1 and exps.get("x2", 0) == 0
+        half = pres.reduce(SparsePoly.var(ring, "x1", 750))
+        assert pres.reduce(half * half) == big
