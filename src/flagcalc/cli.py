@@ -181,7 +181,7 @@ def hecke_group():
 
 
 @hecke_group.command()
-@click.option("--n", type=int, default=3, show_default=True)
+@click.option("--n", type=click.IntRange(min=1), default=3, show_default=True)
 def verify(n):
     """Emit a pass/fail certificate for each algebra identity."""
     results = hecke.verify_identities(n)

@@ -18,6 +18,9 @@ from .rings import (
     CoefficientRing,
     SparsePoly,
     TruncatedSeries,
+    _clean,
+    _FIELD,
+    _slot,
     beta_ring,
     divide_by_difference,
     series_reciprocal,
@@ -29,42 +32,34 @@ __all__ = ["OperatorContext", "braid_check"]
 _GINV_MEMO = TermMemo()
 
 
-def _divided_difference(p: SparsePoly, i: int) -> SparsePoly:
-    """partial_i p = (p - sigma_i p) / (x_i - x_{i+1}), term by term.
+def _divided_difference(i: int, ring: CoefficientRing, parts) -> SparsePoly:
+    """partial_i of the sum of the polynomials in parts, term by term.
 
     For a monomial m x_i^a x_{i+1}^c with a > c,
     (x_i^a x_{i+1}^c - x_i^c x_{i+1}^a) / (x_i - x_{i+1})
         = sum_{k=c}^{a-1} x_i^k x_{i+1}^(a+c-1-k),
-    the sign flips for a < c and the term vanishes for a = c.  x_i and
-    x_{i+1} are adjacent in the canonical variable order, so each new
-    monomial is the old one with that middle part replaced."""
-    xi, xj = f"x{i}", f"x{i + 1}"
+    the sign flips for a < c and the term vanishes for a = c.  Each new
+    monomial is the old one with the fields of x_i and x_{i+1} replaced;
+    no exponent grows, so none can overflow."""
+    si, ui = _slot(f"x{i}")
+    sj, uj = _slot(f"x{i + 1}")
+    step = ui - uj
     out: dict = {}
-    for mono, coef in p.terms.items():
-        for pos, (v, e) in enumerate(mono):
-            if v == xi:
-                a, c, end = e, 0, pos + 1
-                if end < len(mono) and mono[end][0] == xj:
-                    c = mono[end][1]
-                    end += 1
-                break
-            if v == xj:
-                a, c, end = 0, e, pos + 1
-                break
-        else:
-            continue
-        if a == c:
-            continue
-        if a < c:
-            a, c, coef = c, a, -coef
-        head, tail = mono[:pos], mono[end:]
-        for k in range(c, a):
-            mid = ((xi, k),) if k else ()
-            if a + c - 1 - k:
-                mid += ((xj, a + c - 1 - k),)
-            m = head + mid + tail
-            out[m] = out.get(m, 0) + coef
-    return SparsePoly(p.ring, out)
+    get = out.get
+    for part in parts:
+        for m, coef in part._terms.items():
+            a = m >> si & _FIELD
+            c = m >> sj & _FIELD
+            if a == c:
+                continue
+            m -= a * ui + c * uj
+            if a < c:
+                a, c, coef = c, a, -coef
+            m += c * ui + (a - 1) * uj
+            for _ in range(a - c):
+                out[m] = get(m, 0) + coef
+                m += step
+    return SparsePoly._new(ring, _clean(out, ring.rational))
 
 
 @dataclass(frozen=True)
@@ -100,13 +95,18 @@ class OperatorContext:
         return p.substitute({f"x{i}": xi1, f"x{i + 1}": xi})
 
     def _phi_with_beta(self, i: int, p: SparsePoly, beta) -> SparsePoly:
-        """partial_i((1 + beta x_{i+1}) p)."""
+        """partial_i((1 + beta x_{i+1}) p).
+
+        partial_i is linear, so the kernel takes p and, for each term of
+        beta x_{i+1}, a copy of p shifted by that term, in place of the
+        product."""
         self._check_index(i)
-        one = SparsePoly.const(p.ring, 1)
         if not isinstance(beta, SparsePoly):
             beta = SparsePoly.const(p.ring, beta)
-        q = (one + beta * SparsePoly.var(p.ring, f"x{i + 1}")) * p
-        return _divided_difference(q, i)
+        shifts = beta * SparsePoly.var(p.ring, f"x{i + 1}")
+        parts = [p] + [p * SparsePoly._new(p.ring, {k: c})
+                       for k, c in shifts._terms.items()]
+        return _divided_difference(i, p.ring, parts)
 
     def phi_beta(self, i: int, p: SparsePoly) -> SparsePoly:
         """((1 + b x_{i+1}) p - (1 + b x_i) sigma_i p) / (x_i - x_{i+1})."""
@@ -149,7 +149,7 @@ class OperatorContext:
         self._check_index(i)
         ginv = self._denominator_unit(i)
         r = (p * ginv).truncate(self.D + 1)
-        return _divided_difference(r, i).truncate(self.D)
+        return _divided_difference(i, r.ring, [r]).truncate(self.D)
 
     # -- words ---------------------------------------------------------------
 

@@ -59,13 +59,15 @@ def beta_poly(w: Permutation) -> SparsePoly:
     memoised and memoises every h_{v_k} it passes.  Each prefix is the
     lex-smallest reduced word of w0*v_k, and h_v does not depend on the
     word, so a full sweep of S_n costs n! - 1 operator applications."""
+    p = _FAMILY_MEMO.get(w)
+    if p is not None:
+        return p
     n = w.n
     word = lex_smallest_reduced_word(longest_element(n).compose(w))
     chain = [longest_element(n)]
     for i in word:
         chain.append(chain[-1].right_multiply(i))
     k = len(word)
-    p = _FAMILY_MEMO.get(chain[k])
     while p is None and k > 0:
         k -= 1
         p = _FAMILY_MEMO.get(chain[k])

@@ -14,9 +14,14 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .rings import CoefficientRing, SparsePoly, _mono_mul
+from .rings import (
+    CoefficientRing, SparsePoly, _FIELD, _check_guard, _clean, _slot)
 
-__all__ = ["FlagRingPresentation"]
+__all__ = ["FlagRingPresentation", "MAX_X_DEGREE"]
+
+# The largest total x-degree reduce accepts: the work grows like a power of
+# the degree (x1^1500 takes about 2 s at n = 2), and past it would run on.
+MAX_X_DEGREE = 1500
 
 
 def _complete_homogeneous(ring, m: int, names: list) -> SparsePoly:
@@ -49,8 +54,8 @@ class FlagRingPresentation:
     def __post_init__(self):
         if len(self.base_chern) != self.n:
             raise ValueError(f"need n={self.n} base Chern classes")
-        slot = {f"x{k}": k - 1 for k in range(1, self.n + 1)}
-        object.__setattr__(self, "_slot", slot)
+        object.__setattr__(self, "_slots", tuple(
+            _slot(f"x{k}") for k in range(1, self.n + 1)))
         tails = []
         for k in range(1, self.n + 1):
             M = self.n - k + 1
@@ -61,9 +66,9 @@ class FlagRingPresentation:
                 g = g + sign * self.base_chern[i - 1] * \
                     _complete_homogeneous(self.ring, M - i, names)
                 sign = -sign
-            tail = SparsePoly(self.ring, {((f"x{k}", M),): 1}) - g
+            tail = SparsePoly.var(self.ring, f"x{k}", M) - g
             tails.append(tuple(self._split(m) + (c,)
-                               for m, c in tail.terms.items()))
+                               for m, c in tail._terms.items()))
         object.__setattr__(self, "_tails", tuple(tails))
         object.__setattr__(self, "_nf_cache", {})
 
@@ -79,17 +84,14 @@ class FlagRingPresentation:
 
     # -- reduction -----------------------------------------------------------
 
-    def _split(self, mono) -> tuple:
-        """(exponents of x_1..x_n, the monomial in every other variable)."""
-        exps = [0] * self.n
-        rest = []
-        for v, e in mono:
-            k = self._slot.get(v)
-            if k is None:
-                rest.append((v, e))
-            else:
-                exps[k] = e
-        return tuple(exps), tuple(rest)
+    def _split(self, m: int) -> tuple:
+        """(exponents of x_1..x_n, the packed monomial in every other
+        variable)."""
+        exps = tuple(m >> shift & _FIELD for shift, _ in self._slots)
+        return exps, m - self._x_key(exps)
+
+    def _x_key(self, exps: tuple) -> int:
+        return sum(e * unit for e, (_, unit) in zip(exps, self._slots))
 
     def _normal_form_of_exponents(self, alpha: tuple) -> dict:
         """Memoised normal form of x^alpha, as a map monomial -> coefficient.
@@ -104,13 +106,13 @@ class FlagRingPresentation:
         cached = self._nf_cache.get(alpha)
         if cached is not None:
             return cached
-        names = [f"x{k}" for k in range(1, self.n + 1)]
-        work = {alpha: {(): 1}}
+        work = {alpha: {0: 1}}
         heap = [_order_key(alpha)]
         out: dict = {}
         while heap:
             beta = heapq.heappop(heap)[2]
             coeffs = work.pop(beta)
+            _check_guard(coeffs)
             nf = self._nf_cache.get(beta)
             if nf is None:
                 for k in range(self.n, 0, -1):
@@ -118,12 +120,11 @@ class FlagRingPresentation:
                     if beta[k - 1] >= M:
                         break
                 else:
-                    nf = {tuple((names[j], e) for j, e in enumerate(beta)
-                                if e): 1}
+                    nf = {self._x_key(beta): 1}
             if nf is not None:
                 for rest, c in coeffs.items():
                     for m2, c2 in nf.items():
-                        m = _mono_mul(m2, rest)
+                        m = m2 + rest
                         out[m] = out.get(m, 0) + c * c2
                 continue
             base = list(beta)
@@ -135,20 +136,27 @@ class FlagRingPresentation:
                     target = work[gamma] = {}
                     heapq.heappush(heap, _order_key(gamma))
                 for rest, c in coeffs.items():
-                    m = _mono_mul(rest, t_rest)
+                    m = rest + t_rest
                     target[m] = target.get(m, 0) + c * t_c
         out = {m: c for m, c in out.items() if c}
+        _check_guard(out)
         self._nf_cache[alpha] = out
         return out
 
     def reduce(self, p: SparsePoly) -> SparsePoly:
+        """The normal form of p; raises ValueError for a term of x-degree
+        above MAX_X_DEGREE."""
+        split = [self._split(m) + (c,) for m, c in p._terms.items()]
+        degree = max((sum(alpha) for alpha, _, _ in split), default=0)
+        if degree > MAX_X_DEGREE:
+            raise ValueError(f"x-degree {degree} exceeds {MAX_X_DEGREE}")
         acc: dict = {}
-        for mono, c in p.terms.items():
-            alpha, rest = self._split(mono)
+        for alpha, rest, c in split:
             for m2, c2 in self._normal_form_of_exponents(alpha).items():
-                m = _mono_mul(m2, rest)
+                m = m2 + rest
                 acc[m] = acc.get(m, 0) + c * c2
-        return SparsePoly(p.ring, acc)
+        _check_guard(acc)
+        return SparsePoly._new(p.ring, _clean(acc, p.ring.rational))
 
     def equal_in_ring(self, p: SparsePoly, q: SparsePoly) -> bool:
         return self.reduce(p - q).is_zero()

@@ -14,7 +14,7 @@ from collections import OrderedDict
 __all__ = ["MAX_TERMS", "TermMemo"]
 
 # Terms one memo may hold: the whole S_5 family (about 153k terms, roughly
-# 30 MB) fits, and h_top(6) alone (188k terms) does too.
+# 13 MB) fits, and h_top(6) alone (188k terms) does too.
 MAX_TERMS = 200_000
 
 

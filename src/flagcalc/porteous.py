@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .divdiff import OperatorContext
 from .perms import Permutation, lex_smallest_reduced_word, longest_element, nu_triple
-from .rings import SparsePoly, ZZ, beta_ring
+from .rings import SparsePoly, ZZ, _FIELD, _slot, beta_ring
 
 __all__ = [
     "RankTriple",
@@ -130,17 +130,14 @@ def _reduce_block(p: SparsePoly, block: list, out_prefix: str) -> SparsePoly:
     symbols.  The leading partition strictly decreases, so this stops."""
     ring = p.ring
     k = len(block)
+    slots = [_slot(v) for v in block]
     es = [None] + [elementary_symmetric(ring, j, block) for j in range(1, k + 1)]
     out = SparsePoly.zero(ring)
     rest = p
     while True:
-        best = None
-        for mono, _ in rest.terms.items():
-            d = dict(mono)
-            exps = tuple(d.get(v, 0) for v in block)
-            if any(exps):
-                if best is None or exps > best:
-                    best = exps
+        exps = {m: tuple(m >> shift & _FIELD for shift, _ in slots)
+                for m in rest._terms}
+        best = max((e for e in exps.values() if any(e)), default=None)
         if best is None:
             return out + rest
         if list(best) != sorted(best, reverse=True):
@@ -148,13 +145,10 @@ def _reduce_block(p: SparsePoly, block: list, out_prefix: str) -> SparsePoly:
                 f"leading exponents {best} in {block} are not a partition; "
                 "input not symmetric")
         # coefficient of the leading block-monomial (a poly in other vars)
-        coeff_terms = {}
-        for mono, c in rest.terms.items():
-            d = dict(mono)
-            if tuple(d.get(v, 0) for v in block) == best:
-                others = tuple((v, e) for v, e in mono if v not in block)
-                coeff_terms[others] = c
-        coeff = SparsePoly(ring, coeff_terms)
+        block_key = sum(e * unit for e, (_, unit) in zip(best, slots))
+        coeff = SparsePoly._new(ring, {
+            m - block_key: c for m, c in rest._terms.items()
+            if exps[m] == best})
         lam = list(best) + [0]
         e_prod = SparsePoly.const(ring, 1)
         sym_prod = SparsePoly.const(ring, 1)

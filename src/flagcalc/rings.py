@@ -13,13 +13,27 @@ The generators ``b`` and ``m1..mK`` are stored as ordinary variables inside
 the exponent vectors but are *never* counted by truncation: only the
 geometric variables (x's, y's, series variables, Chern-class symbols)
 contribute to the degree that a ``TruncatedSeries`` bounds.
+
+A monomial is packed into one Python int of 16-bit fields.  Each variable
+name gets its own field the first time the process sees it; field 0 holds
+the geometric degree.  The top bit of every field is a guard bit that a
+valid monomial keeps clear, so exponents (and the geometric degree) are at
+most ``MAX_EXP`` = 2^15 - 1.  The product of two monomials is the sum of
+their ints: two fields below 2^15 add up to less than 2^16 and never carry
+into the next field, so a guard bit set in a sum is exactly an overflow,
+and it raises ``ExponentOverflowError``.  Keys are sorted into the
+canonical term order only when a polynomial is rendered.
 """
 
 from __future__ import annotations
 
 import re
+import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add, itemgetter, or_, sub
 
 __all__ = [
     "CoefficientRing",
@@ -29,10 +43,9 @@ __all__ = [
     "lazard_rational",
     "RingMismatchError",
     "DivisionError",
+    "ExponentOverflowError",
+    "MAX_EXP",
     "SparsePoly",
-    "variable",
-    "const",
-    "poly_arith",
     "exact_divide_linear",
     "divide_by_difference",
     "TruncatedSeries",
@@ -47,6 +60,10 @@ class RingMismatchError(ValueError):
 
 class DivisionError(ArithmeticError):
     """Exact division left a nonzero remainder."""
+
+
+class ExponentOverflowError(ValueError):
+    """An exponent or a geometric degree would exceed MAX_EXP."""
 
 
 @dataclass(frozen=True)
@@ -115,74 +132,155 @@ def is_coefficient_var(name: str) -> bool:
     return name == "b" or (name.startswith("m") and name[1:].isdigit())
 
 
-Monomial = tuple  # tuple of (name, exponent) pairs, sorted by _var_key
+# -- packed monomials --------------------------------------------------------
+
+_BITS = 16
+MAX_EXP = (1 << _BITS - 1) - 1
+_FIELD = (1 << _BITS) - 1      # a field; field 0 is the geometric degree
+_SLOTS: dict = {}              # name -> (shift, unit), unit = name^1
+_NAMES = [None]                # field index -> variable name
+_CANON: list = []              # variable field indices in canonical order
+_guard = 1 << _BITS - 1        # the guard bits of every field in use
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    # merge of two sorted exponent vectors
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif _var_key(va) < _var_key(vb):
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _slot(name: str) -> tuple:
+    """(shift, unit) of a variable's field, registering the name on first
+    use.  A geometric variable's unit also carries 1 in the degree field."""
+    slot = _SLOTS.get(name)
+    if slot is None:
+        global _guard
+        _var_key(name)
+        k = len(_NAMES)
+        shift = _BITS * k
+        slot = _SLOTS[name] = (
+            shift, (1 << shift) + (not is_coefficient_var(name)))
+        _NAMES.append(name)
+        _CANON.append(k)
+        _CANON.sort(key=lambda j: _var_key(_NAMES[j]))
+        _guard |= 1 << shift + _BITS - 1
+    return slot
 
 
-def _mono_degree(mono: Monomial, exclude: tuple = ()) -> int:
-    return sum(e for v, e in mono
-               if not is_coefficient_var(v) and v not in exclude)
+def _check_guard(keys) -> None:
+    """Raise unless every packed monomial in keys has its guard bits clear.
+    Exact when each key is the sum of two valid ones."""
+    if reduce(or_, keys, 0) & _guard:
+        raise ExponentOverflowError(f"an exponent exceeds {MAX_EXP}")
+
+
+def _encode(mono) -> int:
+    """Pack (name, exponent) pairs, checking after each pair."""
+    key = 0
+    for v, e in mono:
+        if e < 0:
+            raise ValueError("negative exponent")
+        if e > MAX_EXP:
+            raise ExponentOverflowError(f"{v}^{e}: exponent above {MAX_EXP}")
+        key += e * _slot(v)[1]
+        if key & _guard:
+            raise ExponentOverflowError(f"degree exceeds {MAX_EXP}")
+    return key
+
+
+def _unpacker(keys) -> tuple:
+    """The variables present in keys, in canonical order, and a function
+    taking a key to its exponents of those variables."""
+    present = reduce(or_, keys, 0)
+    n = (present.bit_length() + _BITS - 1) // _BITS
+    slots = [k for k in _CANON if k < n and present >> _BITS * k & _FIELD]
+    unpack = struct.Struct(f"<{n}H").unpack
+    pick = itemgetter(*slots) if len(slots) > 1 else (
+        lambda fields: tuple(fields[k] for k in slots))
+    return ([_NAMES[k] for k in slots],
+            lambda m: pick(unpack(m.to_bytes(2 * n, "little"))))
+
+
+def _geometric_degree(exclude: tuple):
+    """The geometric degree of a packed monomial, leaving out the
+    variables in exclude."""
+    shifts = [_SLOTS[v][0] for v in exclude
+              if v in _SLOTS and not is_coefficient_var(v)]
+    return lambda m: (m & _FIELD) - sum(m >> s & _FIELD for s in shifts)
+
+
+def _clean(terms: dict, rational: bool) -> dict:
+    """Drop zero coefficients; over Q store integral fractions as ints."""
+    if rational:
+        return {m: c.numerator if type(c) is Fraction and c.denominator == 1
+                else c for m, c in terms.items() if c}
+    return {m: c for m, c in terms.items() if c}
 
 
 def _coeff_str(c) -> str:
-    if isinstance(c, Fraction):
+    if type(c) is Fraction:
         return f"{c.numerator}/{c.denominator}"
     return str(c)
+
+
+class _Terms(Mapping):
+    """The terms of a SparsePoly as a map from monomials, tuples of
+    (name, exponent) pairs in canonical variable order, to coefficients;
+    monomials are decoded on access."""
+
+    __slots__ = ("_packed",)
+
+    def __init__(self, packed: dict):
+        self._packed = packed
+
+    def __len__(self):
+        return len(self._packed)
+
+    def __iter__(self):
+        names, exps = _unpacker(self._packed)
+        for m in self._packed:
+            yield tuple((v, e) for v, e in zip(names, exps(m)) if e)
+
+    def __getitem__(self, mono):
+        return self._packed[_encode(mono)]
+
+    def items(self):
+        return list(zip(self, self._packed.values()))
 
 
 class SparsePoly:
     """Immutable exact multivariate polynomial over a ``CoefficientRing``."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: CoefficientRing, terms: dict):
+        """``terms`` maps tuples of (name, exponent) pairs to coefficients."""
         self.ring = ring
-        clean = {}
-        rational = ring.rational
+        packed: dict = {}
         for mono, c in terms.items():
             if isinstance(c, Fraction):
                 if c.denominator == 1:
                     c = c.numerator
-                elif not rational:
+                elif not ring.rational:
                     raise ValueError(
                         f"non-integer coefficient {c} over {ring.kind}")
             else:
                 c = int(c)
-            if c:
-                clean[mono] = c
-        self.terms = clean
+            key = _encode(mono)
+            packed[key] = packed.get(key, 0) + c
+        self._terms = _clean(packed, ring.rational)
+
+    @classmethod
+    def _new(cls, ring: CoefficientRing, terms: dict) -> "SparsePoly":
+        """Trusted constructor: packed keys, nonzero clean coefficients."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p._terms = terms
+        return p
+
+    @property
+    def terms(self) -> _Terms:
+        return _Terms(self._terms)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def zero(ring: CoefficientRing) -> "SparsePoly":
-        return SparsePoly(ring, {})
+        return SparsePoly._new(ring, {})
 
     @staticmethod
     def const(ring: CoefficientRing, value) -> "SparsePoly":
@@ -192,58 +290,51 @@ class SparsePoly:
     def var(ring: CoefficientRing, name: str, exp: int = 1) -> "SparsePoly":
         if not ring.allows_generator(name):
             raise RingMismatchError(f"generator {name!r} not in {ring.kind}")
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp == 0:
-            return SparsePoly.const(ring, 1)
-        return SparsePoly(ring, {((name, exp),): 1})
+        return SparsePoly._new(ring, {_encode(((name, exp),)): 1})
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = SparsePoly.const(self.ring, other) if self.ring.rational \
-                else SparsePoly(self.ring, {(): other})
+            other = SparsePoly(self.ring, {(): other})
         if not isinstance(other, SparsePoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self._terms.items())))
 
     # -- inspection ----------------------------------------------------------
 
     def variables(self) -> set:
-        return {v for mono in self.terms for v, _ in mono}
+        return set(_unpacker(self._terms)[0])
 
     def degree(self, exclude: tuple = ()) -> int:
         """Total degree in the geometric variables (-1 for the zero poly)."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(_mono_degree(m, exclude) for m in self.terms)
+        return max(map(_geometric_degree(exclude), self._terms))
 
     def constant_term(self):
         """Coefficient of the monomial with no geometric variables.
 
         Returns a SparsePoly (it may still involve b or the m_k)."""
-        kept = {m: c for m, c in self.terms.items() if _mono_degree(m) == 0}
-        return SparsePoly(self.ring, kept)
+        return SparsePoly._new(self.ring, {
+            m: c for m, c in self._terms.items() if not m & _FIELD})
 
     def coeff(self, mono_pairs) -> "int | Fraction":
-        mono = tuple(sorted(
-            ((v, e) for v, e in mono_pairs if e), key=lambda p: _var_key(p[0])))
-        return self.terms.get(mono, 0)
+        return self._terms.get(_encode(mono_pairs), 0)
 
     def homogeneous_part(self, d: int, exclude: tuple = ()) -> "SparsePoly":
-        kept = {m: c for m, c in self.terms.items()
-                if _mono_degree(m, exclude) == d}
-        return SparsePoly(self.ring, kept)
+        deg = _geometric_degree(exclude)
+        return SparsePoly._new(self.ring, {
+            m: c for m, c in self._terms.items() if deg(m) == d})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -259,30 +350,38 @@ class SparsePoly:
             return SparsePoly(self.ring, {(): other})
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         self._check(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) + c
-        return SparsePoly(self.ring, terms)
+        rational = self.ring.rational
+        big, small = self._terms, other._terms
+        if op is add and len(big) < len(small):
+            big, small = small, big
+        terms = dict(big)
+        get = terms.get
+        for m, c in small.items():
+            s = op(get(m, 0), c)
+            if not s:
+                del terms[m]
+            elif rational and type(s) is Fraction and s.denominator == 1:
+                terms[m] = s.numerator
+            else:
+                terms[m] = s
+        return SparsePoly._new(self.ring, terms)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.ring, {m: -c for m, c in self.terms.items()})
+        return SparsePoly._new(
+            self.ring, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        self._check(other)
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            terms[mono] = terms.get(mono, 0) - c
-        return SparsePoly(self.ring, terms)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -292,20 +391,29 @@ class SparsePoly:
         if other is None:
             return NotImplemented
         self._check(other)
-        terms: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                terms[m] = terms.get(m, 0) + c1 * c2
-        return SparsePoly(self.ring, terms)
+        small, big = self._terms, other._terms
+        if len(small) > len(big):
+            small, big = big, small
+        if len(small) == 1:
+            # a monomial times a polynomial: a shift of the keys
+            (k, c0), = small.items()
+            terms = {m + k: c * c0 for m, c in big.items()}
+        else:
+            terms = {}
+            get = terms.get
+            for m1, c1 in small.items():
+                for m2, c2 in big.items():
+                    m = m1 + m2
+                    terms[m] = get(m, 0) + c1 * c2
+        _check_guard(terms)
+        return SparsePoly._new(self.ring, _clean(terms, self.ring.rational))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = SparsePoly.const(self.ring, 1) if self.ring.rational \
-            else SparsePoly(self.ring, {(): 1})
+        result = SparsePoly.const(self.ring, 1)
         base = self
         while n:
             if n & 1:
@@ -315,9 +423,13 @@ class SparsePoly:
         return result
 
     def truncate(self, bound: int, exclude: tuple = ()) -> "SparsePoly":
-        kept = {m: c for m, c in self.terms.items()
-                if _mono_degree(m, exclude) <= bound}
-        return SparsePoly(self.ring, kept)
+        if exclude:
+            deg = _geometric_degree(exclude)
+            kept = {m: c for m, c in self._terms.items() if deg(m) <= bound}
+        else:
+            kept = {m: c for m, c in self._terms.items()
+                    if m & _FIELD <= bound}
+        return SparsePoly._new(self.ring, kept)
 
     # -- substitution --------------------------------------------------------
 
@@ -325,147 +437,122 @@ class SparsePoly:
                    ) -> "SparsePoly":
         """Evaluate under var -> SparsePoly/number; untouched vars stay."""
         target = ring if ring is not None else self.ring
-        images = {}
+        subs = []
         for v, val in assignment.items():
             if isinstance(val, SparsePoly):
                 if val.ring != target:
                     raise RingMismatchError(
                         f"image of {v} lives over {val.ring.kind}")
-                images[v] = val
             else:
-                images[v] = SparsePoly(target, {(): Fraction(val)}) \
-                    if target.rational else SparsePoly(target, {(): val})
+                val = SparsePoly(target, {(): val})
+            subs.append(_slot(v) + (val,))
         acc: dict = {}
-        # fast path: every image is a monomial (covers variable renames and
-        # numeric specialisations), so no polynomial products are needed
-        if all(len(img.terms) <= 1 for img in images.values()):
-            for mono, c in self.terms.items():
-                exps: dict = {}
-                dead = False
-                for v, e in mono:
-                    img = images.get(v)
-                    if img is None:
-                        exps[v] = exps.get(v, 0) + e
+        get = acc.get
+        if all(len(img._terms) <= 1 for *_, img in subs):
+            # every image is a monomial or zero (variable renames and
+            # numeric specialisations): each term maps to one term
+            images = []
+            for shift, unit, img in subs:
+                k, ic = next(iter(img._terms.items()), (0, 0))
+                top = max(_unpacker((k,))[1](k) + (k & _FIELD,))
+                images.append((shift, unit, k, ic, top))
+            for m, c in self._terms.items():
+                key = m
+                for shift, unit, k, ic, top in images:
+                    e = m >> shift & _FIELD
+                    if not e:
                         continue
-                    if not img.terms:
-                        dead = True
+                    if not ic:
                         break
-                    (im_mono, im_c), = img.terms.items()
-                    c = c * im_c ** e
-                    for iv, ie in im_mono:
-                        exps[iv] = exps.get(iv, 0) + ie * e
-                if dead:
-                    continue
-                m = tuple(sorted(exps.items(), key=lambda p: _var_key(p[0])))
-                acc[m] = acc.get(m, 0) + c
-            return SparsePoly(target, acc)
-        for mono, c in self.terms.items():
-            term = SparsePoly(target, {(): c})
-            for v, e in mono:
-                if v in images:
-                    term = term * images[v] ** e
+                    # remove v^e and add its image: when the image's fields
+                    # times e are valid, this sums two valid keys
+                    key += e * (k - unit)
+                    if e * top > MAX_EXP or key & _guard:
+                        raise ExponentOverflowError(
+                            f"an exponent exceeds {MAX_EXP}")
+                    c = c * ic ** e
                 else:
-                    term = term * SparsePoly.var(target, v, e)
-            for m2, c2 in term.terms.items():
-                acc[m2] = acc.get(m2, 0) + c2
-        return SparsePoly(target, acc)
+                    acc[key] = get(key, 0) + c
+            return SparsePoly._new(target, _clean(acc, target.rational))
+        for m, c in self._terms.items():
+            powers = []
+            for shift, unit, img in subs:
+                e = m >> shift & _FIELD
+                if e:
+                    m -= e * unit
+                    powers.append(img ** e)
+            term = SparsePoly._new(target, {m: c})
+            for factor in powers:
+                term = term * factor
+            for k, tc in term._terms.items():
+                acc[k] = get(k, 0) + tc
+        return SparsePoly._new(target, _clean(acc, target.rational))
 
     # -- canonical output ----------------------------------------------------
 
-    def _sorted_terms(self):
-        def key(mono):
-            deg = sum(e for _, e in mono)
-            vec = tuple((_var_key(v), -e) for v, e in mono)
-            return (deg, vec)
-        return sorted(self.terms.items(), key=lambda mc: key(mc[0]))
+    def _sorted_terms(self) -> tuple:
+        """The variables present, in canonical order, and the terms as
+        (exponents of those variables, coefficient) in output order: total
+        degree ascending, then the exponent vector descending."""
+        names, exps = _unpacker(self._terms)
+        rows = [(exps(m), c) for m, c in self._terms.items()]
+        rows.sort(key=itemgetter(0), reverse=True)
+        rows.sort(key=lambda row: sum(row[0]))
+        return names, rows
 
-    def to_text(self) -> str:
-        if not self.terms:
+    def _render(self, label, power, magnitude) -> str:
+        """Signed terms joined in output order; label(v) prints a variable,
+        power(label, e) a power and magnitude(c) a positive coefficient."""
+        if not self._terms:
             return "0"
+        names, rows = self._sorted_terms()
+        # each variable's printed powers, indexed by the exponent
+        tops = map(max, zip(*(exps for exps, _ in rows)))
+        words = [[s, s] + [power(s, e) for e in range(2, top + 1)]
+                 for s, top in zip(map(label, names), tops)]
         pieces = []
-        for mono, c in self._sorted_terms():
-            mono_s = " ".join(
-                v if e == 1 else f"{v}^{e}" for v, e in mono)
+        for exps, c in rows:
+            mono_s = " ".join([w[e] for w, e in zip(words, exps) if e])
             neg = c < 0
             mag = -c if neg else c
             if not mono_s:
-                body = _coeff_str(mag)
+                body = magnitude(mag)
             elif mag == 1:
                 body = mono_s
             else:
-                body = f"{_coeff_str(mag)} {mono_s}"
-            if not pieces:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f"- {body}" if neg else f"+ {body}")
+                body = f"{magnitude(mag)} {mono_s}"
+            sign = ("- " if neg else "+ ") if pieces else ("-" if neg else "")
+            pieces.append(sign + body)
         return " ".join(pieces)
 
-    def to_latex(self) -> str:
-        if not self.terms:
-            return "0"
+    def to_text(self) -> str:
+        return self._render(str, lambda s, e: f"{s}^{e}", _coeff_str)
 
-        def var_tex(v, e):
+    def to_latex(self) -> str:
+        def label(v):
             m = _VAR_RE.fullmatch(v)
             stem, idx = m.group(1), m.group(2)
             stem = r"\beta" if stem == "b" else stem
-            s = f"{stem}_{{{idx}}}" if idx else stem
-            return s if e == 1 else f"{s}^{{{e}}}"
+            return f"{stem}_{{{idx}}}" if idx else stem
 
-        pieces = []
-        for mono, c in self._sorted_terms():
-            mono_s = " ".join(var_tex(v, e) for v, e in mono)
-            neg = c < 0
-            mag = -c if neg else c
+        def magnitude(mag):
             if isinstance(mag, Fraction):
-                mag_s = rf"\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
-            else:
-                mag_s = str(mag)
-            if not mono_s:
-                body = mag_s
-            elif mag == 1:
-                body = mono_s
-            else:
-                body = f"{mag_s} {mono_s}"
-            if not pieces:
-                pieces.append(f"-{body}" if neg else body)
-            else:
-                pieces.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(pieces)
+                return rf"\tfrac{{{mag.numerator}}}{{{mag.denominator}}}"
+            return str(mag)
+
+        return self._render(label, lambda s, e: f"{s}^{{{e}}}", magnitude)
 
     def to_json_obj(self) -> dict:
-        vars_ = sorted(self.variables(), key=_var_key)
-        terms = []
-        for mono, c in self._sorted_terms():
-            d = dict(mono)
-            terms.append({
-                "exponents": [d.get(v, 0) for v in vars_],
-                "coeff": _coeff_str(c),
-            })
-        return {"vars": vars_, "terms": terms}
+        names, rows = self._sorted_terms()
+        return {"vars": names,
+                "terms": [{"exponents": list(exps), "coeff": _coeff_str(c)}
+                          for exps, c in rows]}
 
     def __repr__(self):
         return f"SparsePoly({self.to_text()})"
 
 
 # -- module-level helpers ----------------------------------------------------
-
-def variable(ring: CoefficientRing, name: str) -> SparsePoly:
-    return SparsePoly.var(ring, name)
-
-
-def const(ring: CoefficientRing, value) -> SparsePoly:
-    return SparsePoly.const(ring, value)
-
-
-def poly_arith(a: SparsePoly, b: SparsePoly, op: str) -> SparsePoly:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
 
 def divide_by_difference(p: SparsePoly, va: str, vb: str) -> SparsePoly:
     """Exact division of p by (va - vb); raises DivisionError otherwise.
@@ -474,49 +561,33 @@ def divide_by_difference(p: SparsePoly, va: str, vb: str) -> SparsePoly:
     p = sum_a P_a va^a, the quotient satisfies q_{a-1} = P_a + vb*q_a
     read off from the top coefficient downwards."""
     ring = p.ring
+    shift, unit = _slot(va)
+    vb_unit = _slot(vb)[1]
     by_exp: dict[int, dict] = {}
-    for mono, c in p.terms.items():
-        rest = None
-        a = 0
-        for pos, (v, e) in enumerate(mono):
-            if v == va:
-                a = e
-                rest = mono[:pos] + mono[pos + 1:]
-                break
-        if rest is None:
-            rest = mono
-        level = by_exp.get(a)
-        if level is None:
-            level = by_exp[a] = {}
-        level[rest] = level.get(rest, 0) + c
+    for m, c in p._terms.items():
+        a = m >> shift & _FIELD
+        by_exp.setdefault(a, {})[m - a * unit] = c
     if not by_exp:
         return SparsePoly.zero(ring)
     top = max(by_exp)
-    vb_mono = ((vb, 1),)
     q: list[dict] = [{} for _ in range(top)]
     carry: dict = {}
     for a in range(top, 0, -1):
         level = dict(by_exp.get(a, {}))
-        for mono, c in carry.items():
-            level[mono] = level.get(mono, 0) + c
+        for m, c in carry.items():
+            level[m] = level.get(m, 0) + c
         q[a - 1] = level
-        carry = {}
-        for mono, c in level.items():
-            if c:
-                carry[_mono_mul(mono, vb_mono)] = c
+        carry = {m + vb_unit: c for m, c in level.items() if c}
+        _check_guard(carry)
     remainder = dict(by_exp.get(0, {}))
-    for mono, c in carry.items():
-        remainder[mono] = remainder.get(mono, 0) + c
+    for m, c in carry.items():
+        remainder[m] = remainder.get(m, 0) + c
     if any(c for c in remainder.values()):
         raise DivisionError(f"not divisible by ({va} - {vb})")
-    out: dict = {}
-    for a, level in enumerate(q):
-        va_mono = ((va, a),) if a else ()
-        for mono, c in level.items():
-            if c:
-                m = _mono_mul(mono, va_mono)
-                out[m] = out.get(m, 0) + c
-    return SparsePoly(ring, out)
+    out = {m + a * unit: c for a, level in enumerate(q)
+           for m, c in level.items()}
+    _check_guard(out)
+    return SparsePoly._new(ring, _clean(out, ring.rational))
 
 
 def exact_divide_linear(p: SparsePoly, i: int) -> SparsePoly:
@@ -579,7 +650,7 @@ class TruncatedSeries:
         ring = self.body.ring
         # evaluate term by term, truncating every intermediate power so the
         # working size stays bounded
-        powers: dict = {v: {0: SparsePoly(ring, {(): 1})}
+        powers: dict = {v: {0: SparsePoly.const(ring, 1)}
                         for v in assignment}
 
         def power(v, e):
@@ -594,19 +665,24 @@ class TruncatedSeries:
                 have += 1
             return cache[e]
 
+        slots = [(v,) + _slot(v) for v in assignment]
         acc: dict = {}
-        for mono, c in self.body.terms.items():
-            term = SparsePoly(ring, {(): c})
-            for v, e in mono:
-                if v in assignment:
-                    term = (term * power(v, e)).truncate(
-                        self.bound, self.exclude)
-                else:
-                    term = term * SparsePoly.var(ring, v, e)
-            for m2, c2 in term.terms.items():
-                acc[m2] = acc.get(m2, 0) + c2
-        return TruncatedSeries(SparsePoly(ring, acc),
-                               self.bound, self.exclude)
+        for m, c in self.body._terms.items():
+            factors = []
+            for v, shift, unit in slots:
+                e = m >> shift & _FIELD
+                if e:
+                    m -= e * unit
+                    factors.append(power(v, e))
+            # the untouched variables go in first; truncating after each
+            # factor gives the same series as truncating the whole product
+            term = SparsePoly._new(ring, {m: c})
+            for factor in factors:
+                term = (term * factor).truncate(self.bound, self.exclude)
+            for k, tc in term._terms.items():
+                acc[k] = acc.get(k, 0) + tc
+        body = SparsePoly._new(ring, _clean(acc, ring.rational))
+        return TruncatedSeries(body, self.bound, self.exclude)
 
 
 def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
@@ -623,9 +699,9 @@ def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
         raise ValueError(f"{c} is not a unit over {ring.kind}")
     cinv = Fraction(1, c) if ring.rational else c  # c = +-1 otherwise
     # s = c(1 - r) with r of positive degree: invert via the geometric series
-    r = TruncatedSeries(SparsePoly(ring, {(): 1}) - s.body * cinv,
-                        s.bound, s.exclude)
-    acc = TruncatedSeries(SparsePoly(ring, {(): 1}), s.bound, s.exclude)
+    one = SparsePoly.const(ring, 1)
+    r = TruncatedSeries(one - s.body * cinv, s.bound, s.exclude)
+    acc = TruncatedSeries(one, s.bound, s.exclude)
     power = acc
     for _ in range(s.bound):
         power = power * r

@@ -167,8 +167,12 @@ class TestErrors:
         ("braid", "--n", "2"),
         ("flagring", "reduce", "--n", "2", "--input", "1/0 x1"),
         ("flagring", "reduce", "--n", "0", "--input", "x1"),
+        ("hecke", "verify", "--n", "0"),
+        ("flagring", "reduce", "--n", "2", "--input", "x1^99999999999"),
+        ("flagring", "reduce", "--n", "2", "--input", "x1^1501"),
     ], ids=["repeated-image", "empty-perm", "rank-above-min", "word-index",
-            "braid-n2", "zero-denominator", "flagring-n0"])
+            "braid-n2", "zero-denominator", "flagring-n0", "hecke-n0",
+            "exponent-limit", "x-degree-bound"])
     def test_bad_input_exits_2(self, args, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["flagcalc", *args])
         with pytest.raises(SystemExit) as exc:

@@ -1,0 +1,231 @@
+"""Packed-integer SparsePoly against the tuple-monomial reference in
+rings_reference, the exponent limit, and the parse round trip.
+
+Every polynomial is drawn once as a tuple-keyed dict and built both ways;
+results must agree term for term and render to the same text, JSON and
+LaTeX.  Hypothesis runs derandomised, so every run draws the same
+examples."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rings_reference as ref
+from flagcalc.cli import parse_poly
+from flagcalc.divdiff import OperatorContext
+from flagcalc.rings import (
+    MAX_EXP,
+    QQ,
+    ZZ,
+    DivisionError,
+    ExponentOverflowError,
+    SparsePoly,
+    beta_ring,
+    divide_by_difference,
+    lazard_rational,
+)
+
+fixed = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=40)
+
+RINGS = {"ZZ": ZZ, "QQ": QQ, "Zb": beta_ring(), "Qm": lazard_rational(3)}
+GEOMETRIC = ["x1", "x2", "x3", "y1", "t", "c1"]
+
+
+def _names(ring) -> list:
+    if ring.kind == "BetaRing":
+        return GEOMETRIC + ["b"]
+    if ring.kind == "LazardRational":
+        return GEOMETRIC + ["m1", "m2", "m3"]
+    return GEOMETRIC
+
+
+@st.composite
+def raw_polys(draw, ring, max_terms: int = 6, max_exp: int = 3):
+    """A tuple-keyed term dict over the ring's variables."""
+    names = draw(st.lists(st.sampled_from(_names(ring)), min_size=1,
+                          max_size=4, unique=True))
+    coeffs = st.integers(-6, 6)
+    if ring.rational:
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = tuple((v, draw(st.integers(0, max_exp))) for v in names)
+        mono = tuple(sorted(((v, e) for v, e in mono if e),
+                            key=lambda p: ref._var_key(p[0])))
+        terms[mono] = draw(coeffs)
+    return terms
+
+
+def both(ring, raw):
+    return SparsePoly(ring, raw), ref.RefPoly(ring, raw)
+
+
+def assert_same(p: SparsePoly, r: ref.RefPoly):
+    assert p.ring == r.ring
+    assert dict(p.terms.items()) == r.terms
+    assert len(p.terms) == len(r.terms)
+    assert p.to_text() == r.to_text()
+    assert p.to_json_obj() == r.to_json_obj()
+    assert p.to_latex() == r.to_latex()
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@fixed
+@given(data=st.data())
+def test_arithmetic_matches_reference(kind, data):
+    ring = RINGS[kind]
+    p, rp = both(ring, data.draw(raw_polys(ring), label="p"))
+    q, rq = both(ring, data.draw(raw_polys(ring), label="q"))
+    assert_same(p, rp)
+    assert_same(p * q, rp * rq)
+    assert_same(p + q, rp + rq)
+    assert_same(p - q, rp - rq)
+    assert_same(-p, -rp)
+    assert_same(p * 3, rp * 3)
+    n = data.draw(st.integers(0, 3), label="n")
+    assert_same(p ** n, rp ** n)
+    assert (p == q) == (rp == rq)
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@fixed
+@given(data=st.data())
+def test_truncation_and_degree_match_reference(kind, data):
+    ring = RINGS[kind]
+    p, rp = both(ring, data.draw(raw_polys(ring, max_exp=4), label="p"))
+    bound = data.draw(st.integers(-1, 10), label="bound")
+    for exclude in ((), ("t",), ("t", "c1"), ("b",)):
+        assert_same(p.truncate(bound, exclude), rp.truncate(bound, exclude))
+        assert_same(p.homogeneous_part(bound, exclude),
+                    rp.homogeneous_part(bound, exclude))
+        assert p.degree(exclude) == rp.degree(exclude)
+    assert_same(p.constant_term(), rp.constant_term())
+    assert p.variables() == rp.variables()
+    for mono in rp.terms:
+        assert p.coeff(mono) == rp.coeff(mono)
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@fixed
+@given(data=st.data())
+def test_substitute_matches_reference(kind, data):
+    ring = RINGS[kind]
+    p, rp = both(ring, data.draw(raw_polys(ring), label="p"))
+    names = _names(ring)
+    targets = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                                 max_size=3, unique=True), label="targets")
+    ours, theirs = {}, {}
+    for v in targets:
+        choice = data.draw(st.integers(0, 2), label=f"image of {v}")
+        if choice == 0:
+            value = data.draw(st.integers(-2, 2), label="value")
+            ours[v] = theirs[v] = value
+        else:
+            # a monomial (choice 1) or a polynomial (choice 2) image
+            raw = data.draw(raw_polys(ring, max_terms=1 if choice == 1 else 3,
+                                      max_exp=2), label="image")
+            ours[v], theirs[v] = both(ring, raw)
+    assert_same(p.substitute(ours), rp.substitute(theirs))
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@fixed
+@given(data=st.data())
+def test_division_and_kernel_match_reference(kind, data):
+    ring = RINGS[kind]
+    p, rp = both(ring, data.draw(raw_polys(ring), label="p"))
+    i = data.draw(st.integers(1, 2), label="i")
+    ctx = OperatorContext(3, ring)
+    assert_same(ctx.partial(i, p), ref.divided_difference(rp, i))
+    xi, xj = f"x{i}", f"x{i + 1}"
+    d, rd = both(ring, {((xi, 1),): 1, ((xj, 1),): -1})
+    assert_same(divide_by_difference(p * d, xi, xj),
+                ref.divide_by_difference(rp * rd, xi, xj))
+    if p.substitute({xi: SparsePoly.var(ring, xj)}):
+        with pytest.raises(DivisionError):
+            divide_by_difference(p, xi, xj)
+        with pytest.raises(DivisionError):
+            ref.divide_by_difference(rp, xi, xj)
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@fixed
+@given(data=st.data())
+def test_parse_round_trip(kind, data):
+    ring = RINGS[kind]
+    p = SparsePoly(ring, data.draw(raw_polys(ring), label="p"))
+    assert parse_poly(p.to_text(), ring) == p
+
+
+class TestExponentLimit:
+    """Exponents and the geometric degree stop at MAX_EXP = 2^15 - 1; a
+    result that would pass it raises and never wraps."""
+
+    def test_largest_exponent_is_exact(self):
+        ring = beta_ring()
+        x = SparsePoly.var(ring, "x1", MAX_EXP - 1) * \
+            SparsePoly.var(ring, "x1")
+        assert x.to_text() == f"x1^{MAX_EXP}"
+        b = SparsePoly.var(ring, "b", MAX_EXP) * SparsePoly.var(ring, "y1", 7)
+        assert b.to_text() == f"y1^7 b^{MAX_EXP}"
+
+    @fixed
+    @given(e1=st.integers(0, MAX_EXP - 3), e2=st.integers(0, MAX_EXP),
+           v=st.sampled_from(["x1", "b", "y2"]), other=st.integers(0, 3))
+    def test_product_overflow_raises(self, e1, e2, v, other):
+        ring = beta_ring()
+        p = SparsePoly.var(ring, v, e1) * SparsePoly.var(ring, "x3", other)
+        q = SparsePoly.var(ring, v, e2)
+        geometric = v != "b"
+        over = e1 + e2 > MAX_EXP or geometric and e1 + e2 + other > MAX_EXP
+        if over:
+            with pytest.raises(ExponentOverflowError):
+                p * q
+        else:
+            expected = {((v, e1 + e2), ("x3", other)): 1}
+            assert p * q == SparsePoly(ring, expected)
+
+    def test_geometric_degree_is_bounded(self):
+        ring = ZZ
+        half = (MAX_EXP + 1) // 2
+        x = SparsePoly.var(ring, "x1", half)
+        with pytest.raises(ExponentOverflowError):
+            x * SparsePoly.var(ring, "y1", half)
+        with pytest.raises(ExponentOverflowError):
+            SparsePoly(ring, {(("x1", half), ("y1", half)): 1})
+
+    def test_power_and_constructors_raise(self):
+        ring = beta_ring()
+        with pytest.raises(ExponentOverflowError):
+            SparsePoly.var(ring, "x1", 200) ** 200
+        with pytest.raises(ExponentOverflowError):
+            SparsePoly.var(ring, "x1", MAX_EXP + 1)
+        with pytest.raises(ExponentOverflowError):
+            SparsePoly(ring, {(("b", 99999999999),): 1})
+
+    @fixed
+    @given(e=st.integers(1, 400), k=st.integers(1, 400),
+           f=st.integers(0, 3), poly=st.booleans())
+    def test_substitute_overflow_raises(self, e, k, f, poly):
+        ring = QQ
+        p = SparsePoly.var(ring, "x1", e) * SparsePoly.var(ring, "y1", f)
+        image = SparsePoly.var(ring, "y1", k)
+        if poly:
+            image = image + SparsePoly.var(ring, "y2", k)
+        if e * k + f > MAX_EXP:
+            with pytest.raises(ExponentOverflowError):
+                p.substitute({"x1": image})
+        else:
+            assert p.substitute({"x1": image}).coeff(
+                (("y1", e * k + f),)) == 1
+
+    def test_operators_raise(self):
+        ring = beta_ring()
+        top = SparsePoly.var(ring, "x2", MAX_EXP)
+        with pytest.raises(ExponentOverflowError):
+            OperatorContext(2).phi_beta(1, top)
+        # the carries of the synthetic division raise b's exponent
+        p = SparsePoly.var(ring, "x1", 2) * SparsePoly.var(ring, "b", MAX_EXP)
+        with pytest.raises(ExponentOverflowError):
+            divide_by_difference(p, "x1", "b")
