@@ -54,8 +54,7 @@ def parse_poly(text: str, ring) -> SparsePoly:
             if chunk[0] == "-":
                 sign = -sign
             chunk = chunk[1:].strip()
-        term = SparsePoly.const(ring, sign) if ring.rational \
-            else SparsePoly(ring, {(): sign})
+        term = SparsePoly.const(ring, sign)
         pos = 0
         matched = False
         for m in _FACTOR.finditer(chunk):
@@ -88,14 +87,12 @@ def emit(poly: SparsePoly, fmt: str):
         click.echo(poly.to_text())
 
 
-def _make_law(law: str, trunc: int, loggen: int, b_param):
+def _make_law(law: str, trunc: int, loggen: int):
     if law == "additive":
         return make_additive(trunc)
     if law == "multiplicative":
         ring = beta_ring()
-        b = SparsePoly.var(ring, "b") if b_param is None \
-            else SparsePoly(ring, {(): b_param})
-        return make_multiplicative(b, trunc, ring)
+        return make_multiplicative(SparsePoly.var(ring, "b"), trunc, ring)
     if law == "universal":
         return make_universal_rational(loggen, trunc)
     raise click.UsageError(f"unknown law {law!r}")
@@ -152,7 +149,7 @@ def bott_samelson(law, word, n, trunc, loggen, fmt):
     """Push-forward class for a word over a formal group law."""
     D = trunc if trunc is not None else n * (n - 1) // 2 + 2
     K = loggen if loggen is not None else D
-    fgl = _make_law(law, D, K, None)
+    fgl = _make_law(law, D, K)
     emit(families.bott_samelson_class(fgl, _parse_word(word), n), fmt)
 
 
@@ -208,7 +205,7 @@ def braid(law, n, i, trunc, loggen, seed):
         mode = "beta"
         ring = beta_ring()
     else:
-        fgl = _make_law(law, trunc, K, None)
+        fgl = _make_law(law, trunc, K)
         ctx = OperatorContext(n, fgl=fgl)
         mode = "fgl"
         ring = fgl.ring
@@ -262,7 +259,7 @@ def flagring_reduce(n, trivial, input_, fmt):
 def chern_tensor(law, e, f, trunc, loggen, fmt):
     """Chern polynomial and top Chern class of Hom(E, F) from roots."""
     K = loggen if loggen is not None else trunc
-    fgl = _make_law(law, trunc, K, None)
+    fgl = _make_law(law, trunc, K)
     xs = [SparsePoly.var(fgl.ring, f"x{i}") for i in range(1, f + 1)]
     ys = [SparsePoly.var(fgl.ring, f"y{j}") for j in range(1, e + 1)]
     chern, top = chern_tensor_dual(fgl, xs, ys)

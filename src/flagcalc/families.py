@@ -27,16 +27,20 @@ _FAMILY_MEMO = TermMemo()
 _BS_MEMO = TermMemo()
 
 
-def h_top(n: int) -> SparsePoly:
-    """prod_{i+j <= n} (x_i + y_j + b x_i y_j) over Z[b]."""
+def h_top(n: int, e: int | None = None) -> SparsePoly:
+    """prod_{i+j <= n} (x_i + y_j + b x_i y_j) over Z[b]; with e given,
+    y_j = 0 for j > e, so those factors are x_i."""
     ring = beta_ring()
     b = SparsePoly.var(ring, "b")
     out = SparsePoly.const(ring, 1)
     for i in range(1, n):
+        xi = SparsePoly.var(ring, f"x{i}")
         for j in range(1, n - i + 1):
-            xi = SparsePoly.var(ring, f"x{i}")
-            yj = SparsePoly.var(ring, f"y{j}")
-            out = out * (xi + yj + b * xi * yj)
+            if e is not None and j > e:
+                out = out * xi
+            else:
+                yj = SparsePoly.var(ring, f"y{j}")
+                out = out * (xi + yj + b * xi * yj)
     return out
 
 

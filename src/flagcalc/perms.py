@@ -137,8 +137,8 @@ def lex_smallest_reduced_word(w: Permutation) -> tuple:
     # greedy: the lex-smallest word starts with the smallest left descent
     # of w; strip from the left until the identity remains
     while True:
-        des = [i for i in range(1, w.n)
-               if w.inverse().images[i - 1] > w.inverse().images[i]]
+        inv = w.inverse().images
+        des = [i for i in range(1, w.n) if inv[i - 1] > inv[i]]
         if not des:
             return tuple(word)
         i = min(des)

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .divdiff import OperatorContext
+from .families import h_top
 from .perms import Permutation, lex_smallest_reduced_word, longest_element, nu_triple
-from .rings import SparsePoly, ZZ, _FIELD, _slot, beta_ring
+from .rings import SparsePoly, ZZ, _FIELD, _slot
 
 __all__ = [
     "RankTriple",
@@ -76,17 +77,7 @@ def specialize_nu(t: RankTriple, n_pad: int = 0) -> SparsePoly:
     # the recursion only touches x-variables, so the dead y-slots can be
     # zeroed before running it; building the product with them already
     # zero keeps the intermediate polynomials small
-    ring = beta_ring()
-    b = SparsePoly.var(ring, "b")
-    start = SparsePoly.const(ring, 1)
-    for i in range(1, n):
-        for j in range(1, n - i + 1):
-            xi = SparsePoly.var(ring, f"x{i}")
-            if j > t.e:
-                start = start * xi
-            else:
-                yj = SparsePoly.var(ring, f"y{j}")
-                start = start * (xi + yj + b * xi * yj)
+    start = h_top(n, t.e)
     word = lex_smallest_reduced_word(longest_element(n).compose(w))
     p = OperatorContext(n).compose_word(word, start, mode="beta")
     return p.substitute({f"x{i}": 0 for i in range(t.f + 1, n + 1)})

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 import struct
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add, itemgetter, or_, sub
@@ -46,7 +46,6 @@ __all__ = [
     "ExponentOverflowError",
     "MAX_EXP",
     "SparsePoly",
-    "exact_divide_linear",
     "divide_by_difference",
     "TruncatedSeries",
     "series_reciprocal",
@@ -433,9 +432,12 @@ class SparsePoly:
 
     # -- substitution --------------------------------------------------------
 
-    def substitute(self, assignment: dict, ring: CoefficientRing | None = None
-                   ) -> "SparsePoly":
-        """Evaluate under var -> SparsePoly/number; untouched vars stay."""
+    def substitute(self, assignment: dict, ring: CoefficientRing | None = None,
+                   bound: int | None = None) -> "SparsePoly":
+        """Evaluate under var -> SparsePoly/number; untouched vars stay.
+
+        With a bound, terms of geometric degree above it are dropped; the
+        general path truncates every power and partial product it forms."""
         target = ring if ring is not None else self.ring
         subs = []
         for v, val in assignment.items():
@@ -446,6 +448,10 @@ class SparsePoly:
             else:
                 val = SparsePoly(target, {(): val})
             subs.append(_slot(v) + (val,))
+
+        def cut(p):
+            return p if bound is None else p.truncate(bound)
+
         acc: dict = {}
         get = acc.get
         if all(len(img._terms) <= 1 for *_, img in subs):
@@ -473,19 +479,31 @@ class SparsePoly:
                     c = c * ic ** e
                 else:
                     acc[key] = get(key, 0) + c
-            return SparsePoly._new(target, _clean(acc, target.rational))
+            return cut(SparsePoly._new(target, _clean(acc, target.rational)))
+
+        # the terms grouped by their exponents of the substituted variables;
+        # no factor lowers the degree, so a term whose untouched variables
+        # are above the bound stays above it
+        groups: dict = {}
         for m, c in self._terms.items():
-            powers = []
-            for shift, unit, img in subs:
+            exps = []
+            for shift, unit, _ in subs:
                 e = m >> shift & _FIELD
+                m -= e * unit
+                exps.append(e)
+            if bound is None or m & _FIELD <= bound:
+                groups.setdefault(tuple(exps), {})[m] = c
+        # powers[j][e - 1] is the j-th image to the e-th power
+        powers = [[img] for *_, img in subs]
+        for exps, rest in groups.items():
+            part = SparsePoly._new(target, rest)
+            for e, (*_, img), cache in zip(exps, subs, powers):
                 if e:
-                    m -= e * unit
-                    powers.append(img ** e)
-            term = SparsePoly._new(target, {m: c})
-            for factor in powers:
-                term = term * factor
-            for k, tc in term._terms.items():
-                acc[k] = get(k, 0) + tc
+                    while len(cache) < e:
+                        cache.append(cut(cache[-1] * img))
+                    part = cut(part * cache[e - 1])
+            for k, c in part._terms.items():
+                acc[k] = get(k, 0) + c
         return SparsePoly._new(target, _clean(acc, target.rational))
 
     # -- canonical output ----------------------------------------------------
@@ -590,11 +608,6 @@ def divide_by_difference(p: SparsePoly, va: str, vb: str) -> SparsePoly:
     return SparsePoly._new(ring, _clean(out, ring.rational))
 
 
-def exact_divide_linear(p: SparsePoly, i: int) -> SparsePoly:
-    """Divide p exactly by (x_i - x_{i+1})."""
-    return divide_by_difference(p, f"x{i}", f"x{i + 1}")
-
-
 # -- truncated power series --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -606,11 +619,9 @@ class TruncatedSeries:
 
     body: SparsePoly
     bound: int
-    exclude: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "body",
-                           self.body.truncate(self.bound, self.exclude))
+        object.__setattr__(self, "body", self.body.truncate(self.bound))
 
     def _check(self, other: "TruncatedSeries"):
         if self.bound != other.bound:
@@ -620,19 +631,13 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check(other)
             other = other.body
-        return TruncatedSeries(self.body + other, self.bound, self.exclude)
-
-    def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check(other)
-            other = other.body
-        return TruncatedSeries(self.body - other, self.bound, self.exclude)
+        return TruncatedSeries(self.body + other, self.bound)
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check(other)
             other = other.body
-        return TruncatedSeries(self.body * other, self.bound, self.exclude)
+        return TruncatedSeries(self.body * other, self.bound)
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -645,44 +650,10 @@ class TruncatedSeries:
         Every image must have zero constant term, so the composite is a
         well-defined series."""
         for v, img in assignment.items():
-            if isinstance(img, SparsePoly) and not img.constant_term().is_zero():
+            if isinstance(img, SparsePoly) and img.constant_term():
                 raise ValueError(f"image of {v} has a constant term")
-        ring = self.body.ring
-        # evaluate term by term, truncating every intermediate power so the
-        # working size stays bounded
-        powers: dict = {v: {0: SparsePoly.const(ring, 1)}
-                        for v in assignment}
-
-        def power(v, e):
-            cache = powers[v]
-            have = max(cache)
-            while have < e:
-                img = assignment[v]
-                if not isinstance(img, SparsePoly):
-                    img = SparsePoly(ring, {(): img})
-                cache[have + 1] = (cache[have] * img).truncate(
-                    self.bound, self.exclude)
-                have += 1
-            return cache[e]
-
-        slots = [(v,) + _slot(v) for v in assignment]
-        acc: dict = {}
-        for m, c in self.body._terms.items():
-            factors = []
-            for v, shift, unit in slots:
-                e = m >> shift & _FIELD
-                if e:
-                    m -= e * unit
-                    factors.append(power(v, e))
-            # the untouched variables go in first; truncating after each
-            # factor gives the same series as truncating the whole product
-            term = SparsePoly._new(ring, {m: c})
-            for factor in factors:
-                term = (term * factor).truncate(self.bound, self.exclude)
-            for k, tc in term._terms.items():
-                acc[k] = acc.get(k, 0) + tc
-        body = SparsePoly._new(ring, _clean(acc, ring.rational))
-        return TruncatedSeries(body, self.bound, self.exclude)
+        return TruncatedSeries(
+            self.body.substitute(assignment, bound=self.bound), self.bound)
 
 
 def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
@@ -700,15 +671,15 @@ def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
     cinv = Fraction(1, c) if ring.rational else c  # c = +-1 otherwise
     # s = c(1 - r) with r of positive degree: invert via the geometric series
     one = SparsePoly.const(ring, 1)
-    r = TruncatedSeries(one - s.body * cinv, s.bound, s.exclude)
-    acc = TruncatedSeries(one, s.bound, s.exclude)
+    r = TruncatedSeries(one - s.body * cinv, s.bound)
+    acc = TruncatedSeries(one, s.bound)
     power = acc
     for _ in range(s.bound):
         power = power * r
         if power.body.is_zero():
             break
         acc = acc + power
-    return TruncatedSeries(acc.body * cinv, s.bound, s.exclude)
+    return TruncatedSeries(acc.body * cinv, s.bound)
 
 
 def compositional_inverse(s: TruncatedSeries, var: str = "t") -> TruncatedSeries:
@@ -725,10 +696,10 @@ def compositional_inverse(s: TruncatedSeries, var: str = "t") -> TruncatedSeries
     if not s.body.constant_term().is_zero():
         raise ValueError("nonzero constant term")
     t = SparsePoly.var(ring, var)
-    g = TruncatedSeries(t, s.bound, s.exclude)
+    g = TruncatedSeries(t, s.bound)
     for _ in range(s.bound):
         err = s.substitute_into({var: g.body}).body - t
         if err.is_zero():
             break
-        g = TruncatedSeries(g.body - err, s.bound, s.exclude)
+        g = TruncatedSeries(g.body - err, s.bound)
     return g

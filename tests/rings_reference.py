@@ -1,12 +1,15 @@
 """The tuple-monomial RefPoly arithmetic that flagcalc.rings replaced
 with packed-integer monomials, kept as the slow reference the property
-tests in test_packed.py hold the packed code to.
+tests in test_packed.py and test_substitution.py hold the packed code to.
 
 A monomial is a tuple of (name, exponent) pairs sorted by _var_key, and
 multiplying two of them merges the tuples.  RefPoly has the arithmetic,
 substitution, truncation and rendering of the old RefPoly;
 divide_by_difference and divided_difference are the old synthetic
 division and closed-form partial_i kernel on these tuples.
+series_substitute is the old series substitution engine with its own
+power cache, and solve_chi the old fixed-point solution of
+F(u, chi(u)) = 0 built on it.
 """
 
 from __future__ import annotations
@@ -466,3 +469,55 @@ def divided_difference(p: RefPoly, i: int) -> RefPoly:
             m = head + mid + tail
             out[m] = out.get(m, 0) + coef
     return RefPoly(p.ring, out)
+
+
+def series_substitute(body: RefPoly, assignment: dict, bound: int) -> RefPoly:
+    """The series body with each variable of assignment replaced by its
+    image (a RefPoly or a number), truncated at bound.
+
+    Term by term, truncating every power of an image and every partial
+    product, so the working size stays bounded.  Every image must have
+    zero constant term."""
+    ring = body.ring
+    images = {}
+    for v, img in assignment.items():
+        if not isinstance(img, RefPoly):
+            img = RefPoly(ring, {(): img})
+        elif not img.constant_term().is_zero():
+            raise ValueError(f"image of {v} has a constant term")
+        images[v] = img
+    powers: dict = {v: {0: RefPoly.const(ring, 1)} for v in images}
+
+    def power(v, e):
+        cache = powers[v]
+        have = max(cache)
+        while have < e:
+            cache[have + 1] = (cache[have] * images[v]).truncate(bound)
+            have += 1
+        return cache[e]
+
+    acc: dict = {}
+    for mono, c in body.terms.items():
+        rest = tuple((v, e) for v, e in mono if v not in images)
+        term = RefPoly(ring, {rest: c})
+        for v, e in mono:
+            if v in images:
+                term = (term * power(v, e)).truncate(bound)
+        for m, tc in term.terms.items():
+            acc[m] = acc.get(m, 0) + tc
+    return RefPoly(ring, acc).truncate(bound)
+
+
+def solve_chi(F: RefPoly, D: int) -> RefPoly:
+    """Order-by-order solution chi(u) of F(u, chi(u)) = 0 modulo degree
+    > D, for a law F(u, v) = u + v + (higher).
+
+    Since dF/dv = 1 + (higher), the update chi <- chi - F(u, chi) gains one
+    order of accuracy per pass."""
+    chi = -RefPoly.var(F.ring, "u")
+    for _ in range(D):
+        err = series_substitute(F, {"v": chi}, D)
+        if err.is_zero():
+            break
+        chi = (chi - err).truncate(D)
+    return chi
