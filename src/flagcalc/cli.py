@@ -35,6 +35,8 @@ from .rings import (
 )
 from .porteous import SymmetryError
 
+_POSITIVE = click.IntRange(min=1)
+_RANK = click.IntRange(min=0)
 _TERM_SPLIT = re.compile(r"(?=[+-])")
 _FACTOR = re.compile(r"([a-zA-Z]+\d*)(?:\^(\d+))?|(\d+(?:/\d+)?)")
 
@@ -139,10 +141,10 @@ def family(theory, perm, n, fmt):
                                           "universal"]), default="universal",
               show_default=True)
 @click.option("--word", default="", help='comma-separated indices, e.g. "1,2,1"')
-@click.option("--n", type=int, required=True)
-@click.option("--trunc", type=int, default=None,
+@click.option("--n", type=_POSITIVE, required=True)
+@click.option("--trunc", type=_POSITIVE, default=None,
               help="truncation bound D (default n(n-1)/2 + 2)")
-@click.option("--loggen", type=int, default=None,
+@click.option("--loggen", type=_POSITIVE, default=None,
               help="number K of log generators (universal law)")
 @fmt_option
 def bott_samelson(law, word, n, trunc, loggen, fmt):
@@ -178,7 +180,7 @@ def hecke_group():
 
 
 @hecke_group.command()
-@click.option("--n", type=click.IntRange(min=1), default=3, show_default=True)
+@click.option("--n", type=_POSITIVE, default=3, show_default=True)
 def verify(n):
     """Emit a pass/fail certificate for each algebra identity."""
     results = hecke.verify_identities(n)
@@ -193,8 +195,8 @@ def verify(n):
               show_default=True)
 @click.option("--n", type=int, default=3, show_default=True)
 @click.option("--i", type=int, default=1, show_default=True)
-@click.option("--trunc", type=int, default=4, show_default=True)
-@click.option("--loggen", type=int, default=None)
+@click.option("--trunc", type=_POSITIVE, default=4, show_default=True)
+@click.option("--loggen", type=_POSITIVE, default=None)
 @click.option("--seed", type=int, default=0, show_default=True,
               help="seed for the randomised sample polynomials")
 def braid(law, n, i, trunc, loggen, seed):
@@ -233,7 +235,7 @@ def flagring_group():
 
 
 @flagring_group.command("reduce")
-@click.option("--n", type=click.IntRange(min=1), required=True)
+@click.option("--n", type=_POSITIVE, required=True)
 @click.option("--trivial", is_flag=True,
               help="zero base Chern classes (trivial bundle)")
 @click.option("--input", "input_", required=True, help="polynomial to reduce")
@@ -251,10 +253,10 @@ def flagring_reduce(n, trivial, input_, fmt):
 @click.option("--law", type=click.Choice(["additive", "multiplicative",
                                           "universal"]), default="multiplicative",
               show_default=True)
-@click.option("--e", type=int, required=True, help="rank of E (y-roots)")
-@click.option("--f", type=int, required=True, help="rank of F (x-roots)")
-@click.option("--trunc", type=int, default=4, show_default=True)
-@click.option("--loggen", type=int, default=None)
+@click.option("--e", type=_RANK, required=True, help="rank of E (y-roots)")
+@click.option("--f", type=_RANK, required=True, help="rank of F (x-roots)")
+@click.option("--trunc", type=_POSITIVE, default=4, show_default=True)
+@click.option("--loggen", type=_POSITIVE, default=None)
 @fmt_option
 def chern_tensor(law, e, f, trunc, loggen, fmt):
     """Chern polynomial and top Chern class of Hom(E, F) from roots."""

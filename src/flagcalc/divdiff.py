@@ -4,8 +4,9 @@ the generalised operators attached to a formal group law.
 Every operator is partial_i(q p) for a fixed q: phi_i, partial_i and pi_i
 take q = 1 + beta x_{i+1}, and A_i takes q = 1/g, the inverse of the unit
 g with F(x_i, chi(x_{i+1})) = (x_i - x_{i+1}) g, truncated.  One
-closed-form kernel applies partial_i, so the only inexact step for a
-general law is the truncation at the context bound D.
+closed-form kernel, ``rings.divided_difference``, applies partial_i, so
+the only inexact step for a general law is the truncation at the context
+bound D.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ from .rings import (
     CoefficientRing,
     SparsePoly,
     TruncatedSeries,
-    _clean,
-    _FIELD,
-    _slot,
     beta_ring,
     divide_by_difference,
+    divided_difference,
     series_reciprocal,
 )
 
@@ -30,36 +29,6 @@ __all__ = ["OperatorContext", "braid_check"]
 
 # 1/g per (law, i, D); see OperatorContext._denominator_unit
 _GINV_MEMO = TermMemo()
-
-
-def _divided_difference(i: int, ring: CoefficientRing, parts) -> SparsePoly:
-    """partial_i of the sum of the polynomials in parts, term by term.
-
-    For a monomial m x_i^a x_{i+1}^c with a > c,
-    (x_i^a x_{i+1}^c - x_i^c x_{i+1}^a) / (x_i - x_{i+1})
-        = sum_{k=c}^{a-1} x_i^k x_{i+1}^(a+c-1-k),
-    the sign flips for a < c and the term vanishes for a = c.  Each new
-    monomial is the old one with the fields of x_i and x_{i+1} replaced;
-    no exponent grows, so none can overflow."""
-    si, ui = _slot(f"x{i}")
-    sj, uj = _slot(f"x{i + 1}")
-    step = ui - uj
-    out: dict = {}
-    get = out.get
-    for part in parts:
-        for m, coef in part._terms.items():
-            a = m >> si & _FIELD
-            c = m >> sj & _FIELD
-            if a == c:
-                continue
-            m -= a * ui + c * uj
-            if a < c:
-                a, c, coef = c, a, -coef
-            m += c * ui + (a - 1) * uj
-            for _ in range(a - c):
-                out[m] = get(m, 0) + coef
-                m += step
-    return SparsePoly._new(ring, _clean(out, ring.rational))
 
 
 @dataclass(frozen=True)
@@ -97,16 +66,13 @@ class OperatorContext:
     def _phi_with_beta(self, i: int, p: SparsePoly, beta) -> SparsePoly:
         """partial_i((1 + beta x_{i+1}) p).
 
-        partial_i is linear, so the kernel takes p and, for each term of
-        beta x_{i+1}, a copy of p shifted by that term, in place of the
-        product."""
+        partial_i is linear, so the kernel takes p and p beta x_{i+1} as
+        two parts, in place of their sum."""
         self._check_index(i)
         if not isinstance(beta, SparsePoly):
             beta = SparsePoly.const(p.ring, beta)
         shifts = beta * SparsePoly.var(p.ring, f"x{i + 1}")
-        parts = [p] + [p * SparsePoly._new(p.ring, {k: c})
-                       for k, c in shifts._terms.items()]
-        return _divided_difference(i, p.ring, parts)
+        return divided_difference([p, p * shifts], f"x{i}", f"x{i + 1}")
 
     def phi_beta(self, i: int, p: SparsePoly) -> SparsePoly:
         """((1 + b x_{i+1}) p - (1 + b x_i) sigma_i p) / (x_i - x_{i+1})."""
@@ -149,7 +115,7 @@ class OperatorContext:
         self._check_index(i)
         ginv = self._denominator_unit(i)
         r = (p * ginv).truncate(self.D + 1)
-        return _divided_difference(i, r.ring, [r]).truncate(self.D)
+        return divided_difference([r], f"x{i}", f"x{i + 1}").truncate(self.D)
 
     # -- words ---------------------------------------------------------------
 

@@ -19,6 +19,7 @@ from .rings import (
     compositional_inverse,
     lazard_rational,
     series_reciprocal,
+    sum_of_products,
 )
 
 __all__ = [
@@ -94,17 +95,17 @@ def chern_tensor_dual(fgl: FormalGroupLaw, x_roots: list, y_roots: list
     """Chern polynomial and top Chern class of Hom(E, F) built from roots.
 
     x_roots are the roots of F, y_roots of E.  Returns
-    (prod (1 + F(x_i, chi(y_j)) t), prod F(x_i, chi(y_j))), both truncated
-    at D in the root variables; the marker t never counts."""
+    (prod (1 + F(x_i, chi(y_j)) t), prod F(x_i, chi(y_j))) truncated at D
+    in the roots, as sum_k e_k t^k and the last e_k for the elementary
+    symmetric functions e_k of the factors."""
     ring = fgl.ring
-    t = SparsePoly.var(ring, "t")
-    one = SparsePoly.const(ring, 1)
-    chern = one
-    top = one
+    es = [SparsePoly.const(ring, 1)]
     for xi in x_roots:
         for yj in y_roots:
             factor = fgl.sum_series(xi, fgl.inverse_series(yj))
-            chern = (chern * (one + factor * t)).truncate(
-                fgl.D, exclude=("t",))
-            top = (top * factor).truncate(fgl.D)
-    return chern, top
+            es.append(SparsePoly.zero(ring))
+            for k in range(len(es) - 1, 0, -1):
+                es[k] = es[k] + (factor * es[k - 1]).truncate(fgl.D)
+    chern = sum_of_products(
+        [(e, SparsePoly.var(ring, "t", k)) for k, e in enumerate(es)], ring)
+    return chern, es[-1]

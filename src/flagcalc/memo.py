@@ -1,10 +1,10 @@
 """A bounded memo for polynomial results.
 
 Every cache of polynomials in flagcalc (the h_w family, the inverse
-denominator units of the generalised operators, the push-forward classes)
-is an instance of ``TermMemo``: a map whose size is measured in stored
-polynomial terms, evicted least-recently-used first, with hit and miss
-counts for inspection.
+denominator units of the generalised operators, the push-forward classes,
+the normal forms of each flag-ring presentation) is a ``TermMemo``: a
+map whose size is measured in stored polynomial terms, evicted
+least-recently-used first, with hit and miss counts for inspection.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ permutation and they are never canonicalised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations as _it_perms
 
 __all__ = [
@@ -116,19 +115,22 @@ def is_minimal(word: tuple, n: int) -> bool:
     return len(word) == apply_word(word, n).length()
 
 
-@lru_cache(maxsize=None)
 def all_reduced_words(w: Permutation) -> tuple:
-    """All reduced words for w, by descent-driven depth-first search.
+    """All reduced words for w, grouped by their last letter, ascending.
 
     Peeling a right descent i off w leaves w*s_i of length l(w)-1, so every
-    reduced word arises as (word of w*s_i) + (i)."""
-    if w.length() == 0:
-        return ((),)
-    words = []
-    for i in w.right_descents():
-        shorter = w.right_multiply(i)
-        words.extend(prefix + (i,) for prefix in all_reduced_words(shorter))
-    return tuple(words)
+    reduced word arises as (word of w*s_i) + (i).  The permutations so
+    reached are collected level by level, then tabled from the identity."""
+    levels = [[w]]
+    for _ in range(w.length()):
+        levels.append(list({v.right_multiply(i): None for v in levels[-1]
+                            for i in v.right_descents()}))
+    table = {levels.pop()[0]: ((),)}
+    for level in reversed(levels):
+        for v in level:
+            table[v] = tuple(prefix + (i,) for i in v.right_descents()
+                             for prefix in table[v.right_multiply(i)])
+    return table[w]
 
 
 def lex_smallest_reduced_word(w: Permutation) -> tuple:

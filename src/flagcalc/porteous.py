@@ -10,11 +10,12 @@ y-side).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .divdiff import OperatorContext
 from .families import h_top
 from .perms import Permutation, lex_smallest_reduced_word, longest_element, nu_triple
-from .rings import SparsePoly, ZZ, _FIELD, _slot
+from .rings import SparsePoly, ZZ
 
 __all__ = [
     "RankTriple",
@@ -99,16 +100,9 @@ def check_rect_symmetry(p: SparsePoly, t: RankTriple) -> bool:
 
 
 def elementary_symmetric(ring, k: int, names: list) -> SparsePoly:
-    from itertools import combinations
-    out = SparsePoly.zero(ring)
-    if k == 0:
-        return SparsePoly.const(ring, 1)
-    for combo in combinations(names, k):
-        term = SparsePoly.const(ring, 1)
-        for v in combo:
-            term = term * SparsePoly.var(ring, v)
-        out = out + term
-    return out
+    """e_k(names): the sum of the products of k distinct names."""
+    return SparsePoly(ring, {tuple((v, 1) for v in combo): 1
+                             for combo in combinations(names, k)})
 
 
 def _reduce_block(p: SparsePoly, block: list, out_prefix: str) -> SparsePoly:
@@ -121,14 +115,12 @@ def _reduce_block(p: SparsePoly, block: list, out_prefix: str) -> SparsePoly:
     symbols.  The leading partition strictly decreases, so this stops."""
     ring = p.ring
     k = len(block)
-    slots = [_slot(v) for v in block]
     es = [None] + [elementary_symmetric(ring, j, block) for j in range(1, k + 1)]
     out = SparsePoly.zero(ring)
     rest = p
     while True:
-        exps = {m: tuple(m >> shift & _FIELD for shift, _ in slots)
-                for m in rest._terms}
-        best = max((e for e in exps.values() if any(e)), default=None)
+        parts = rest.split(block)
+        best = max((e for e in parts if any(e)), default=None)
         if best is None:
             return out + rest
         if list(best) != sorted(best, reverse=True):
@@ -136,10 +128,7 @@ def _reduce_block(p: SparsePoly, block: list, out_prefix: str) -> SparsePoly:
                 f"leading exponents {best} in {block} are not a partition; "
                 "input not symmetric")
         # coefficient of the leading block-monomial (a poly in other vars)
-        block_key = sum(e * unit for e, (_, unit) in zip(best, slots))
-        coeff = SparsePoly._new(ring, {
-            m - block_key: c for m, c in rest._terms.items()
-            if exps[m] == best})
+        coeff = parts[best]
         lam = list(best) + [0]
         e_prod = SparsePoly.const(ring, 1)
         sym_prod = SparsePoly.const(ring, 1)

@@ -46,6 +46,8 @@ __all__ = [
     "ExponentOverflowError",
     "MAX_EXP",
     "SparsePoly",
+    "sum_of_products",
+    "divided_difference",
     "divide_by_difference",
     "TruncatedSeries",
     "series_reciprocal",
@@ -194,14 +196,6 @@ def _unpacker(keys) -> tuple:
             lambda m: pick(unpack(m.to_bytes(2 * n, "little"))))
 
 
-def _geometric_degree(exclude: tuple):
-    """The geometric degree of a packed monomial, leaving out the
-    variables in exclude."""
-    shifts = [_SLOTS[v][0] for v in exclude
-              if v in _SLOTS and not is_coefficient_var(v)]
-    return lambda m: (m & _FIELD) - sum(m >> s & _FIELD for s in shifts)
-
-
 def _clean(terms: dict, rational: bool) -> dict:
     """Drop zero coefficients; over Q store integral fractions as ints."""
     if rational:
@@ -314,11 +308,9 @@ class SparsePoly:
     def variables(self) -> set:
         return set(_unpacker(self._terms)[0])
 
-    def degree(self, exclude: tuple = ()) -> int:
+    def degree(self) -> int:
         """Total degree in the geometric variables (-1 for the zero poly)."""
-        if not self._terms:
-            return -1
-        return max(map(_geometric_degree(exclude), self._terms))
+        return max((m & _FIELD for m in self._terms), default=-1)
 
     def constant_term(self):
         """Coefficient of the monomial with no geometric variables.
@@ -327,13 +319,36 @@ class SparsePoly:
         return SparsePoly._new(self.ring, {
             m: c for m, c in self._terms.items() if not m & _FIELD})
 
+    def split(self, names) -> dict:
+        """The terms grouped by their exponents of names: a map from
+        exponent tuples to coefficients, polynomials in the other
+        variables."""
+        slots = [_slot(v) for v in names]
+        mask = sum(_FIELD << shift for shift, _ in slots)
+        keys: dict = {}    # the fields of names in a key -> their monomial
+        groups: dict = {}  # that monomial -> the rest of each term
+        for m, c in self._terms.items():
+            k = keys.get(m & mask)
+            if k is None:
+                k = keys[m & mask] = sum(
+                    (m >> shift & _FIELD) * unit for shift, unit in slots)
+            groups.setdefault(k, {})[m - k] = c
+        return {tuple([k >> shift & _FIELD for shift, _ in slots]):
+                SparsePoly._new(self.ring, terms)
+                for k, terms in groups.items()}
+
+    @staticmethod
+    def monomial(ring: CoefficientRing, names, exps) -> "SparsePoly":
+        """The product of names[j]^exps[j]; the inverse of split for one
+        key."""
+        return SparsePoly._new(ring, {_encode(zip(names, exps)): 1})
+
     def coeff(self, mono_pairs) -> "int | Fraction":
         return self._terms.get(_encode(mono_pairs), 0)
 
-    def homogeneous_part(self, d: int, exclude: tuple = ()) -> "SparsePoly":
-        deg = _geometric_degree(exclude)
+    def homogeneous_part(self, d: int) -> "SparsePoly":
         return SparsePoly._new(self.ring, {
-            m: c for m, c in self._terms.items() if deg(m) == d})
+            m: c for m, c in self._terms.items() if m & _FIELD == d})
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -393,17 +408,11 @@ class SparsePoly:
         small, big = self._terms, other._terms
         if len(small) > len(big):
             small, big = big, small
-        if len(small) == 1:
-            # a monomial times a polynomial: a shift of the keys
-            (k, c0), = small.items()
-            terms = {m + k: c * c0 for m, c in big.items()}
-        else:
-            terms = {}
-            get = terms.get
-            for m1, c1 in small.items():
-                for m2, c2 in big.items():
-                    m = m1 + m2
-                    terms[m] = get(m, 0) + c1 * c2
+        if len(small) != 1:
+            return sum_of_products(((self, other),), self.ring)
+        # a monomial times a polynomial: a shift of the keys
+        (k, c0), = small.items()
+        terms = {m + k: c * c0 for m, c in big.items()}
         _check_guard(terms)
         return SparsePoly._new(self.ring, _clean(terms, self.ring.rational))
 
@@ -421,14 +430,9 @@ class SparsePoly:
             n >>= 1
         return result
 
-    def truncate(self, bound: int, exclude: tuple = ()) -> "SparsePoly":
-        if exclude:
-            deg = _geometric_degree(exclude)
-            kept = {m: c for m, c in self._terms.items() if deg(m) <= bound}
-        else:
-            kept = {m: c for m, c in self._terms.items()
-                    if m & _FIELD <= bound}
-        return SparsePoly._new(self.ring, kept)
+    def truncate(self, bound: int) -> "SparsePoly":
+        return SparsePoly._new(self.ring, {
+            m: c for m, c in self._terms.items() if m & _FIELD <= bound})
 
     # -- substitution --------------------------------------------------------
 
@@ -572,40 +576,73 @@ class SparsePoly:
 
 # -- module-level helpers ----------------------------------------------------
 
+def sum_of_products(pairs, ring: CoefficientRing) -> SparsePoly:
+    """The sum of a * b over the pairs (a, b) of polynomials over ring,
+    accumulated in one dict, guard-checked and cleaned once."""
+    acc: dict = {}
+    get = acc.get
+    for a, b in pairs:
+        if (a.ring is not ring and a.ring != ring
+                or b.ring is not ring and b.ring != ring):
+            raise RingMismatchError(f"{a.ring.kind}, {b.ring.kind}")
+        small, big = a._terms, b._terms
+        if len(small) > len(big):
+            small, big = big, small
+        for m1, c1 in small.items():
+            for m2, c2 in big.items():
+                m = m1 + m2
+                acc[m] = get(m, 0) + c1 * c2
+    _check_guard(acc)
+    return SparsePoly._new(ring, _clean(acc, ring.rational))
+
+
+def divided_difference(parts, va: str, vb: str) -> SparsePoly:
+    """(P - P|va<->vb) / (va - vb), P the sum of the parts (at least one,
+    all over one ring), term by term: for m va^a vb^c with a > c,
+    (va^a vb^c - va^c vb^a) / (va - vb) = sum_{k=c}^{a-1} va^k vb^(a+c-1-k),
+    the sign flips for a < c and the term vanishes for a = c.  Each new
+    monomial is the old one with the fields of va and vb replaced; no
+    exponent grows, so none can overflow."""
+    ring = parts[0].ring
+    si, ui = _slot(va)
+    sj, uj = _slot(vb)
+    step = ui - uj
+    out: dict = {}
+    get = out.get
+    for part in parts:
+        for m, coef in part._terms.items():
+            a = m >> si & _FIELD
+            c = m >> sj & _FIELD
+            if a == c:
+                continue
+            m -= a * ui + c * uj
+            if a < c:
+                a, c, coef = c, a, -coef
+            m += c * ui + (a - 1) * uj
+            for _ in range(a - c):
+                out[m] = get(m, 0) + coef
+                m += step
+    return SparsePoly._new(ring, _clean(out, ring.rational))
+
+
 def divide_by_difference(p: SparsePoly, va: str, vb: str) -> SparsePoly:
     """Exact division of p by (va - vb); raises DivisionError otherwise.
 
     Synthetic division with va as the main variable: writing
-    p = sum_a P_a va^a, the quotient satisfies q_{a-1} = P_a + vb*q_a
-    read off from the top coefficient downwards."""
+    p = sum_a P_a va^a, the quotient sum_a q_a va^a satisfies
+    q_{a-1} = P_a + vb q_a, read off from the top coefficient downwards,
+    and P_0 + vb q_0 must vanish."""
     ring = p.ring
-    shift, unit = _slot(va)
-    vb_unit = _slot(vb)[1]
-    by_exp: dict[int, dict] = {}
-    for m, c in p._terms.items():
-        a = m >> shift & _FIELD
-        by_exp.setdefault(a, {})[m - a * unit] = c
-    if not by_exp:
-        return SparsePoly.zero(ring)
-    top = max(by_exp)
-    q: list[dict] = [{} for _ in range(top)]
-    carry: dict = {}
-    for a in range(top, 0, -1):
-        level = dict(by_exp.get(a, {}))
-        for m, c in carry.items():
-            level[m] = level.get(m, 0) + c
-        q[a - 1] = level
-        carry = {m + vb_unit: c for m, c in level.items() if c}
-        _check_guard(carry)
-    remainder = dict(by_exp.get(0, {}))
-    for m, c in carry.items():
-        remainder[m] = remainder.get(m, 0) + c
-    if any(c for c in remainder.values()):
+    parts = p.split((va,))
+    carry = zero = SparsePoly.zero(ring)
+    quotient = []
+    for a in range(max(parts, default=(0,))[0], 0, -1):
+        level = parts.get((a,), zero) + carry
+        quotient.append((level, SparsePoly.monomial(ring, (va,), (a - 1,))))
+        carry = level * SparsePoly.var(ring, vb)
+    if parts.get((0,), zero) + carry:
         raise DivisionError(f"not divisible by ({va} - {vb})")
-    out = {m + a * unit: c for a, level in enumerate(q)
-           for m, c in level.items()}
-    _check_guard(out)
-    return SparsePoly._new(ring, _clean(out, ring.rational))
+    return sum_of_products(quotient, ring)
 
 
 # -- truncated power series --------------------------------------------------

@@ -1,0 +1,103 @@
+"""Reference flag-ring reduction: the packed-monomial worklist that
+flagcalc.flagring used before its coefficients became SparsePoly pairs
+summed with ``sum_of_products``.  It reads the packed keys of
+flagcalc.rings directly; the property tests hold the library to it."""
+
+import heapq
+
+from flagcalc.rings import SparsePoly, _FIELD, _check_guard, _clean, _slot
+
+
+def _complete_homogeneous(ring, m: int, names: list) -> SparsePoly:
+    """h_m(names) via the recursion on the last variable."""
+    table = [SparsePoly.const(ring, 1)] + [SparsePoly.zero(ring)] * m
+    for v in names:
+        x = SparsePoly.var(ring, v)
+        for d in range(1, m + 1):
+            table[d] = table[d] + x * table[d - 1]
+    return table[m]
+
+
+def _order_key(alpha: tuple) -> tuple:
+    return (-sum(alpha), tuple(-a for a in reversed(alpha)), alpha)
+
+
+class ReferencePresentation:
+    """base[x_1..x_n] / (e_i(x) - c_i) with its own normal-form cache."""
+
+    def __init__(self, n: int, base_chern: tuple, ring):
+        self.n = n
+        self.ring = ring
+        self.slots = tuple(_slot(f"x{k}") for k in range(1, n + 1))
+        self.tails = []
+        for k in range(1, n + 1):
+            M = n - k + 1
+            names = [f"x{j}" for j in range(1, k + 1)]
+            g = _complete_homogeneous(ring, M, names)
+            sign = -1
+            for i in range(1, M + 1):
+                g = g + sign * base_chern[i - 1] * \
+                    _complete_homogeneous(ring, M - i, names)
+                sign = -sign
+            tail = SparsePoly.var(ring, f"x{k}", M) - g
+            self.tails.append(tuple(self._split(m) + (c,)
+                                    for m, c in tail._terms.items()))
+        self.nf_cache = {}
+
+    def _split(self, m: int) -> tuple:
+        exps = tuple(m >> shift & _FIELD for shift, _ in self.slots)
+        return exps, m - self._x_key(exps)
+
+    def _x_key(self, exps: tuple) -> int:
+        return sum(e * unit for e, (_, unit) in zip(exps, self.slots))
+
+    def _normal_form_of_exponents(self, alpha: tuple) -> dict:
+        cached = self.nf_cache.get(alpha)
+        if cached is not None:
+            return cached
+        work = {alpha: {0: 1}}
+        heap = [_order_key(alpha)]
+        out: dict = {}
+        while heap:
+            beta = heapq.heappop(heap)[2]
+            coeffs = work.pop(beta)
+            _check_guard(coeffs)
+            nf = self.nf_cache.get(beta)
+            if nf is None:
+                for k in range(self.n, 0, -1):
+                    M = self.n - k + 1
+                    if beta[k - 1] >= M:
+                        break
+                else:
+                    nf = {self._x_key(beta): 1}
+            if nf is not None:
+                for rest, c in coeffs.items():
+                    for m2, c2 in nf.items():
+                        m = m2 + rest
+                        out[m] = out.get(m, 0) + c * c2
+                continue
+            base = list(beta)
+            base[k - 1] -= M
+            for delta, t_rest, t_c in self.tails[k - 1]:
+                gamma = tuple(a + d for a, d in zip(base, delta))
+                target = work.get(gamma)
+                if target is None:
+                    target = work[gamma] = {}
+                    heapq.heappush(heap, _order_key(gamma))
+                for rest, c in coeffs.items():
+                    m = rest + t_rest
+                    target[m] = target.get(m, 0) + c * t_c
+        out = {m: c for m, c in out.items() if c}
+        _check_guard(out)
+        self.nf_cache[alpha] = out
+        return out
+
+    def reduce(self, p: SparsePoly) -> SparsePoly:
+        acc: dict = {}
+        for m, c in p._terms.items():
+            alpha, rest = self._split(m)
+            for m2, c2 in self._normal_form_of_exponents(alpha).items():
+                k = m2 + rest
+                acc[k] = acc.get(k, 0) + c * c2
+        _check_guard(acc)
+        return SparsePoly._new(p.ring, _clean(acc, p.ring.rational))

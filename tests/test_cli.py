@@ -170,9 +170,16 @@ class TestErrors:
         ("hecke", "verify", "--n", "0"),
         ("flagring", "reduce", "--n", "2", "--input", "x1^99999999999"),
         ("flagring", "reduce", "--n", "2", "--input", "x1^1501"),
+        ("bott-samelson", "--n", "0"),
+        ("bott-samelson", "--n", "-2"),
+        ("bott-samelson", "--law", "additive", "--n", "3", "--trunc", "0"),
+        ("bott-samelson", "--law", "additive", "--n", "3", "--trunc", "-1"),
+        ("chern-tensor", "--e", "-1", "--f", "2"),
     ], ids=["repeated-image", "empty-perm", "rank-above-min", "word-index",
             "braid-n2", "zero-denominator", "flagring-n0", "hecke-n0",
-            "exponent-limit", "x-degree-bound"])
+            "exponent-limit", "x-degree-bound", "bott-samelson-n0",
+            "bott-samelson-n-negative", "bott-samelson-trunc0",
+            "bott-samelson-trunc-negative", "chern-tensor-e-negative"])
     def test_bad_input_exits_2(self, args, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["flagcalc", *args])
         with pytest.raises(SystemExit) as exc:
