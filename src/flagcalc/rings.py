@@ -320,8 +320,8 @@ class SparsePoly:
             m: c for m, c in self._terms.items() if not m & _FIELD})
 
     def split(self, names) -> dict:
-        """The terms grouped by their exponents of names: a map from
-        exponent tuples to coefficients, polynomials in the other
+        """The terms grouped by their exponents of names (distinct): a map
+        from exponent tuples to coefficients, polynomials in the other
         variables."""
         slots = [_slot(v) for v in names]
         mask = sum(_FIELD << shift for shift, _ in slots)

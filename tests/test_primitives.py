@@ -164,7 +164,7 @@ def test_divided_difference_of_parts_matches_reference(kind, data):
     assert dict(got.terms.items()) == expected.terms
 
 
-# -- flag-ring normal forms -----------------------------------------------------
+# -- flag-ring normal forms ---------------------------------------------------
 
 FLAG_RINGS = {"ZZ": ZZ, "Zb": beta_ring()}
 # presentations that live for the whole module, so their memos are warm
@@ -222,7 +222,7 @@ def test_presentation_sets_only_declared_fields():
     assert pres == FlagRingPresentation.symbolic(3, beta_ring())
 
 
-# -- reduced words ----------------------------------------------------------------
+# -- reduced words ------------------------------------------------------------
 
 def _reduced_words_recursive(w: Permutation) -> tuple:
     if w.length() == 0:
@@ -237,7 +237,7 @@ def test_all_reduced_words_match_recursive_search(n):
         assert all_reduced_words(w) == _reduced_words_recursive(w)
 
 
-# -- Chern classes of Hom(E, F) ---------------------------------------------------
+# -- Chern classes of Hom(E, F) -----------------------------------------------
 
 LAWS = {
     "additive": lambda D: fgl.make_additive(D),
