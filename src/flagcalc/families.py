@@ -7,11 +7,13 @@ from __future__ import annotations
 
 from .divdiff import OperatorContext
 from .fgl import FormalGroupLaw
+from .hecke import oplus
 from .memo import TermMemo
 from .perms import Permutation, apply_word, lex_smallest_reduced_word, longest_element
 from .rings import SparsePoly, beta_ring
 
 __all__ = [
+    "cell_product",
     "h_top",
     "beta_poly",
     "beta_poly_via_word",
@@ -27,21 +29,22 @@ _FAMILY_MEMO = TermMemo()
 _BS_MEMO = TermMemo()
 
 
-def h_top(n: int, e: int | None = None) -> SparsePoly:
-    """prod_{i+j <= n} (x_i + y_j + b x_i y_j) over Z[b]; with e given,
-    y_j = 0 for j > e, so those factors are x_i."""
-    ring = beta_ring()
-    b = SparsePoly.var(ring, "b")
+def cell_product(ring, cells, factor, bound=None) -> SparsePoly:
+    """prod factor(x_i, y_j) over the cells (i, j), truncated at ``bound``
+    after each factor when one is given."""
     out = SparsePoly.const(ring, 1)
-    for i in range(1, n):
-        xi = SparsePoly.var(ring, f"x{i}")
-        for j in range(1, n - i + 1):
-            if e is not None and j > e:
-                out = out * xi
-            else:
-                yj = SparsePoly.var(ring, f"y{j}")
-                out = out * (xi + yj + b * xi * yj)
+    for i, j in cells:
+        out = out * factor(SparsePoly.var(ring, f"x{i}"),
+                           SparsePoly.var(ring, f"y{j}"))
+        if bound is not None:
+            out = out.truncate(bound)
     return out
+
+
+def h_top(n: int) -> SparsePoly:
+    """prod_{i+j <= n} (x_i + y_j + b x_i y_j) over Z[b]: the product over
+    the diagram of w0."""
+    return cell_product(beta_ring(), longest_element(n).diagram(), oplus)
 
 
 def beta_poly_via_word(w: Permutation, word: tuple) -> SparsePoly:
@@ -107,13 +110,8 @@ def bott_samelson_initial(fgl: FormalGroupLaw, n: int) -> SparsePoly:
     The y_j slots stand for already-inverted first Chern classes of the
     subquotient line bundles; compose with the formal inverse per variable
     when holding un-inverted roots."""
-    out = SparsePoly.const(fgl.ring, 1)
-    for k in range(1, n):
-        for j in range(1, n - k + 1):
-            xk = SparsePoly.var(fgl.ring, f"x{k}")
-            yj = SparsePoly.var(fgl.ring, f"y{j}")
-            out = (out * fgl.sum_series(xk, yj)).truncate(fgl.D)
-    return out
+    return cell_product(fgl.ring, longest_element(n).diagram(),
+                        fgl.sum_series, fgl.D)
 
 
 def bott_samelson_class(fgl: FormalGroupLaw, word: tuple, n: int

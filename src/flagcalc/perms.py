@@ -71,6 +71,12 @@ class Permutation:
         return [i for i in range(1, self.n)
                 if self.images[i - 1] > self.images[i]]
 
+    def diagram(self) -> tuple:
+        """Rothe diagram, row by row: cells (i, j), j < w(i), i < w^-1(j)."""
+        inv = self.inverse().images
+        return tuple((i, j) for i in range(1, self.n + 1)
+                     for j in range(1, self(i)) if inv[j - 1] > i)
+
     def embed(self, n: int) -> "Permutation":
         """View inside S_n for n >= self.n, fixing the new points."""
         if n < self.n:

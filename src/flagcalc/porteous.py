@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .divdiff import OperatorContext
-from .families import h_top
-from .perms import Permutation, lex_smallest_reduced_word, longest_element, nu_triple
-from .rings import SparsePoly, ZZ
+from .families import cell_product
+from .hecke import oplus
+from .perms import Permutation, lex_smallest_reduced_word, nu_triple
+from .rings import SparsePoly, ZZ, beta_ring
 
 __all__ = [
     "RankTriple",
@@ -55,6 +56,14 @@ class RankTriple:
         # identity l = (e - r)(f - r)
         return nu_triple((self.e, self.f, self.r))
 
+    def dominant(self) -> Permutation:
+        """u = (e+1, ..., n, 1, ..., e): dominant, its diagram the (f - r)
+        x e rectangle.  The triple's permutation lies r(f - r) steps below
+        it in the right weak order: its inverted value pairs are u's whose
+        smaller value is above r."""
+        return Permutation(tuple(range(self.e + 1, self.n + 1))
+                           + tuple(range(1, self.e + 1)))
+
     def expected_codim(self) -> int:
         return (self.e - self.r) * (self.f - self.r)
 
@@ -68,35 +77,27 @@ class DPoly:
 
 
 def specialize_nu(t: RankTriple, n_pad: int = 0) -> SparsePoly:
-    """The family member for the triple's permutation with the variables
-    beyond x_f and y_e set to zero.  ``n_pad`` computes inside a larger
-    symmetric group to exercise stabilisation."""
-    w = t.permutation()
-    if n_pad:
-        w = w.embed(w.n + n_pad)
-    n = w.n
-    # the recursion only touches x-variables, so the dead y-slots can be
-    # zeroed before running it; building the product with them already
-    # zero keeps the intermediate polynomials small
-    start = h_top(n, t.e)
-    word = lex_smallest_reduced_word(longest_element(n).compose(w))
-    p = OperatorContext(n).compose_word(word, start, mode="beta")
-    return p.substitute({f"x{i}": 0 for i in range(t.f + 1, n + 1)})
+    """The family member for the triple's permutation nu.
+
+    The walk starts at the dominant u = t.dominant(), whose member is the
+    product over its rectangle, and applies phi along a reduced word of
+    u^-1 nu: r(f - r) steps on x_1..x_f, so no variable beyond x_f or y_e
+    appears.  ``n_pad`` runs the same steps inside S_{n + n_pad}."""
+    if n_pad < 0:
+        raise ValueError(f"n_pad must be >= 0, got {n_pad}")
+    u = t.dominant()
+    start = cell_product(beta_ring(), u.diagram(), oplus)
+    word = lex_smallest_reduced_word(u.inverse().compose(t.permutation()))
+    return OperatorContext(t.n + n_pad).compose_word(word, start, mode="beta")
 
 
 def check_rect_symmetry(p: SparsePoly, t: RankTriple) -> bool:
     """Invariance under all adjacent swaps inside each block."""
-    def swapped(q, a, b):
-        va = SparsePoly.var(q.ring, a)
-        vb = SparsePoly.var(q.ring, b)
-        return q.substitute({a: vb, b: va})
-    for i in range(1, t.f):
-        if swapped(p, f"x{i}", f"x{i + 1}") != p:
-            return False
-    for j in range(1, t.e):
-        if swapped(p, f"y{j}", f"y{j + 1}") != p:
-            return False
-    return True
+    pairs = [(f"x{i}", f"x{i + 1}") for i in range(1, t.f)]
+    pairs += [(f"y{j}", f"y{j + 1}") for j in range(1, t.e)]
+    return all(p.substitute({a: SparsePoly.var(p.ring, b),
+                             b: SparsePoly.var(p.ring, a)}) == p
+               for a, b in pairs)
 
 
 def elementary_symmetric(ring, k: int, names: list) -> SparsePoly:
@@ -112,7 +113,9 @@ def _reduce_block(p: SparsePoly, block: list, out_prefix: str) -> SparsePoly:
     Leading-term subtraction: the block exponents of the leading term form
     a partition l_1 >= l_2 >= ...; subtract its coefficient times
     prod e_k^(l_k - l_{k+1}) and record the same product in the output
-    symbols.  The leading partition strictly decreases, so this stops."""
+    symbols.  The leading exponents strictly decrease, so this stops,
+    either with a remainder free of the block, which happens exactly when
+    p is symmetric in it, or on a leading term that is not a partition."""
     ring = p.ring
     k = len(block)
     es = [None] + [elementary_symmetric(ring, j, block) for j in range(1, k + 1)]
@@ -144,9 +147,8 @@ def _reduce_block(p: SparsePoly, block: list, out_prefix: str) -> SparsePoly:
 
 def to_elementary(p: SparsePoly, t: RankTriple) -> DPoly:
     """Rewrite the doubly symmetric polynomial in c_i (x-block) and d_j
-    (y-block); round-trip substitution recovers the input exactly."""
-    if not check_rect_symmetry(p, t):
-        raise SymmetryError("input is not symmetric in the two blocks")
+    (y-block); round-trip substitution recovers the input exactly.  It
+    raises SymmetryError exactly when check_rect_symmetry rejects p."""
     xs = [f"x{i}" for i in range(1, t.f + 1)]
     ys = [f"y{j}" for j in range(1, t.e + 1)]
     body = _reduce_block(p, xs, "c")
@@ -156,35 +158,29 @@ def to_elementary(p: SparsePoly, t: RankTriple) -> DPoly:
 
 def from_elementary(dp: DPoly) -> SparsePoly:
     """Substitute the elementary symmetric functions back in."""
-    ring = dp.body.ring
-    t = dp.triple
+    ring, t = dp.body.ring, dp.triple
     assignment = {}
-    for i in range(1, t.f + 1):
-        assignment[f"c{i}"] = elementary_symmetric(
-            ring, i, [f"x{k}" for k in range(1, t.f + 1)])
-    for j in range(1, t.e + 1):
-        assignment[f"d{j}"] = elementary_symmetric(
-            ring, j, [f"y{k}" for k in range(1, t.e + 1)])
+    for out, var, k in (("c", "x", t.f), ("d", "y", t.e)):
+        names = [f"{var}{i}" for i in range(1, k + 1)]
+        for i in range(1, k + 1):
+            assignment[f"{out}{i}"] = elementary_symmetric(ring, i, names)
     return dp.body.substitute(assignment)
 
 
 def thom_porteous(t: RankTriple, theory: str = "ck") -> DPoly:
     """The universal polynomial for the rank <= r locus of a map E -> F.
 
-    theory: "ck" keeps the symbolic parameter b, "ch" sets b = 0 and flips
-    the sign of the d-slots (which then stand for -c_j(E)), "k0" sets
-    b = -1."""
+    theory: "ck" keeps the symbolic parameter b and "k0" sets b = -1; in
+    both the d-slots stand for c_j(E^dual).  "ch" sets b = 0 and flips
+    the sign of the d-slots, which then stand for -c_j(E^dual), that is
+    (-1)^(j+1) c_j(E)."""
     theory = theory.lower()
-    base = to_elementary(specialize_nu(t), t)
-    if theory == "ck":
-        return DPoly(t, "CK", base.body, ("c_i(F)", "c_j(Edual)"))
-    if theory == "k0":
-        body = base.body.substitute({"b": -1}, ring=ZZ)
-        return DPoly(t, "K0", body, ("c_i(F)", "c_j(Edual)"))
-    if theory == "ch":
-        assignment = {"b": 0}
-        for j in range(1, t.e + 1):
-            assignment[f"d{j}"] = -SparsePoly.var(ZZ, f"d{j}")
-        body = base.body.substitute(assignment, ring=ZZ)
-        return DPoly(t, "CH", body, ("c_i(F)", "c_j(E)"))
-    raise ValueError(f"unknown theory {theory!r}")
+    flips = {f"d{j}": -SparsePoly.var(ZZ, f"d{j}") for j in range(1, t.e + 1)}
+    assignment = {"ck": None, "k0": {"b": -1}, "ch": {"b": 0, **flips}}
+    if theory not in assignment:
+        raise ValueError(f"unknown theory {theory!r}")
+    body = to_elementary(specialize_nu(t), t).body
+    if assignment[theory]:
+        body = body.substitute(assignment[theory], ring=ZZ)
+    d_label = "-c_j(Edual)" if theory == "ch" else "c_j(Edual)"
+    return DPoly(t, theory.upper(), body, ("c_i(F)", d_label))

@@ -85,6 +85,11 @@ class TestPorteousCommand:
         assert obj["theory"] == "CK"
         assert obj["slots"]["d"] == "c_j(Edual)"
 
+    def test_json_ch_slot_label(self, runner):
+        res = invoke(runner, "porteous", "--e", "2", "--f", "1", "--r", "0",
+                     "--theory", "ch", "--format", "json")
+        assert json.loads(res.output)["slots"]["d"] == "-c_j(Edual)"
+
 
 class TestHeckeCommand:
     def test_verify_passes(self, runner):

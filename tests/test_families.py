@@ -6,11 +6,13 @@ from flagcalc.families import (
     beta_poly_via_word,
     bott_samelson_class,
     bott_samelson_initial,
+    cell_product,
     double_grothendieck,
     double_schubert,
     h_top,
 )
 from flagcalc.fgl import make_additive, make_multiplicative, make_universal_rational
+from flagcalc.hecke import oplus
 from flagcalc.perms import (
     Permutation,
     all_permutations,
@@ -19,6 +21,7 @@ from flagcalc.perms import (
     longest_element,
 )
 from flagcalc.rings import SparsePoly, ZZ, beta_ring
+from locus_reference import is_dominant
 
 
 def V(ring, name, e=1):
@@ -36,6 +39,15 @@ class TestTopClass:
     def test_degree(self):
         # n(n-1)/2 factors, each of degree 2 in the x/y grading
         assert h_top(4).degree() == 12
+
+    def test_dominant_members_are_cell_products(self):
+        # h_u is the product over the diagram of u when u avoids 132
+        dominant = [w for n in range(1, 6) for w in all_permutations(n)
+                    if is_dominant(w)]
+        assert len(dominant) == 64
+        for w in dominant:
+            assert beta_poly(w) == cell_product(beta_ring(), w.diagram(),
+                                                oplus), w
 
 
 class TestBetaFamily:

@@ -1,6 +1,10 @@
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flagcalc import porteous
+from flagcalc.divdiff import OperatorContext
 from flagcalc.porteous import (
     DPoly,
     RankTriple,
@@ -13,6 +17,7 @@ from flagcalc.porteous import (
     to_elementary,
 )
 from flagcalc.rings import SparsePoly, ZZ, beta_ring
+from locus_reference import is_dominant, walk_from_top
 
 
 def V(ring, name, e=1):
@@ -23,6 +28,11 @@ SMALL_TRIPLES = [RankTriple(e, f, r)
                  for e in (1, 2) for f in (1, 2)
                  for r in range(min(e, f) + 1)
                  if e + f - r >= 1]
+
+# every triple with 1 <= e, f <= 3: 23 of them
+TRIPLES_3 = [RankTriple(e, f, r)
+             for e in (1, 2, 3) for f in (1, 2, 3)
+             for r in range(min(e, f) + 1)]
 
 
 class TestRankTriple:
@@ -57,7 +67,45 @@ class TestSpecialize:
 
     @pytest.mark.parametrize("t", SMALL_TRIPLES, ids=str)
     def test_padding_invariance(self, t):
-        assert specialize_nu(t, n_pad=1) == specialize_nu(t)
+        assert specialize_nu(t, n_pad=1) == walk_from_top(t, n_pad=1)
+
+    @pytest.mark.parametrize(
+        "t, n_pad", [(t, n_pad) for t in TRIPLES_3 for n_pad in (0, 1)
+                     if t.n + n_pad <= 6], ids=str)
+    def test_matches_the_walk_from_top(self, t, n_pad):
+        assert specialize_nu(t, n_pad) == walk_from_top(t, n_pad)
+
+    def test_negative_padding_rejected(self):
+        with pytest.raises(ValueError):
+            specialize_nu(RankTriple(1, 1, 0), n_pad=-1)
+
+    def test_dominant_start_closed_form(self):
+        for e in range(6):
+            for f in range(6):
+                for r in range(min(e, f) + 1):
+                    if e + f - r < 1:
+                        continue
+                    t = RankTriple(e, f, r)
+                    u, nu = t.dominant(), t.permutation()
+                    assert is_dominant(u), t
+                    assert set(u.diagram()) == {
+                        (i, j) for i in range(1, f - r + 1)
+                        for j in range(1, e + 1)}, t
+                    steps = u.length() - nu.length()
+                    assert steps == r * (f - r), t
+                    # nu lies below u in the right weak order
+                    assert u.inverse().compose(nu).length() == steps, t
+
+    @pytest.mark.parametrize("t", [RankTriple(3, 3, 1), RankTriple(2, 3, 2),
+                                   RankTriple(3, 2, 0)], ids=str)
+    def test_walk_length(self, t, monkeypatch):
+        steps = []
+        phi = OperatorContext.phi_beta
+        monkeypatch.setattr(OperatorContext, "phi_beta",
+                            lambda ctx, i, p: steps.append(i) or phi(ctx, i, p))
+        specialize_nu(t)
+        assert len(steps) == t.r * (t.f - t.r)
+        assert all(i < t.f for i in steps)
 
 
 class TestElementaryRewrite:
@@ -84,6 +132,46 @@ class TestElementaryRewrite:
         with pytest.raises(SymmetryError):
             to_elementary(V(ZZ, "x1"), RankTriple(1, 2, 0))
 
+    @pytest.mark.parametrize("t", [RankTriple(2, 1, 0), RankTriple(3, 2, 1)],
+                             ids=str)
+    def test_rejects_asymmetric_in_y_only(self, t):
+        p = specialize_nu(t) + V(beta_ring(), "y1") * V(beta_ring(), "x1")
+        assert not check_rect_symmetry(p, t)
+        with pytest.raises(SymmetryError):
+            to_elementary(p, t)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=100)
+    @given(st.data())
+    def test_raises_iff_asymmetric(self, data):
+        # a symmetric polynomial from the slots, plus at times one monomial
+        # in the x-block, the y-block or both
+        e, f = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        t, ring = RankTriple(e, f, 0), beta_ring()
+        exps = st.integers(0, 1)
+        slots = [f"c{i}" for i in range(1, f + 1)] + \
+            [f"d{j}" for j in range(1, e + 1)] + ["b"]
+        body = SparsePoly.zero(ring)
+        for _ in range(data.draw(st.integers(0, 3))):
+            term = SparsePoly.const(ring, data.draw(st.integers(-3, 3)))
+            for name in slots:
+                term = term * V(ring, name, data.draw(exps))
+            body = body + term
+        p = from_elementary(DPoly(t, "Beta", body, ()))
+        block = data.draw(st.sampled_from(["", "x", "y", "xy"]))
+        names = [f"x{i}" for i in range(1, f + 1)] * ("x" in block) + \
+            [f"y{j}" for j in range(1, e + 1)] * ("y" in block)
+        if names:
+            term = SparsePoly.const(ring, data.draw(st.integers(1, 3)))
+            for name in names:
+                term = term * V(ring, name, data.draw(st.integers(0, 2)))
+            p = p + term
+        if check_rect_symmetry(p, t):
+            assert from_elementary(to_elementary(p, t)) == p
+        else:
+            with pytest.raises(SymmetryError):
+                to_elementary(p, t)
+
     @pytest.mark.parametrize("t", SMALL_TRIPLES, ids=str)
     def test_round_trip(self, t):
         p = specialize_nu(t)
@@ -106,7 +194,7 @@ class TestTheories:
     def test_line_bundles_ch(self):
         dp = thom_porteous(RankTriple(1, 1, 0), "ch")
         assert dp.body == V(ZZ, "c1") - V(ZZ, "d1")
-        assert dp.slot_labels[1] == "c_j(E)"
+        assert dp.slot_labels == ("c_i(F)", "-c_j(Edual)")
 
     def test_line_bundles_k0(self):
         dp = thom_porteous(RankTriple(1, 1, 0), "k0")
@@ -121,6 +209,13 @@ class TestTheories:
     def test_unknown_theory(self):
         with pytest.raises(ValueError):
             thom_porteous(RankTriple(1, 1, 0), "ko")
+
+    def test_unknown_theory_fails_before_the_walk(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("locus built for an unknown theory")
+        monkeypatch.setattr(porteous, "specialize_nu", no_walk)
+        with pytest.raises(ValueError, match="unknown theory"):
+            thom_porteous(RankTriple(3, 3, 0), "ko")
 
     @pytest.mark.parametrize("t", SMALL_TRIPLES, ids=str)
     def test_specialisations_of_ck(self, t):
@@ -188,6 +283,36 @@ class TestDeterminantOracle:
                 term *= syms[name] ** e
             got_sym += term
         assert sympy.expand(got_sym - det) == 0
+
+    @pytest.mark.parametrize("t", TRIPLES_3, ids=str)
+    def test_ch_slots_match_determinant(self, t):
+        # in the slot variables: c(F) = 1 + sum c_i and, the d-slots
+        # being -c_j(E^dual) = (-1)^(j+1) c_j(E),
+        # c(E) = 1 + sum (-1)^(j+1) d_j; then c(F - E) = c(F) / c(E)
+        tv = sympy.symbols("t")
+        cs = sympy.symbols(f"c1:{t.f + 1}")
+        ds = sympy.symbols(f"d1:{t.e + 1}")
+        size = t.e - t.r
+        order = t.f - t.r + size + 1
+        c_f = 1 + sum(c * tv ** i for i, c in enumerate(cs, start=1))
+        c_e = 1 + sum((-1) ** (j + 1) * d * tv ** j
+                      for j, d in enumerate(ds, start=1))
+        series = sympy.expand(
+            sympy.series(c_f / c_e, tv, 0, order).removeO())
+
+        def chern(k):
+            return series.coeff(tv, k) if k >= 0 else sympy.Integer(0)
+
+        det = sympy.Matrix(size, size,
+                           lambda i, j: chern(t.f - t.r + j - i)).det()
+        syms = {str(s): s for s in cs + ds}
+        got = sympy.Integer(0)
+        for mono, c in thom_porteous(t, "ch").body.terms.items():
+            term = sympy.Integer(c)
+            for name, e in mono:
+                term *= syms[name] ** e
+            got += term
+        assert sympy.expand(got - det) == 0
 
     def test_dpoly_carries_theory_tag(self):
         dp = thom_porteous(RankTriple(2, 2, 1), "k0")

@@ -1,7 +1,6 @@
 """The one substitution engine, SparsePoly.substitute with a bound, and the
 series code built on it, against the old series engine and the old
-fixed-point formal inverse kept in rings_reference; h_top with its dead
-y-slots zeroed against a substitution.
+fixed-point formal inverse kept in rings_reference.
 
 Hypothesis runs derandomised, so every run draws the same examples."""
 
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rings_reference as ref
-from flagcalc.families import h_top
 from flagcalc.fgl import make_multiplicative
 from flagcalc.rings import SparsePoly, TruncatedSeries, ZZ, beta_ring
 from test_packed import (
@@ -84,11 +82,3 @@ def test_closed_form_chi_matches_fixed_point(b, D):
     u, v = ref.RefPoly.var(ring, "u"), ref.RefPoly.var(ring, "v")
     F = (u + v - b * u * v).truncate(D)
     assert_same(fgl.chi.body, ref.solve_chi(F, D))
-
-
-@pytest.mark.parametrize("n", range(1, 6))
-def test_h_top_zeroes_the_dead_y_slots(n):
-    full = h_top(n)
-    for e in range(n):
-        dead = {f"y{j}": 0 for j in range(e + 1, n)}
-        assert h_top(n, e) == full.substitute(dead)
