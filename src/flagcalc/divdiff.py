@@ -23,6 +23,7 @@ from .rings import (
     divide_by_difference,
     divided_difference,
     series_reciprocal,
+    sum_of_products,
 )
 
 __all__ = ["OperatorContext", "braid_check"]
@@ -114,8 +115,8 @@ class OperatorContext:
         computed as partial_i of (p / g) truncated at D + 1."""
         self._check_index(i)
         ginv = self._denominator_unit(i)
-        r = (p * ginv).truncate(self.D + 1)
-        return divided_difference([r], f"x{i}", f"x{i + 1}").truncate(self.D)
+        r = sum_of_products([(p, ginv)], p.ring, self.D + 1)
+        return divided_difference([r], f"x{i}", f"x{i + 1}")
 
     # -- words ---------------------------------------------------------------
 

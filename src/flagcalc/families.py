@@ -10,7 +10,7 @@ from .fgl import FormalGroupLaw
 from .hecke import oplus
 from .memo import TermMemo
 from .perms import Permutation, apply_word, lex_smallest_reduced_word, longest_element
-from .rings import SparsePoly, beta_ring
+from .rings import SparsePoly, beta_ring, sum_of_products
 
 __all__ = [
     "cell_product",
@@ -30,14 +30,12 @@ _BS_MEMO = TermMemo()
 
 
 def cell_product(ring, cells, factor, bound=None) -> SparsePoly:
-    """prod factor(x_i, y_j) over the cells (i, j), truncated at ``bound``
-    after each factor when one is given."""
+    """prod factor(x_i, y_j) over the cells (i, j); with a bound, no
+    partial product has a term above it."""
     out = SparsePoly.const(ring, 1)
     for i, j in cells:
-        out = out * factor(SparsePoly.var(ring, f"x{i}"),
-                           SparsePoly.var(ring, f"y{j}"))
-        if bound is not None:
-            out = out.truncate(bound)
+        f = factor(SparsePoly.var(ring, f"x{i}"), SparsePoly.var(ring, f"y{j}"))
+        out = sum_of_products([(out, f)], ring, bound)
     return out
 
 

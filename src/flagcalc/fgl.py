@@ -105,7 +105,7 @@ def chern_tensor_dual(fgl: FormalGroupLaw, x_roots: list, y_roots: list
             factor = fgl.sum_series(xi, fgl.inverse_series(yj))
             es.append(SparsePoly.zero(ring))
             for k in range(len(es) - 1, 0, -1):
-                es[k] = es[k] + (factor * es[k - 1]).truncate(fgl.D)
+                es[k] += sum_of_products([(factor, es[k - 1])], ring, fgl.D)
     chern = sum_of_products(
         [(e, SparsePoly.var(ring, "t", k)) for k, e in enumerate(es)], ring)
     return chern, es[-1]

@@ -441,7 +441,7 @@ class SparsePoly:
         """Evaluate under var -> SparsePoly/number; untouched vars stay.
 
         With a bound, terms of geometric degree above it are dropped; the
-        general path truncates every power and partial product it forms."""
+        general path forms no term of a power or partial product above it."""
         target = ring if ring is not None else self.ring
         subs = []
         for v, val in assignment.items():
@@ -452,9 +452,6 @@ class SparsePoly:
             else:
                 val = SparsePoly(target, {(): val})
             subs.append(_slot(v) + (val,))
-
-        def cut(p):
-            return p if bound is None else p.truncate(bound)
 
         acc: dict = {}
         get = acc.get
@@ -483,11 +480,10 @@ class SparsePoly:
                     c = c * ic ** e
                 else:
                     acc[key] = get(key, 0) + c
-            return cut(SparsePoly._new(target, _clean(acc, target.rational)))
+            out = SparsePoly._new(target, _clean(acc, target.rational))
+            return out if bound is None else out.truncate(bound)
 
-        # the terms grouped by their exponents of the substituted variables;
-        # no factor lowers the degree, so a term whose untouched variables
-        # are above the bound stays above it
+        # the terms grouped by their exponents of the substituted variables
         groups: dict = {}
         for m, c in self._terms.items():
             exps = []
@@ -495,20 +491,22 @@ class SparsePoly:
                 e = m >> shift & _FIELD
                 m -= e * unit
                 exps.append(e)
-            if bound is None or m & _FIELD <= bound:
-                groups.setdefault(tuple(exps), {})[m] = c
-        # powers[j][e - 1] is the j-th image to the e-th power
-        powers = [[img] for *_, img in subs]
+            groups.setdefault(tuple(exps), {})[m] = c
+        # powers[j][e] is the j-th image to the e-th power; each group's
+        # last factor goes into the one final sum
+        one = SparsePoly.const(target, 1)
+        powers = [[one, img] for *_, img in subs]
+        pairs = []
         for exps, rest in groups.items():
-            part = SparsePoly._new(target, rest)
-            for e, (*_, img), cache in zip(exps, subs, powers):
+            part, factor = SparsePoly._new(target, rest), one
+            for e, (*_, img), pw in zip(exps, subs, powers):
+                while len(pw) <= e:
+                    pw.append(sum_of_products([(pw[-1], img)], target, bound))
                 if e:
-                    while len(cache) < e:
-                        cache.append(cut(cache[-1] * img))
-                    part = cut(part * cache[e - 1])
-            for k, c in part._terms.items():
-                acc[k] = get(k, 0) + c
-        return SparsePoly._new(target, _clean(acc, target.rational))
+                    part = sum_of_products([(part, factor)], target, bound)
+                    factor = pw[e]
+            pairs.append((part, factor))
+        return sum_of_products(pairs, target, bound)
 
     # -- canonical output ----------------------------------------------------
 
@@ -576,9 +574,14 @@ class SparsePoly:
 
 # -- module-level helpers ----------------------------------------------------
 
-def sum_of_products(pairs, ring: CoefficientRing) -> SparsePoly:
+def sum_of_products(pairs, ring: CoefficientRing,
+                    bound: int | None = None) -> SparsePoly:
     """The sum of a * b over the pairs (a, b) of polynomials over ring,
-    accumulated in one dict, guard-checked and cleaned once."""
+    accumulated in one dict, guard-checked and cleaned once.  With a
+    bound, it is the sum truncated at that geometric degree, and no pair
+    of terms above the bound is formed: an exponent overflow raises
+    ExponentOverflowError in a kept term, never in a pair above it."""
+    limit = 2 * _FIELD if bound is None else bound  # above any degree sum
     acc: dict = {}
     get = acc.get
     for a, b in pairs:
@@ -588,10 +591,19 @@ def sum_of_products(pairs, ring: CoefficientRing) -> SparsePoly:
         small, big = a._terms, b._terms
         if len(small) > len(big):
             small, big = big, small
-        for m1, c1 in small.items():
+        levels = ((0, big),)  # unbounded: one level
+        if bound is not None:
+            by_degree: dict = {}
             for m2, c2 in big.items():
-                m = m1 + m2
-                acc[m] = get(m, 0) + c1 * c2
+                by_degree.setdefault(m2 & _FIELD, {})[m2] = c2
+            levels = sorted(by_degree.items())  # big's terms by degree
+        for m1, c1 in small.items():
+            for d2, level in levels:
+                if d2 + (m1 & _FIELD) > limit:
+                    break
+                for m2, c2 in level.items():
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + c1 * c2
     _check_guard(acc)
     return SparsePoly._new(ring, _clean(acc, ring.rational))
 
@@ -674,7 +686,9 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check(other)
             other = other.body
-        return TruncatedSeries(self.body * other, self.bound)
+        return TruncatedSeries(sum_of_products(
+            [(self.body, self.body._coerce(other))], self.body.ring,
+            self.bound), self.bound)
 
     def __eq__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -722,8 +736,8 @@ def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
 def compositional_inverse(s: TruncatedSeries, var: str = "t") -> TruncatedSeries:
     """Inverse under composition of a single-variable series t + O(t^2).
 
-    Newton-style iteration g <- g - (s(g) - t); each pass gains one order
-    of accuracy, so bound passes suffice."""
+    Fixed-point iteration g <- g - (s(g) - t), not Newton iteration:
+    each pass gains one order of accuracy, so bound passes suffice."""
     ring = s.body.ring
     vars_ = {v for v in s.body.variables() if not is_coefficient_var(v)}
     if vars_ - {var}:

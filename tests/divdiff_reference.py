@@ -1,14 +1,12 @@
 """Reference divided-difference operators: substitute x_i <-> x_{i+1},
 subtract and divide the numerator by (x_i - x_{i+1}) with synthetic
 division.  flagcalc.divdiff applies the same operators with one
-closed-form kernel; the property tests hold it to these."""
+closed-form kernel and degree-bounded products; the property tests hold
+it to these."""
 
-from flagcalc.rings import (
-    SparsePoly,
-    TruncatedSeries,
-    divide_by_difference,
-    series_reciprocal,
-)
+from fractions import Fraction
+
+from flagcalc.rings import SparsePoly, divide_by_difference
 
 
 def swap(i, p):
@@ -38,14 +36,31 @@ def phi_beta(i, p):
     return phi(i, p, SparsePoly.var(p.ring, "b"))
 
 
+def reciprocal(s, D):
+    """1/s modulo degree > D, for s whose degree-0 part is a unit constant
+    c: the geometric series in 1 - s/c, each power formed in full and
+    then truncated."""
+    ring = s.ring
+    c = s.coeff(())
+    cinv = Fraction(1, c) if ring.rational else c
+    one = SparsePoly.const(ring, 1)
+    r = (one - s * cinv).truncate(D)
+    out = power = one
+    for _ in range(D):
+        power = (power * r).truncate(D)
+        out = out + power
+    return (out * cinv).truncate(D)
+
+
 def A_op(fgl, D, i, p):
     """(1 + sigma_i)(p / F(x_i, chi(x_{i+1}))) modulo degree > D, with the
-    unit g of F(x_i, chi(x_{i+1})) = (x_i - x_{i+1}) g inverted afresh."""
+    unit g of F(x_i, chi(x_{i+1})) = (x_i - x_{i+1}) g inverted afresh and
+    every product formed in full and then truncated."""
     xi = SparsePoly.var(fgl.ring, f"x{i}")
     xi1 = SparsePoly.var(fgl.ring, f"x{i + 1}")
     denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
     g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
-    ginv = series_reciprocal(TruncatedSeries(g, D - 1)).body
+    ginv = reciprocal(g, D - 1)
     r = (p * ginv).truncate(D + 1)
     out = divide_by_difference(r - swap(i, r), f"x{i}", f"x{i + 1}")
     return out.truncate(D)

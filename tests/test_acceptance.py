@@ -176,13 +176,13 @@ def test_09_multiplicative_coincidence():
 
 def test_10_universal_braid_failure():
     kill = {f"y{j}": 0 for j in (1, 2, 3)}
-    pres = FlagRingPresentation.trivial(3, lazard_rational(5))
-    one = SparsePoly.const(lazard_rational(5), 1)
-    zero_m = {f"m{k}": 0 for k in range(1, 6)}
-    mult_m = {f"m{k}": Fraction(1, k + 1) for k in range(1, 6)}
+    pres = FlagRingPresentation.trivial(3, lazard_rational(7))
+    one = SparsePoly.const(lazard_rational(7), 1)
+    zero_m = {f"m{k}": 0 for k in range(1, 8)}
+    mult_m = {f"m{k}": Fraction(1, k + 1) for k in range(1, 8)}
     ok = True
-    for D in (3, 4, 5):
-        fgl = make_universal_rational(5, D)
+    for D in (3, 4, 5, 6, 7):
+        fgl = make_universal_rational(7, D)
         b1 = bott_samelson_class(fgl, (1, 2, 1), 3)
         b2 = bott_samelson_class(fgl, (2, 1, 2), 3)
         r1 = pres.reduce(b1.substitute(kill))
@@ -198,9 +198,9 @@ def test_10_universal_braid_failure():
 
 
 def test_11_fgl_axioms():
-    laws = [make_additive(6, _RING),
-            make_multiplicative(V("b"), 6, _RING),
-            make_universal_rational(6, 6)]
+    laws = [make_additive(8, _RING),
+            make_multiplicative(V("b"), 8, _RING),
+            make_universal_rational(8, 8)]
     ok = True
     for fgl in laws:
         r = fgl.ring
@@ -213,7 +213,7 @@ def test_11_fgl_axioms():
         ok = ok and fgl.sum_series(fgl.sum_series(u, v), w) == \
             fgl.sum_series(u, fgl.sum_series(v, w))
         ok = ok and fgl.sum_series(u, fgl.inverse_series(u)).is_zero()
-    report(11, "formal group law axioms at D=6", ok)
+    report(11, "formal group law axioms at D=8", ok)
 
 
 def test_12_degeneracy_locus_coherence():

@@ -1,8 +1,12 @@
-"""The closed-form operators and the weak-order family memo against their
-references: the substitute-swap-subtract-divide operators in
-divdiff_reference and h_w evaluated along an explicit reduced word.
+"""The closed-form operators, the degree-bounded products and the
+weak-order family memo against their references: the
+substitute-swap-subtract-divide operators and the full-product reciprocal
+in divdiff_reference, the universal-law class built with full products,
+and h_w evaluated along an explicit reduced word.
 
 Hypothesis runs derandomised, so every run draws the same examples."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,14 +15,26 @@ from hypothesis import strategies as st
 import divdiff_reference as ref
 from flagcalc import families, memo
 from flagcalc.divdiff import OperatorContext
-from flagcalc.families import beta_poly, beta_poly_via_word
+from flagcalc.families import (
+    beta_poly,
+    beta_poly_via_word,
+    bott_samelson_class,
+    bott_samelson_initial,
+)
 from flagcalc.fgl import make_additive, make_multiplicative, make_universal_rational
 from flagcalc.perms import (
     all_permutations,
     all_reduced_words,
     longest_element,
 )
-from flagcalc.rings import ZZ, SparsePoly, beta_ring, lazard_rational
+from flagcalc.rings import (
+    ZZ,
+    SparsePoly,
+    TruncatedSeries,
+    beta_ring,
+    lazard_rational,
+    series_reciprocal,
+)
 
 fixed = settings(derandomize=True, database=None, deadline=None,
                  max_examples=40)
@@ -96,6 +112,38 @@ def test_A_op_matches_reference(name, data):
     p = data.draw(polys(law.ring, 3, max_exp=2), label="p")
     i = data.draw(st.integers(1, 2), label="i")
     assert ctx.A_op(i, p) == ref.A_op(law, D, i, p)
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@fixed
+@given(data=st.data())
+def test_series_reciprocal_matches_full_products(kind, data):
+    ring = RINGS[kind]
+    p = data.draw(polys(ring, 2, max_exp=2), label="p")
+    units = [1, -1, 3, Fraction(-2, 5)] if ring.rational else [1, -1]
+    s = p - p.constant_term() + data.draw(st.sampled_from(units), label="c")
+    D = data.draw(st.integers(0, 6), label="D")
+    got = series_reciprocal(TruncatedSeries(s, D)).body
+    assert got == ref.reciprocal(s, D)
+
+
+@pytest.mark.parametrize("n,D", [(3, 3), (3, 5), (3, 7), (4, 6), (4, 7)])
+def test_universal_class_matches_full_product_build(n, D):
+    """Every reduced word of length <= 3 in S_n, against the initial
+    product formed in full and truncated, then the reference A_op."""
+    law = make_universal_rational(D, D)
+    ring = law.ring
+    initial = SparsePoly.const(ring, 1)
+    for i, j in longest_element(n).diagram():
+        x, y = SparsePoly.var(ring, f"x{i}"), SparsePoly.var(ring, f"y{j}")
+        initial = (initial * law.sum_series(x, y)).truncate(D)
+    assert bott_samelson_initial(law, n) == initial
+    words = {word for w in all_permutations(n) if w.length() <= 3
+             for word in all_reduced_words(w)}
+    built = {(): initial}
+    for word in sorted(words, key=lambda word: (len(word), word))[1:]:
+        built[word] = ref.A_op(law, D, word[-1], built[word[:-1]])
+        assert bott_samelson_class(law, word, n) == built[word]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)

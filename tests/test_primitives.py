@@ -3,7 +3,8 @@ each against a reference kept here or in tests/:
 
 * ``SparsePoly.split`` and ``SparsePoly.monomial`` against grouping the
   tuple monomials by hand, and as a round trip;
-* ``sum_of_products`` against the sum of products in rings_reference;
+* ``sum_of_products`` against the sum of products in rings_reference,
+  and with a bound against that sum truncated;
 * ``divided_difference`` on several parts against the reference kernel;
 * ``FlagRingPresentation.reduce`` against the packed worklist in
   flagring_reference, with warm and cold memos;
@@ -116,6 +117,65 @@ def test_sum_of_products_matches_reference(kind, data):
     if pairs:
         assert got == reduce(lambda s, ab: s + ab[0] * ab[1], pairs,
                              SparsePoly.zero(ring))
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@fixed
+@given(data=st.data())
+def test_bounded_sum_of_products_matches_truncated_reference(kind, data):
+    """The bounded sum is the unbounded one truncated, at -1, 0, a drawn
+    bound, the top degree and above it."""
+    ring = RINGS[kind]
+    names = _names(ring)
+    raws = data.draw(st.lists(st.tuples(raw_polys(ring, names),
+                                        raw_polys(ring, names)),
+                              max_size=4), label="pairs")
+    pairs = [(SparsePoly(ring, a), SparsePoly(ring, b)) for a, b in raws]
+    full = ref.RefPoly.zero(ring)
+    for a, b in raws:
+        full = full + ref.RefPoly(ring, a) * ref.RefPoly(ring, b)
+    top = full.degree()
+    drawn = data.draw(st.integers(0, max(top, 0)), label="bound")
+    for bound in (-1, 0, drawn, top, top + 1, MAX_EXP):
+        got = sum_of_products(pairs, ring, bound)
+        assert got.ring == ring
+        assert dict(got.terms.items()) == full.truncate(bound).terms
+    assert sum_of_products([], ring, drawn) == SparsePoly.zero(ring)
+
+
+@pytest.mark.parametrize("kind", ["Zb", "Qm"])
+def test_bound_does_not_count_generators(kind):
+    ring = RINGS[kind]
+    g = "b" if kind == "Zb" else "m1"
+    x1, x2 = SparsePoly.var(ring, "x1"), SparsePoly.var(ring, "x2")
+    p = SparsePoly.var(ring, g, 3) * x1 + x2
+    q = SparsePoly.var(ring, g, 4) + x2 * x2
+    got = sum_of_products([(p, q)], ring, 1)
+    assert got == SparsePoly.var(ring, g, 7) * x1 + SparsePoly.var(
+        ring, g, 4) * x2
+    assert got == (p * q).truncate(1)
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+def test_bounded_sum_of_products_overflow_rule(kind):
+    """An overflow in a kept term raises; one that only a pair above the
+    bound would make does not, as that pair is never formed."""
+    ring = RINGS[kind]
+    half = (MAX_EXP + 1) // 2
+    p = SparsePoly.var(ring, "x1", half) + SparsePoly.var(ring, "y1")
+    q = SparsePoly.var(ring, "x2", half) + 1
+    for bound in (None, 2 * half, 2 * MAX_EXP):
+        with pytest.raises(ExponentOverflowError):
+            sum_of_products([(p, q)], ring, bound)
+    kept = sum_of_products([(p, q)], ring, half + 1)
+    assert kept == p + SparsePoly.var(ring, "y1") * SparsePoly.var(
+        ring, "x2", half)
+    for g in [v for v in _names(ring) if v not in NAMES]:
+        big = SparsePoly.var(ring, g, half)
+        x1 = SparsePoly.var(ring, "x1")
+        with pytest.raises(ExponentOverflowError):
+            sum_of_products([(big * x1, big)], ring, 1)
+        assert sum_of_products([(big * x1 * x1, big)], ring, 1).is_zero()
 
 
 @pytest.mark.parametrize("kind", sorted(RINGS))
@@ -248,10 +308,11 @@ LAWS = {
 }
 
 
-@pytest.mark.parametrize("D", [1, 3])
+@pytest.mark.parametrize("D", [1, 3, 4])
 @pytest.mark.parametrize("law", sorted(LAWS))
 def test_chern_tensor_matches_product_of_factors(law, D):
-    """prod (1 + f t) with t left out of the degree, and prod f."""
+    """prod (1 + f t) with t left out of the degree, and prod f, each
+    product formed in full and then truncated."""
     law = LAWS[law](D)
     ring = law.ring
 

@@ -99,6 +99,13 @@ class TestSeriesReciprocal:
         with pytest.raises(ValueError):
             series_reciprocal(TruncatedSeries(V(ring, "x1"), 3))
 
+    def test_series_products_are_truncated(self, ring):
+        x1, x2 = V(ring, "x1"), V(ring, "x2")
+        s = TruncatedSeries(1 + V(ring, "b") * x1 + x2 ** 2, 2)
+        assert (s * s).body == (s.body * s.body).truncate(2)
+        assert (s * x1).body == (s.body * x1).truncate(2)
+        assert (s * 3).body == 3 * s.body
+
     def test_random_units_round_trip(self):
         ring = QQ
         rng = random.Random(11)
