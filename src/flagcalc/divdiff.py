@@ -11,15 +11,13 @@ bound D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 from .fgl import FormalGroupLaw
 from .memo import TermMemo
 from .rings import (
-    CoefficientRing,
     SparsePoly,
     TruncatedSeries,
-    beta_ring,
     divide_by_difference,
     divided_difference,
     series_reciprocal,
@@ -34,21 +32,18 @@ _GINV_MEMO = TermMemo()
 
 @dataclass(frozen=True)
 class OperatorContext:
-    """Operators act on polynomials in x_1..x_n over a fixed ring.
+    """Operators act on polynomials in x_1..x_n, over the ring of each
+    polynomial they are given.
 
     ``fgl`` is only needed for the generalised operators; D bounds the
     truncation they introduce."""
 
     n: int
-    ring: CoefficientRing | None = None
+    _: KW_ONLY
     fgl: FormalGroupLaw | None = None
     D: int | None = None
 
     def __post_init__(self):
-        if self.ring is None:
-            object.__setattr__(
-                self, "ring",
-                self.fgl.ring if self.fgl is not None else beta_ring())
         if self.D is None and self.fgl is not None:
             object.__setattr__(self, "D", self.fgl.D)
 

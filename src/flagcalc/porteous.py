@@ -16,7 +16,7 @@ from .divdiff import OperatorContext
 from .families import cell_product
 from .hecke import oplus
 from .perms import Permutation, lex_smallest_reduced_word, nu_triple
-from .rings import SparsePoly, ZZ, beta_ring
+from .rings import SparsePoly, ZZ, beta_ring, sum_of_products
 
 __all__ = [
     "RankTriple",
@@ -91,13 +91,25 @@ def specialize_nu(t: RankTriple, n_pad: int = 0) -> SparsePoly:
     return OperatorContext(t.n + n_pad).compose_word(word, start, mode="beta")
 
 
+def _blocks(t: RankTriple, ring):
+    """Each block, x_1..x_f and y_1..y_e, with its slots c_i or d_i -> e_i."""
+    for prefix, var, k in (("c", "x", t.f), ("d", "y", t.e)):
+        block = [f"{var}{i}" for i in range(1, k + 1)]
+        yield block, {f"{prefix}{i}": elementary_symmetric(ring, i, block)
+                      for i in range(1, k + 1)}
+
+
+def _symmetric(parts: dict) -> bool:
+    """Whether a ``SparsePoly.split(block)`` map is symmetric: each key has
+    the coefficient of its every adjacent transposition."""
+    return all(parts.get(a[:i] + (a[i + 1], a[i]) + a[i + 2:]) == c
+               for a, c in parts.items() for i in range(len(a) - 1)
+               if a[i] != a[i + 1])
+
+
 def check_rect_symmetry(p: SparsePoly, t: RankTriple) -> bool:
-    """Invariance under all adjacent swaps inside each block."""
-    pairs = [(f"x{i}", f"x{i + 1}") for i in range(1, t.f)]
-    pairs += [(f"y{j}", f"y{j + 1}") for j in range(1, t.e)]
-    return all(p.substitute({a: SparsePoly.var(p.ring, b),
-                             b: SparsePoly.var(p.ring, a)}) == p
-               for a, b in pairs)
+    """Invariance under all permutations inside each block."""
+    return all(_symmetric(p.split(block)) for block, _ in _blocks(t, p.ring))
 
 
 def elementary_symmetric(ring, k: int, names: list) -> SparsePoly:
@@ -106,65 +118,51 @@ def elementary_symmetric(ring, k: int, names: list) -> SparsePoly:
                              for combo in combinations(names, k)})
 
 
-def _reduce_block(p: SparsePoly, block: list, out_prefix: str) -> SparsePoly:
-    """Rewrite a polynomial symmetric in ``block`` in the elementary
-    symmetric functions of the block, emitted as out_prefix1..k.
+def _is_partition(a: tuple) -> bool:
+    return all(x >= y for x, y in zip(a, a[1:]))
 
-    Leading-term subtraction: the block exponents of the leading term form
-    a partition l_1 >= l_2 >= ...; subtract its coefficient times
-    prod e_k^(l_k - l_{k+1}) and record the same product in the output
-    symbols.  The leading exponents strictly decrease, so this stops,
-    either with a remainder free of the block, which happens exactly when
-    p is symmetric in it, or on a leading term that is not a partition."""
-    ring = p.ring
-    k = len(block)
-    es = [None] + [elementary_symmetric(ring, j, block) for j in range(1, k + 1)]
-    out = SparsePoly.zero(ring)
-    rest = p
-    while True:
-        parts = rest.split(block)
-        best = max((e for e in parts if any(e)), default=None)
-        if best is None:
-            return out + rest
-        if list(best) != sorted(best, reverse=True):
-            raise SymmetryError(
-                f"leading exponents {best} in {block} are not a partition; "
-                "input not symmetric")
-        # coefficient of the leading block-monomial (a poly in other vars)
-        coeff = parts[best]
-        lam = list(best) + [0]
-        e_prod = SparsePoly.const(ring, 1)
-        sym_prod = SparsePoly.const(ring, 1)
-        for j in range(1, k + 1):
-            mult = lam[j - 1] - lam[j]
-            if mult:
-                e_prod = e_prod * es[j] ** mult
-                sym_prod = sym_prod * SparsePoly.var(
-                    ring, f"{out_prefix}{j}", mult)
-        rest = rest - coeff * e_prod
-        out = out + coeff * sym_prod
+
+def _reduce_block(p: SparsePoly, block: list, slots: dict) -> SparsePoly:
+    """Rewrite p in the slots, the elementary symmetric functions e_j of
+    ``block``; raise SymmetryError unless p is symmetric in the block.
+
+    p is sum c_l m_l over partitions l, m_l the monomial symmetric
+    function and c_l the coefficient of the block monomial l.  Record the
+    largest l left as c_l prod e_j^(l_j - l_(j+1)), and subtract c_l times
+    that product's partition coefficients, the largest of which is 1 at l."""
+    parts = p.split(block)
+    if not _symmetric(parts):
+        raise SymmetryError(f"input not symmetric in {block}")
+    lams = {a: c for a, c in parts.items() if _is_partition(a)}
+    pairs = []
+    while lams:
+        lam = max(lams)
+        coeff = lams[lam]
+        mono = SparsePoly.monomial(
+            p.ring, list(slots), [a - b for a, b in zip(lam, lam[1:] + (0,))])
+        pairs.append((coeff, mono))
+        for mu, c in mono.substitute(slots).split(block).items():
+            if _is_partition(mu):
+                rest = lams.pop(mu, 0) - coeff * c
+                if rest:
+                    lams[mu] = rest
+    return sum_of_products(pairs, p.ring)
 
 
 def to_elementary(p: SparsePoly, t: RankTriple) -> DPoly:
     """Rewrite the doubly symmetric polynomial in c_i (x-block) and d_j
     (y-block); round-trip substitution recovers the input exactly.  It
     raises SymmetryError exactly when check_rect_symmetry rejects p."""
-    xs = [f"x{i}" for i in range(1, t.f + 1)]
-    ys = [f"y{j}" for j in range(1, t.e + 1)]
-    body = _reduce_block(p, xs, "c")
-    body = _reduce_block(body, ys, "d")
+    body = p
+    for block, slots in _blocks(t, p.ring):
+        body = _reduce_block(body, block, slots)
     return DPoly(t, "Beta", body, ("c_i(F)", "c_j(Edual)"))
 
 
 def from_elementary(dp: DPoly) -> SparsePoly:
     """Substitute the elementary symmetric functions back in."""
-    ring, t = dp.body.ring, dp.triple
-    assignment = {}
-    for out, var, k in (("c", "x", t.f), ("d", "y", t.e)):
-        names = [f"{var}{i}" for i in range(1, k + 1)]
-        for i in range(1, k + 1):
-            assignment[f"{out}{i}"] = elementary_symmetric(ring, i, names)
-    return dp.body.substitute(assignment)
+    (_, cs), (_, ds) = _blocks(dp.triple, dp.body.ring)
+    return dp.body.substitute({**cs, **ds})
 
 
 def thom_porteous(t: RankTriple, theory: str = "ck") -> DPoly:

@@ -670,7 +670,8 @@ class TruncatedSeries:
     bound: int
 
     def __post_init__(self):
-        object.__setattr__(self, "body", self.body.truncate(self.bound))
+        if self.body.degree() > self.bound:
+            object.__setattr__(self, "body", self.body.truncate(self.bound))
 
     def _check(self, other: "TruncatedSeries"):
         if self.bound != other.bound:

@@ -1,13 +1,17 @@
-"""Reference for the locus polynomials: the walk down from w0.
+"""References for the locus polynomials: the walk down from w0, and
+block symmetry by swapping variables.
 
 ``beta_poly`` walks from h_top(m) = h_{w0} to the triple's permutation
 embedded in S_m; the variables beyond x_f and y_e are then set to zero.
 ``porteous.specialize_nu`` starts lower, at a dominant permutation, and
-the tests hold it to this walk."""
+the tests hold it to this walk.  ``porteous.check_rect_symmetry`` and
+``to_elementary`` compare split coefficients, and the tests hold them to
+``symmetric_by_swaps``."""
 
 from itertools import combinations
 
 from flagcalc.families import beta_poly
+from flagcalc.rings import SparsePoly
 
 
 def walk_from_top(t, n_pad: int = 0):
@@ -21,3 +25,13 @@ def walk_from_top(t, n_pad: int = 0):
 def is_dominant(w) -> bool:
     """132-avoiding: no positions i < j < k with w(i) < w(k) < w(j)."""
     return not any(a < c < b for a, b, c in combinations(w.images, 3))
+
+
+def symmetric_by_swaps(p, t) -> bool:
+    """Invariance under all adjacent swaps inside each block, each swap
+    substituted into the whole polynomial."""
+    pairs = [(f"x{i}", f"x{i + 1}") for i in range(1, t.f)]
+    pairs += [(f"y{j}", f"y{j + 1}") for j in range(1, t.e)]
+    return all(p.substitute({a: SparsePoly.var(p.ring, b),
+                             b: SparsePoly.var(p.ring, a)}) == p
+               for a, b in pairs)

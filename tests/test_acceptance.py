@@ -218,11 +218,9 @@ def test_11_fgl_axioms():
 
 def test_12_degeneracy_locus_coherence():
     ok = True
-    for e in (1, 2, 3):
-        for f in (1, 2, 3):
+    for e in (1, 2, 3, 4):
+        for f in (1, 2, 3, 4):
             for r in range(min(e, f) + 1):
-                if e + f - r < 1:
-                    continue
                 t = RankTriple(e, f, r)
                 ok = ok and t.permutation().length() == (e - r) * (f - r)
                 p = specialize_nu(t)
@@ -237,11 +235,14 @@ def test_12_degeneracy_locus_coherence():
                     thom_porteous(t, "ch").body
                 ok = ok and ck.substitute({"b": -1}, ring=ZZ) == \
                     thom_porteous(t, "k0").body
-                # the walk from w0 inside S_{n+1}, where n + 1 <= 6, and
-                # inside S_n above that (test_03: h_w is stable)
+                # the walk from w0 inside S_{n+1} where n + 1 <= 6, inside
+                # S_n where n = 6 (test_03: h_w is stable), and not above,
+                # where h_top(7) is out of reach; the determinant oracle in
+                # test_porteous covers every triple
                 n_pad = 1 if t.n < 6 else 0
-                ok = ok and specialize_nu(t, n_pad=1) == \
-                    walk_from_top(t, n_pad)
+                if t.n + n_pad <= 6:
+                    ok = ok and specialize_nu(t, n_pad) == \
+                        walk_from_top(t, n_pad)
     report(12, "degeneracy-locus pipeline coherence", ok)
 
 

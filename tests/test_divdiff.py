@@ -25,21 +25,21 @@ def samples(ring, seed, count=6, nvars=3):
 
 class TestPartial:
     def test_on_x1(self, ring):
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         assert ctx.partial(1, V(ring, "x1")) == SparsePoly.const(ring, 1)
 
     def test_kills_symmetric(self, ring):
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         p = V(ring, "x1") * V(ring, "x2") + V(ring, "x1") + V(ring, "x2")
         assert ctx.partial(1, p).is_zero()
 
     def test_squares_to_zero(self, ring):
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         for p in samples(ring, 1):
             assert ctx.partial(1, ctx.partial(1, p)).is_zero()
 
     def test_leibniz(self, ring):
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         rng = random.Random(5)
         for _ in range(8):
             f = random_poly(ring, rng)
@@ -51,38 +51,38 @@ class TestPartial:
 
 class TestPhiBeta:
     def test_on_one(self, ring):
-        ctx = OperatorContext(2, ring)
+        ctx = OperatorContext(2)
         one = SparsePoly.const(ring, 1)
         assert ctx.phi_beta(1, one) == -V(ring, "b")
 
     def test_symmetric_eigenvalue(self, ring):
         # on a swap-invariant input phi_i acts as multiplication by -b
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         p = V(ring, "x1") * V(ring, "x2") + V(ring, "x3", 2)
         assert ctx.phi_beta(1, p) == -V(ring, "b") * p
 
     def test_quadratic_relation(self, ring):
         # phi_i^2 = -b phi_i
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         for p in samples(ring, 2):
             lhs = ctx.phi_beta(1, ctx.phi_beta(1, p))
             assert lhs == -V(ring, "b") * ctx.phi_beta(1, p)
 
     def test_specialisations_agree(self, ring):
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         for p in samples(ring, 3):
             assert ctx.phi_param(1, p, 0) == ctx.partial(1, p)
             assert ctx.phi_param(1, p, -1) == ctx.pi_op(1, p)
 
     def test_index_range(self, ring):
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         with pytest.raises(ValueError):
             ctx.phi_beta(3, V(ring, "x1"))
 
 
 class TestPi:
     def test_idempotent(self, ring):
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         for p in samples(ring, 4):
             q = ctx.pi_op(1, p)
             assert ctx.pi_op(1, q) == q
@@ -91,12 +91,12 @@ class TestPi:
 class TestBraid:
     @pytest.mark.parametrize("mode", ["partial", "beta", "pi"])
     def test_holds(self, ring, mode):
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         res = braid_check(ctx, 1, samples(ring, 6), mode)
         assert res["holds"] and res["witness"] is None
 
     def test_commutation_far_apart(self, ring):
-        ctx = OperatorContext(4, ring)
+        ctx = OperatorContext(4)
         for p in samples(ring, 7, nvars=4):
             lhs = ctx.phi_beta(1, ctx.phi_beta(3, p))
             assert lhs == ctx.phi_beta(3, ctx.phi_beta(1, p))
@@ -143,9 +143,15 @@ class TestGeneralisedOperator:
             assert got == want
 
     def test_requires_law(self, ring):
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         with pytest.raises(ValueError):
             ctx.A_op(1, V(ring, "x1"))
+
+    def test_law_and_bound_are_keyword_only(self, ring):
+        # a second positional argument once meant the ring; it must not
+        # bind the law
+        with pytest.raises(TypeError):
+            OperatorContext(3, make_additive(4, ring))
 
     def test_kills_symmetric_to_unit_multiple(self):
         # A_i(1) for the multiplicative law is -(-b) = b times 1... the
@@ -159,12 +165,12 @@ class TestGeneralisedOperator:
 
 class TestWords:
     def test_order_convention(self, ring):
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         p = V(ring, "x1", 2) * V(ring, "x2")
         assert ctx.compose_word((1, 2), p) == \
             ctx.phi_beta(2, ctx.phi_beta(1, p))
 
     def test_empty_word(self, ring):
-        ctx = OperatorContext(3, ring)
+        ctx = OperatorContext(3)
         p = V(ring, "x1")
         assert ctx.compose_word((), p) == p

@@ -127,7 +127,7 @@ class TestSchubert:
             assert got.to_text() == text
 
     def test_partial_recursion(self):
-        ctx = OperatorContext(3, ZZ)
+        ctx = OperatorContext(3)
         for w in all_permutations(3):
             for i in (1, 2):
                 ws = w.right_multiply(i)
@@ -149,7 +149,7 @@ class TestGrothendieck:
             assert flip.homogeneous_part(w.length()) == double_schubert(w)
 
     def test_pi_recursion(self):
-        ctx = OperatorContext(3, ZZ)
+        ctx = OperatorContext(3)
         for w in all_permutations(3):
             for i in (1, 2):
                 ws = w.right_multiply(i)

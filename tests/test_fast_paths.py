@@ -74,7 +74,7 @@ def polys(draw, ring, nx: int, max_exp: int = 3):
 @given(data=st.data())
 def test_phi_family_matches_reference(kind, data):
     ring = RINGS[kind]
-    ctx = OperatorContext(4, ring)
+    ctx = OperatorContext(4)
     p = data.draw(polys(ring, 4), label="p")
     i = data.draw(st.integers(1, 3), label="i")
     beta = data.draw(polys(ring, 4, max_exp=1), label="beta")

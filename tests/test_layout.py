@@ -1,8 +1,14 @@
 """The packed-monomial layout is private to flagcalc.rings: no other
 module of the package may name its helpers or a polynomial's packed
 terms.  Other modules use SparsePoly.split, SparsePoly.monomial,
-sum_of_products and divided_difference instead."""
+sum_of_products and divided_difference instead.
 
+Every callable that ``bench/trace_layers.py`` wraps still exists where
+``Tracer.install`` looks it up, so a rename cannot silently drop a layer
+from ``bench/run.py --trace 1``."""
+
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -26,3 +32,29 @@ def test_packed_layout_stays_in_rings(module):
     leaks = [f"{module}:{k}: {line.strip()}"
              for k, line in enumerate(lines, start=1) if PRIVATE.search(line)]
     assert not leaks, "\n".join(leaks)
+
+
+def _trace_layers():
+    path = Path(__file__).parents[1] / "bench" / "trace_layers.py"
+    spec = importlib.util.spec_from_file_location("trace_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRACED = [(short, target)
+          for short, targets in _trace_layers().LAYERS.values()
+          for target in targets]
+
+
+@pytest.mark.parametrize("short, target", TRACED,
+                         ids=[f"{s}.{t}" for s, t in TRACED])
+def test_traced_target_resolves(short, target):
+    # as Tracer.install looks it up: a method in its class __dict__,
+    # anything else as a module attribute
+    module = importlib.import_module(f"flagcalc.{short}")
+    if "." in target:
+        cls_name, attr = target.split(".")
+        assert attr in vars(getattr(module, cls_name))
+    else:
+        assert callable(getattr(module, target, None))

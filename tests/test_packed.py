@@ -134,7 +134,7 @@ def test_division_and_kernel_match_reference(kind, data):
     ring = RINGS[kind]
     p, rp = both(ring, data.draw(raw_polys(ring), label="p"))
     i = data.draw(st.integers(1, 2), label="i")
-    ctx = OperatorContext(3, ring)
+    ctx = OperatorContext(3)
     assert_same(ctx.partial(i, p), ref.divided_difference(rp, i))
     xi, xj = f"x{i}", f"x{i + 1}"
     d, rd = both(ring, {((xi, 1),): 1, ((xj, 1),): -1})

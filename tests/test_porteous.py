@@ -1,3 +1,5 @@
+from itertools import combinations, permutations
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from flagcalc.porteous import (
     to_elementary,
 )
 from flagcalc.rings import SparsePoly, ZZ, beta_ring
-from locus_reference import is_dominant, walk_from_top
+from locus_reference import is_dominant, symmetric_by_swaps, walk_from_top
 
 
 def V(ring, name, e=1):
@@ -33,6 +35,41 @@ SMALL_TRIPLES = [RankTriple(e, f, r)
 TRIPLES_3 = [RankTriple(e, f, r)
              for e in (1, 2, 3) for f in (1, 2, 3)
              for r in range(min(e, f) + 1)]
+
+# every triple with 1 <= e, f <= 4: 46 of them
+TRIPLES_4 = [RankTriple(e, f, r)
+             for e in (1, 2, 3, 4) for f in (1, 2, 3, 4)
+             for r in range(min(e, f) + 1)]
+
+
+def near_symmetric(data):
+    """A triple (e, f, 0) and a symmetric polynomial from its slots, plus
+    at times one monomial in the x-block, the y-block or both."""
+    e, f = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    t, ring = RankTriple(e, f, 0), beta_ring()
+    exps = st.integers(0, 1)
+    slots = [f"c{i}" for i in range(1, f + 1)] + \
+        [f"d{j}" for j in range(1, e + 1)] + ["b"]
+    body = SparsePoly.zero(ring)
+    for _ in range(data.draw(st.integers(0, 3))):
+        term = SparsePoly.const(ring, data.draw(st.integers(-3, 3)))
+        for name in slots:
+            term = term * V(ring, name, data.draw(exps))
+        body = body + term
+    p = from_elementary(DPoly(t, "Beta", body, ()))
+    block = data.draw(st.sampled_from(["", "x", "y", "xy"]))
+    names = [f"x{i}" for i in range(1, f + 1)] * ("x" in block) + \
+        [f"y{j}" for j in range(1, e + 1)] * ("y" in block)
+    if names:
+        term = SparsePoly.const(ring, data.draw(st.integers(1, 3)))
+        for name in names:
+            term = term * V(ring, name, data.draw(st.integers(0, 2)))
+        p = p + term
+    return t, p
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=100)
 
 
 class TestRankTriple:
@@ -64,6 +101,12 @@ class TestSpecialize:
     @pytest.mark.parametrize("t", SMALL_TRIPLES, ids=str)
     def test_symmetric(self, t):
         assert check_rect_symmetry(specialize_nu(t), t)
+
+    @PROPERTY
+    @given(st.data())
+    def test_symmetry_check_matches_the_swaps(self, data):
+        t, p = near_symmetric(data)
+        assert check_rect_symmetry(p, t) == symmetric_by_swaps(p, t)
 
     @pytest.mark.parametrize("t", SMALL_TRIPLES, ids=str)
     def test_padding_invariance(self, t):
@@ -132,41 +175,24 @@ class TestElementaryRewrite:
         with pytest.raises(SymmetryError):
             to_elementary(V(ZZ, "x1"), RankTriple(1, 2, 0))
 
-    @pytest.mark.parametrize("t", [RankTriple(2, 1, 0), RankTriple(3, 2, 1)],
-                             ids=str)
+    @pytest.mark.parametrize("t", [RankTriple(2, 1, 0), RankTriple(3, 2, 1),
+                                   RankTriple(3, 1, 0)], ids=str)
     def test_rejects_asymmetric_in_y_only(self, t):
-        p = specialize_nu(t) + V(beta_ring(), "y1") * V(beta_ring(), "x1")
+        y1, y2 = V(beta_ring(), "y1"), V(beta_ring(), "y2")
+        # at (3, 1, 0), y1 y2 alone: every key has the coefficient of its
+        # sorted key, but y1 y3 and y2 y3 are missing
+        p = y1 * y2 if t == RankTriple(3, 1, 0) else \
+            specialize_nu(t) + y1 * V(beta_ring(), "x1")
+        assert not symmetric_by_swaps(p, t)
         assert not check_rect_symmetry(p, t)
         with pytest.raises(SymmetryError):
             to_elementary(p, t)
 
-    @settings(derandomize=True, database=None, deadline=None,
-              max_examples=100)
+    @PROPERTY
     @given(st.data())
     def test_raises_iff_asymmetric(self, data):
-        # a symmetric polynomial from the slots, plus at times one monomial
-        # in the x-block, the y-block or both
-        e, f = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-        t, ring = RankTriple(e, f, 0), beta_ring()
-        exps = st.integers(0, 1)
-        slots = [f"c{i}" for i in range(1, f + 1)] + \
-            [f"d{j}" for j in range(1, e + 1)] + ["b"]
-        body = SparsePoly.zero(ring)
-        for _ in range(data.draw(st.integers(0, 3))):
-            term = SparsePoly.const(ring, data.draw(st.integers(-3, 3)))
-            for name in slots:
-                term = term * V(ring, name, data.draw(exps))
-            body = body + term
-        p = from_elementary(DPoly(t, "Beta", body, ()))
-        block = data.draw(st.sampled_from(["", "x", "y", "xy"]))
-        names = [f"x{i}" for i in range(1, f + 1)] * ("x" in block) + \
-            [f"y{j}" for j in range(1, e + 1)] * ("y" in block)
-        if names:
-            term = SparsePoly.const(ring, data.draw(st.integers(1, 3)))
-            for name in names:
-                term = term * V(ring, name, data.draw(st.integers(0, 2)))
-            p = p + term
-        if check_rect_symmetry(p, t):
+        t, p = near_symmetric(data)
+        if symmetric_by_swaps(p, t):
             assert from_elementary(to_elementary(p, t)) == p
         else:
             with pytest.raises(SymmetryError):
@@ -284,35 +310,46 @@ class TestDeterminantOracle:
             got_sym += term
         assert sympy.expand(got_sym - det) == 0
 
-    @pytest.mark.parametrize("t", TRIPLES_3, ids=str)
+    @pytest.mark.parametrize("t", TRIPLES_4, ids=str)
     def test_ch_slots_match_determinant(self, t):
         # in the slot variables: c(F) = 1 + sum c_i and, the d-slots
         # being -c_j(E^dual) = (-1)^(j+1) c_j(E),
-        # c(E) = 1 + sum (-1)^(j+1) d_j; then c(F - E) = c(F) / c(E)
-        tv = sympy.symbols("t")
-        cs = sympy.symbols(f"c1:{t.f + 1}")
-        ds = sympy.symbols(f"d1:{t.e + 1}")
+        # c(E) = 1 + sum (-1)^(j+1) d_j; then c(F - E) = c(F) / c(E),
+        # whose coefficients are s_k = c_k(F) - sum_j c_j(E) s_(k-j), taken
+        # in sympy's sparse polynomial ring so that (4, 4, 0) takes about
+        # a second
+        names = [f"c{i}" for i in range(1, t.f + 1)] + \
+            [f"d{j}" for j in range(1, t.e + 1)]
+        R, *gens = sympy.ring(",".join(names), sympy.ZZ)
+        syms = dict(zip(names, gens))
+        c_f = [R(1)] + gens[:t.f]
+        c_e = [R(1)] + [(-1) ** (j + 1) * d
+                        for j, d in enumerate(gens[t.f:], start=1)]
         size = t.e - t.r
-        order = t.f - t.r + size + 1
-        c_f = 1 + sum(c * tv ** i for i, c in enumerate(cs, start=1))
-        c_e = 1 + sum((-1) ** (j + 1) * d * tv ** j
-                      for j, d in enumerate(ds, start=1))
-        series = sympy.expand(
-            sympy.series(c_f / c_e, tv, 0, order).removeO())
+        series = []
+        for k in range(t.f - t.r + size):
+            s_k = c_f[k] if k <= t.f else R(0)
+            for j in range(1, min(k, t.e) + 1):
+                s_k -= c_e[j] * series[k - j]
+            series.append(s_k)
 
         def chern(k):
-            return series.coeff(tv, k) if k >= 0 else sympy.Integer(0)
+            return series[k] if k >= 0 else R(0)
 
-        det = sympy.Matrix(size, size,
-                           lambda i, j: chern(t.f - t.r + j - i)).det()
-        syms = {str(s): s for s in cs + ds}
-        got = sympy.Integer(0)
+        det = R(0)
+        for perm in permutations(range(size)):
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            term = R((-1) ** inversions)
+            for i, j in enumerate(perm):
+                term *= chern(t.f - t.r + j - i)
+            det += term
+        got = R(0)
         for mono, c in thom_porteous(t, "ch").body.terms.items():
-            term = sympy.Integer(c)
+            term = R(c)
             for name, e in mono:
                 term *= syms[name] ** e
             got += term
-        assert sympy.expand(got - det) == 0
+        assert got == det
 
     def test_dpoly_carries_theory_tag(self):
         dp = thom_porteous(RankTriple(2, 2, 1), "k0")
