@@ -91,17 +91,19 @@ def specialize_nu(t: RankTriple, n_pad: int = 0) -> SparsePoly:
     return OperatorContext(t.n + n_pad).compose_word(word, start, mode="beta")
 
 
-def _blocks(t: RankTriple, ring):
-    """Each block, x_1..x_f and y_1..y_e, with its slots c_i or d_i -> e_i."""
-    for prefix, var, k in (("c", "x", t.f), ("d", "y", t.e)):
-        block = [f"{var}{i}" for i in range(1, k + 1)]
-        yield block, {f"{prefix}{i}": elementary_symmetric(ring, i, block)
-                      for i in range(1, k + 1)}
+def _blocks(t: RankTriple):
+    """x_1..x_f, whose slots are c_i, and y_1..y_e, whose slots are d_j."""
+    return (("c", [f"x{i}" for i in range(1, t.f + 1)]),
+            ("d", [f"y{i}" for i in range(1, t.e + 1)]))
+
+
+def _elementaries(ring, prefix: str, block: list) -> dict:
+    return {f"{prefix}{i}": elementary_symmetric(ring, i, block)
+            for i in range(1, len(block) + 1)}
 
 
 def _symmetric(parts: dict) -> bool:
-    """Whether a ``SparsePoly.split(block)`` map is symmetric: each key has
-    the coefficient of its every adjacent transposition."""
+    """Whether each key of a split map has its adjacent swaps' coefficient."""
     return all(parts.get(a[:i] + (a[i + 1], a[i]) + a[i + 2:]) == c
                for a, c in parts.items() for i in range(len(a) - 1)
                if a[i] != a[i + 1])
@@ -109,7 +111,7 @@ def _symmetric(parts: dict) -> bool:
 
 def check_rect_symmetry(p: SparsePoly, t: RankTriple) -> bool:
     """Invariance under all permutations inside each block."""
-    return all(_symmetric(p.split(block)) for block, _ in _blocks(t, p.ring))
+    return all(_symmetric(p.split(block)) for _, block in _blocks(t))
 
 
 def elementary_symmetric(ring, k: int, names: list) -> SparsePoly:
@@ -122,7 +124,7 @@ def _is_partition(a: tuple) -> bool:
     return all(x >= y for x, y in zip(a, a[1:]))
 
 
-def _reduce_block(p: SparsePoly, block: list, slots: dict) -> SparsePoly:
+def _reduce_block(p: SparsePoly, prefix: str, block: list) -> SparsePoly:
     """Rewrite p in the slots, the elementary symmetric functions e_j of
     ``block``; raise SymmetryError unless p is symmetric in the block.
 
@@ -134,6 +136,7 @@ def _reduce_block(p: SparsePoly, block: list, slots: dict) -> SparsePoly:
     if not _symmetric(parts):
         raise SymmetryError(f"input not symmetric in {block}")
     lams = {a: c for a, c in parts.items() if _is_partition(a)}
+    slots = _elementaries(p.ring, prefix, block)
     pairs = []
     while lams:
         lam = max(lams)
@@ -150,19 +153,17 @@ def _reduce_block(p: SparsePoly, block: list, slots: dict) -> SparsePoly:
 
 
 def to_elementary(p: SparsePoly, t: RankTriple) -> DPoly:
-    """Rewrite the doubly symmetric polynomial in c_i (x-block) and d_j
-    (y-block); round-trip substitution recovers the input exactly.  It
-    raises SymmetryError exactly when check_rect_symmetry rejects p."""
-    body = p
-    for block, slots in _blocks(t, p.ring):
-        body = _reduce_block(body, block, slots)
-    return DPoly(t, "Beta", body, ("c_i(F)", "c_j(Edual)"))
+    """p in c_i (x-block) and d_j (y-block), which from_elementary inverts;
+    SymmetryError exactly when check_rect_symmetry rejects p."""
+    for prefix, block in _blocks(t):
+        p = _reduce_block(p, prefix, block)
+    return DPoly(t, "Beta", p, ("c_i(F)", "c_j(Edual)"))
 
 
 def from_elementary(dp: DPoly) -> SparsePoly:
     """Substitute the elementary symmetric functions back in."""
-    (_, cs), (_, ds) = _blocks(dp.triple, dp.body.ring)
-    return dp.body.substitute({**cs, **ds})
+    return dp.body.substitute({k: v for pb in _blocks(dp.triple) for k, v
+                               in _elementaries(dp.body.ring, *pb).items()})
 
 
 def thom_porteous(t: RankTriple, theory: str = "ck") -> DPoly:

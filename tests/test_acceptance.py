@@ -235,13 +235,13 @@ def test_12_degeneracy_locus_coherence():
                     thom_porteous(t, "ch").body
                 ok = ok and ck.substitute({"b": -1}, ring=ZZ) == \
                     thom_porteous(t, "k0").body
-                # the walk from w0 inside S_{n+1} where n + 1 <= 6, inside
-                # S_n where n = 6 (test_03: h_w is stable), and not above,
-                # where h_top(7) is out of reach; the determinant oracle in
-                # test_porteous covers every triple
+                # the walk from w0 inside S_{n+1}, where n + 1 <= 6, and
+                # inside S_n where n = 6 (test_03: h_w is stable); not
+                # above, where h_top(7) is out of reach; the determinant
+                # oracle in test_porteous covers every triple
                 n_pad = 1 if t.n < 6 else 0
-                if t.n + n_pad <= 6:
-                    ok = ok and specialize_nu(t, n_pad) == \
+                if t.n <= 6:
+                    ok = ok and specialize_nu(t, n_pad=1) == \
                         walk_from_top(t, n_pad)
     report(12, "degeneracy-locus pipeline coherence", ok)
 

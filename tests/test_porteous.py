@@ -31,15 +31,13 @@ SMALL_TRIPLES = [RankTriple(e, f, r)
                  for r in range(min(e, f) + 1)
                  if e + f - r >= 1]
 
-# every triple with 1 <= e, f <= 3: 23 of them
-TRIPLES_3 = [RankTriple(e, f, r)
-             for e in (1, 2, 3) for f in (1, 2, 3)
-             for r in range(min(e, f) + 1)]
-
 # every triple with 1 <= e, f <= 4: 46 of them
 TRIPLES_4 = [RankTriple(e, f, r)
              for e in (1, 2, 3, 4) for f in (1, 2, 3, 4)
              for r in range(min(e, f) + 1)]
+
+# every triple with 1 <= e, f <= 3: 23 of them
+TRIPLES_3 = [t for t in TRIPLES_4 if t.e <= 3 and t.f <= 3]
 
 
 def near_symmetric(data):
