@@ -140,18 +140,18 @@ def all_reduced_words(w: Permutation) -> tuple:
 
 
 def lex_smallest_reduced_word(w: Permutation) -> tuple:
-    word = []
-    w = Permutation(w.images)
-    # greedy: the lex-smallest word starts with the smallest left descent
-    # of w; strip from the left until the identity remains
-    while True:
-        inv = w.inverse().images
-        des = [i for i in range(1, w.n) if inv[i - 1] > inv[i]]
-        if not des:
-            return tuple(word)
-        i = min(des)
-        word.append(i)
-        w = transposition(w.n, i).compose(w)
+    """Bubble-sort w^-1, always swapping its leftmost descent i, the
+    smallest left descent of what is left of w; a swap at i can only make
+    a new descent at i - 1, so step back one place after each."""
+    inv, word, i = list(w.inverse().images), [], 1
+    while i < len(inv):
+        if inv[i - 1] > inv[i]:
+            inv[i - 1], inv[i] = inv[i], inv[i - 1]
+            word.append(i)
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return tuple(word)
 
 
 def all_permutations(n: int):

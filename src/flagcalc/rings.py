@@ -479,9 +479,9 @@ class SparsePoly:
                             f"an exponent exceeds {MAX_EXP}")
                     c = c * ic ** e
                 else:
-                    acc[key] = get(key, 0) + c
-            out = SparsePoly._new(target, _clean(acc, target.rational))
-            return out if bound is None else out.truncate(bound)
+                    if bound is None or key & _FIELD <= bound:
+                        acc[key] = get(key, 0) + c
+            return SparsePoly._new(target, _clean(acc, target.rational))
 
         # the terms grouped by their exponents of the substituted variables
         groups: dict = {}

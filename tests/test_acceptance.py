@@ -88,8 +88,8 @@ def test_03_stability():
 
 
 def test_04_hecke_oracle_equivalence():
-    H = build_Hxy(4)
-    ok = all(coefficient(H, w) == beta_poly(w) for w in all_permutations(4))
+    H = build_Hxy(5)
+    ok = all(coefficient(H, w) == beta_poly(w) for w in all_permutations(5))
     report(4, "algebra coefficients equal recursive family", ok)
 
 

@@ -1,5 +1,12 @@
-import pytest
+"""The degenerate Hecke algebra: relations, products and the canonical
+element.  Products are held to the length-based rule in hecke_reference;
+Hypothesis runs derandomised, so every run draws the same examples."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hecke_reference as ref
 from flagcalc.families import beta_poly, h_top
 from flagcalc.hecke import (
     HeckeElement,
@@ -18,9 +25,26 @@ from flagcalc.rings import SparsePoly, beta_ring
 
 _R = beta_ring()
 
+fixed = settings(derandomize=True, database=None, deadline=None,
+                 max_examples=40)
+
 
 def V(name, e=1):
     return SparsePoly.var(_R, name, e)
+
+
+# a small pool, so that products of several basis elements often land on
+# one permutation with coefficients that cancel
+POOL = [SparsePoly.const(_R, 1), SparsePoly.const(_R, -1), V("b"), -V("b"),
+        V("x1"), -V("x1") * V("b"), V("y2") + V("b")]
+
+
+@st.composite
+def elements(draw, n):
+    perms = list(all_permutations(n))
+    chosen = draw(st.lists(st.sampled_from(perms), max_size=6, unique=True))
+    return HeckeElement.from_dict(
+        n, {w: draw(st.sampled_from(POOL)) for w in chosen})
 
 
 class TestRelations:
@@ -65,6 +89,43 @@ class TestArithmetic:
     def test_zero_coefficients_dropped(self):
         e = hecke_one(3) - hecke_one(3)
         assert e.coeffs == ()
+
+
+class TestAgainstLengthRule:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @fixed
+    @given(data=st.data())
+    def test_product(self, n, data):
+        a, b = data.draw(elements(n)), data.draw(elements(n))
+        assert a * b == ref.mul(a, b)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @fixed
+    @given(data=st.data())
+    def test_generator(self, n, data):
+        a = data.draw(elements(n))
+        i = data.draw(st.integers(1, n - 1))
+        assert a.mul_by_generator(i) == ref.mul_by_generator(a, i)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cancellation_to_zero(self, n):
+        # (b u_w - u_{w s_i}) u_i = b u_{w s_i} - b u_{w s_i} at an ascent
+        for w in all_permutations(n):
+            for i in range(1, n):
+                if w(i) > w(i + 1):
+                    continue
+                e = HeckeElement.from_dict(n, {
+                    w: V("b") * V("x1"), w.right_multiply(i): -V("x1")})
+                assert ref.mul_by_generator(e, i).is_zero()
+                assert e.mul_by_generator(i).coeffs == ()
+
+    @pytest.mark.parametrize("n, i", [(1, 0), (1, 1), (2, 0), (2, 2),
+                                      (4, -1), (4, 4)])
+    def test_out_of_range_index(self, n, i):
+        with pytest.raises(ValueError):
+            hecke_one(n).mul_by_generator(i)
+        with pytest.raises(ValueError):
+            ref.mul_by_generator(hecke_one(n), i)
 
 
 class TestFactorIdentities:

@@ -17,13 +17,25 @@ import pytest
 import flagcalc
 
 PACKAGE = Path(flagcalc.__file__).parent
-PRIVATE = re.compile(
-    r"_FIELD|_slot|_clean|_check_guard|_encode|\._terms|\._new\(")
+# the helpers by whole name, so a local such as c_slots is not a leak
+PRIVATE = re.compile(r"\b(_FIELD|_slot|_clean|_check_guard|_encode)\b"
+                     r"|\._terms|\._new\(")
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "rings.py")
 
 
 def test_every_module_is_checked():
     assert "flagring.py" in MODULES and "divdiff.py" in MODULES
+
+
+@pytest.mark.parametrize("line, leaks", [
+    ("si, ui = rings._slot(v)", True),
+    ("key = _encode(mono)", True),
+    ("return p._terms", True),
+    ("c_slots = []", False),
+    ("def encode_word(w):", False),
+])
+def test_private_pattern(line, leaks):
+    assert bool(PRIVATE.search(line)) is leaks
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -90,8 +90,9 @@ class TestReducedWords:
             assert len(word) == w.length()
 
     def test_lex_smallest(self):
-        w = longest_element(3)
-        assert lex_smallest_reduced_word(w) == min(all_reduced_words(w))
+        for n in range(1, 6):
+            for w in all_permutations(n):
+                assert lex_smallest_reduced_word(w) == min(all_reduced_words(w))
 
 
 class TestNuTriple:

@@ -49,8 +49,8 @@ def test_series_substitution_matches_reference(kind, bound, data):
 @fixed
 @given(data=st.data())
 def test_bound_is_truncation_of_the_substitution(kind, shape, data):
-    """Monomial images take the fast path, which truncates once at the
-    end; one image of two or more terms sends every term down the general
+    """Monomial images take the fast path, which drops each term above
+    the bound as it maps it; one image of two or more terms sends every term down the general
     path, which truncates powers and partial products."""
     ring = RINGS[kind]
     p = SparsePoly(ring, data.draw(raw_polys(ring, max_exp=4), label="p"))
