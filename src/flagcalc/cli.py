@@ -25,15 +25,8 @@ from .fgl import (
 )
 from .flagring import FlagRingPresentation
 from .perms import Permutation
-from .porteous import RankTriple, thom_porteous
-from .rings import (
-    DivisionError,
-    SparsePoly,
-    ZZ,
-    beta_ring,
-    lazard_rational,
-)
-from .porteous import SymmetryError
+from .porteous import RankTriple, SymmetryError, thom_porteous
+from .rings import DivisionError, SparsePoly, beta_ring
 
 _POSITIVE = click.IntRange(min=1)
 _RANK = click.IntRange(min=0)
@@ -128,12 +121,9 @@ def family(theory, perm, n, fmt):
     w = Permutation.from_one_line(perm)
     if n is not None:
         w = w.embed(n)
-    if theory == "beta":
-        emit(families.beta_poly(w), fmt)
-    elif theory == "schubert":
-        emit(families.double_schubert(w), fmt)
-    else:
-        emit(families.double_grothendieck(w), fmt)
+    build = {"beta": families.beta_poly, "schubert": families.double_schubert,
+             "grothendieck": families.double_grothendieck}[theory]
+    emit(build(w), fmt)
 
 
 @main.command("bott-samelson")

@@ -114,19 +114,23 @@ def bott_samelson_initial(fgl: FormalGroupLaw, n: int) -> SparsePoly:
 
 def bott_samelson_class(fgl: FormalGroupLaw, word: tuple, n: int
                         ) -> SparsePoly:
-    """Apply the word's generalised operators to the initial class.
-
-    Results are word-dependent in general: no deduplication across words
-    with equal products."""
-    key = (fgl, n, tuple(word))
-    out = _BS_MEMO.get(key)
-    if out is not None:
-        return out
+    """Apply the word's generalised operators to the initial class, from
+    the longest memoised prefix of the word (the empty prefix holds the
+    initial class); every prefix passed is memoised.  Results are
+    word-dependent in general: no deduplication across words with equal
+    products."""
+    word = tuple(word)
     for i in word:
         if not 1 <= i <= n - 1:
             raise ValueError(f"index {i} out of range for n={n}")
+    k = len(word)
+    while (out := _BS_MEMO.get((fgl, n, word[:k]))) is None and k:
+        k -= 1
+    if out is None:
+        out = bott_samelson_initial(fgl, n)
+        _BS_MEMO.put((fgl, n, ()), out)
     ctx = OperatorContext(n, fgl=fgl)
-    out = ctx.compose_word(tuple(word), bott_samelson_initial(fgl, n),
-                           mode="fgl")
-    _BS_MEMO.put(key, out)
+    for k in range(k, len(word)):
+        out = ctx.A_op(word[k], out)
+        _BS_MEMO.put((fgl, n, word[:k + 1]), out)
     return out

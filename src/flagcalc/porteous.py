@@ -15,6 +15,7 @@ from itertools import combinations
 from .divdiff import OperatorContext
 from .families import cell_product
 from .hecke import oplus
+from .memo import TermMemo
 from .perms import Permutation, lex_smallest_reduced_word, nu_triple
 from .rings import SparsePoly, ZZ, beta_ring, sum_of_products
 
@@ -29,6 +30,9 @@ __all__ = [
     "thom_porteous",
     "SymmetryError",
 ]
+
+# the CK body of each triple's locus, from which every theory is derived
+_CK_MEMO = TermMemo()
 
 
 class SymmetryError(ValueError):
@@ -178,7 +182,10 @@ def thom_porteous(t: RankTriple, theory: str = "ck") -> DPoly:
     assignment = {"ck": None, "k0": {"b": -1}, "ch": {"b": 0, **flips}}
     if theory not in assignment:
         raise ValueError(f"unknown theory {theory!r}")
-    body = to_elementary(specialize_nu(t), t).body
+    body = _CK_MEMO.get(t)
+    if body is None:
+        body = to_elementary(specialize_nu(t), t).body
+        _CK_MEMO.put(t, body)
     if assignment[theory]:
         body = body.substitute(assignment[theory], ring=ZZ)
     d_label = "-c_j(Edual)" if theory == "ch" else "c_j(Edual)"

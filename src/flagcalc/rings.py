@@ -511,38 +511,37 @@ class SparsePoly:
     # -- canonical output ----------------------------------------------------
 
     def _sorted_terms(self) -> tuple:
-        """The variables present, in canonical order, and the terms as
-        (exponents of those variables, coefficient) in output order: total
-        degree ascending, then the exponent vector descending."""
+        """The variables present, in canonical order, their exponent rows
+        and the coefficients, both in output order: total degree
+        ascending, then the exponent vector descending."""
         names, exps = _unpacker(self._terms)
-        rows = [(exps(m), c) for m, c in self._terms.items()]
-        rows.sort(key=itemgetter(0), reverse=True)
-        rows.sort(key=lambda row: sum(row[0]))
-        return names, rows
+        rows = list(map(exps, self._terms))
+        coeff = dict(zip(rows, self._terms.values()))
+        rows.sort(reverse=True)
+        rows.sort(key=sum)
+        return names, rows, list(map(coeff.__getitem__, rows))
 
     def _render(self, label, power, magnitude) -> str:
         """Signed terms joined in output order; label(v) prints a variable,
         power(label, e) a power and magnitude(c) a positive coefficient."""
         if not self._terms:
             return "0"
-        names, rows = self._sorted_terms()
-        # each variable's printed powers, indexed by the exponent
-        tops = map(max, zip(*(exps for exps, _ in rows)))
-        words = [[s, s] + [power(s, e) for e in range(2, top + 1)]
-                 for s, top in zip(map(label, names), tops)]
-        pieces = []
-        for exps, c in rows:
-            mono_s = " ".join([w[e] for w, e in zip(words, exps) if e])
-            neg = c < 0
-            mag = -c if neg else c
-            if not mono_s:
-                body = magnitude(mag)
-            elif mag == 1:
-                body = mono_s
-            else:
-                body = f"{magnitude(mag)} {mono_s}"
-            sign = ("- " if neg else "+ ") if pieces else ("-" if neg else "")
-            pieces.append(sign + body)
+        names, rows, coeffs = self._sorted_terms()
+        cols = []
+        for s, col in zip(map(label, names), zip(*rows)):
+            # the variable's printed powers by exponent, each after a space
+            words = ["", " " + s]
+            words += [" " + power(s, e) for e in range(2, max(col) + 1)]
+            cols.append(map(words.__getitem__, col))
+        monos = map("".join, zip(*cols)) if cols else [""]
+        pieces = ["+" + m if c == 1 else "-" + m if c == -1
+                  else "+ " + magnitude(c) + m if c > 0
+                  else "- " + magnitude(-c) + m
+                  for c, m in zip(coeffs, monos)]
+        first = pieces[0]
+        if len(first) == 1:  # a constant term 1 or -1, which sorts first
+            first += " " + magnitude(abs(coeffs[0]))
+        pieces[0] = first[2:] if first[0] == "+" else "-" + first[2:]
         return " ".join(pieces)
 
     def to_text(self) -> str:
@@ -563,10 +562,10 @@ class SparsePoly:
         return self._render(label, lambda s, e: f"{s}^{{{e}}}", magnitude)
 
     def to_json_obj(self) -> dict:
-        names, rows = self._sorted_terms()
+        names, rows, coeffs = self._sorted_terms()
         return {"vars": names,
                 "terms": [{"exponents": list(exps), "coeff": _coeff_str(c)}
-                          for exps, c in rows]}
+                          for exps, c in zip(rows, coeffs)]}
 
     def __repr__(self):
         return f"SparsePoly({self.to_text()})"

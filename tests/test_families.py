@@ -1,5 +1,9 @@
+import random
+from itertools import product
+
 import pytest
 
+from flagcalc import families
 from flagcalc.divdiff import OperatorContext
 from flagcalc.families import (
     beta_poly,
@@ -209,3 +213,37 @@ class TestBottSamelson:
         fgl = make_additive(5, ZZ)
         assert bott_samelson_class(fgl, (), 3) == \
             bott_samelson_initial(fgl, 3)
+
+    @pytest.mark.parametrize("law", ["universal", "multiplicative"])
+    def test_prefix_walk(self, law, monkeypatch):
+        # every word of length <= 3 at n = 3 and n = 4, in shuffled order:
+        # each class equals the word applied to a fresh initial class, and
+        # each distinct nonempty prefix costs one A_op application
+        ring = beta_ring()
+        fgl = make_universal_rational(4, 4) if law == "universal" \
+            else make_multiplicative(V(ring, "b"), 4, ring)
+        calls = []
+        a_op = OperatorContext.A_op
+
+        def counted(ctx, i, p):
+            calls.append(i)
+            return a_op(ctx, i, p)
+        monkeypatch.setattr(OperatorContext, "A_op", counted)
+        jobs = [(n, word) for n in (3, 4) for k in range(4)
+                for word in product(range(1, n), repeat=k)]
+        random.Random(10).shuffle(jobs)
+        families._BS_MEMO.clear()
+        got = {job: bott_samelson_class(fgl, job[1], job[0]) for job in jobs}
+        prefixes = {(n, word[:k]) for n, word in jobs
+                    for k in range(1, len(word) + 1)}
+        assert len(calls) == len(prefixes)
+        for (n, word), p in got.items():
+            fresh = OperatorContext(n, fgl=fgl).compose_word(
+                word, bott_samelson_initial(fgl, n), mode="fgl")
+            assert p == fresh
+
+    def test_bad_index_rejected_after_a_memoised_prefix(self):
+        fgl = make_additive(4, ZZ)
+        bott_samelson_class(fgl, (1, 2), 3)
+        with pytest.raises(ValueError, match="index 3"):
+            bott_samelson_class(fgl, (1, 2, 3), 3)

@@ -6,6 +6,8 @@ results must agree term for term and render to the same text, JSON and
 LaTeX.  Hypothesis runs derandomised, so every run draws the same
 examples."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 import rings_reference as ref
 from flagcalc.cli import parse_poly
 from flagcalc.divdiff import OperatorContext
+from flagcalc.hecke import alternative_product
 from flagcalc.rings import (
     MAX_EXP,
     QQ,
@@ -154,6 +157,78 @@ def test_parse_round_trip(kind, data):
     ring = RINGS[kind]
     p = SparsePoly(ring, data.draw(raw_polys(ring), label="p"))
     assert parse_poly(p.to_text(), ring) == p
+
+
+# Names for the rendering property.  y29 and d17 take their packed fields
+# before x29 and c17 do, so field order runs against the canonical order;
+# no other test names them.
+LATE = ["y29", "x29", "d17", "c17"]
+for _name in LATE:
+    SparsePoly.var(ZZ, _name)
+WIDE = LATE + ["x1", "x2", "x3", "y1", "y2", "c1", "c2", "d1", "t"]
+WIDE_RINGS = {"ZZ": ZZ, "QQ": QQ, "Zb": beta_ring(), "Qm": lazard_rational(8)}
+
+
+@st.composite
+def wide_polys(draw, ring):
+    """Up to 40 terms in up to 8 variables of the x, y, c, d, t, b and m_k
+    blocks; drawing no names gives a constant or the zero polynomial, and
+    the leading term's coefficient is at times 1 or -1."""
+    pool = WIDE + {"BetaRing": ["b"], "LazardRational": ["m1", "m3", "m8"]
+                   }.get(ring.kind, [])
+    names = draw(st.lists(st.sampled_from(pool), max_size=8, unique=True))
+    coeffs = st.integers(-9, 9)
+    if ring.rational:
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    terms = {}
+    for _ in range(draw(st.integers(0, 40))):
+        mono = tuple((v, draw(st.integers(0, 3))) for v in names)
+        mono = tuple(sorted(((v, e) for v, e in mono if e),
+                            key=lambda p: ref._var_key(p[0])))
+        terms[mono] = draw(coeffs)
+    lead = draw(st.sampled_from([None, 1, -1]))
+    order = ref.RefPoly(ring, terms)._sorted_terms()
+    if lead and order:
+        terms[order[0][0]] = lead
+    return terms
+
+
+def test_late_names_have_late_fields():
+    from flagcalc import rings
+    assert rings._SLOTS["y29"] < rings._SLOTS["x29"]
+    assert rings._SLOTS["d17"] < rings._SLOTS["c17"]
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_RINGS))
+@fixed
+@given(data=st.data())
+def test_rendering_matches_reference(kind, data):
+    ring = WIDE_RINGS[kind]
+    assert_same(*both(ring, data.draw(wide_polys(ring), label="p")))
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_RINGS))
+@pytest.mark.parametrize("raw", [
+    {}, {(): 1}, {(): -1}, {(): 7}, {(): -7},
+    {(): 1, (("x29", 1),): -1}, {(): -1, (("y29", 2),): 1},
+    {(("x1", 1),): -1, (("y29", 1), ("d17", 2)): 3},
+    {(("c17", 1),): 1, (("x1", 1), ("y1", 1)): -1},
+], ids=repr)
+def test_rendering_edge_cases(kind, raw):
+    assert_same(*both(WIDE_RINGS[kind], raw))
+
+
+@pytest.mark.parametrize("c", [Fraction(-1, 2), Fraction(-7, 3),
+                               Fraction(5, 4)], ids=str)
+def test_rendering_fractions(c):
+    for raw in ({(): c}, {(("x29", 1),): c, (): -c},
+                {(("y29", 1),): -1, (("x1", 2),): c}):
+        assert_same(*both(QQ, raw))
+
+
+def test_rendering_of_the_alternative_product():
+    for _, c in alternative_product(4).coeffs:
+        assert_same(c, ref.RefPoly(c.ring, dict(c.terms.items())))
 
 
 class TestExponentLimit:

@@ -241,6 +241,22 @@ class TestTheories:
         with pytest.raises(ValueError, match="unknown theory"):
             thom_porteous(RankTriple(3, 3, 0), "ko")
 
+    @pytest.mark.parametrize("t", TRIPLES_3[::4], ids=str)
+    def test_theories_share_one_rewrite(self, t):
+        # the first theory asked rewrites the locus, the other two hit the
+        # memo; each equals its value from a fresh rewrite
+        fresh = to_elementary(specialize_nu(t), t).body
+        flips = {f"d{j}": -V(ZZ, f"d{j}") for j in range(1, t.e + 1)}
+        want = {"ck": fresh,
+                "ch": fresh.substitute({"b": 0, **flips}, ring=ZZ),
+                "k0": fresh.substitute({"b": -1}, ring=ZZ)}
+        porteous._CK_MEMO.clear()
+        for theory in ("ch", "ck", "k0"):
+            dp = thom_porteous(t, theory)
+            assert dp.body == want[theory]
+            assert (dp.triple, dp.theory) == (t, theory.upper())
+        assert (porteous._CK_MEMO.misses, porteous._CK_MEMO.hits) == (1, 2)
+
     @pytest.mark.parametrize("t", SMALL_TRIPLES, ids=str)
     def test_specialisations_of_ck(self, t):
         ck = thom_porteous(t, "ck").body
