@@ -2,7 +2,7 @@
 
 Every cache of polynomials in flagcalc (the h_w family, the inverse
 denominator units of the generalised operators, the push-forward classes,
-the normal forms of each flag-ring presentation) is a ``TermMemo``: a
+the connective K-theory body of each degeneracy locus) is a ``TermMemo``: a
 map whose size is measured in stored polynomial terms, evicted
 least-recently-used first, with hit and miss counts for inspection.
 """

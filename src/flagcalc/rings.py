@@ -453,11 +453,11 @@ class SparsePoly:
                 val = SparsePoly(target, {(): val})
             subs.append(_slot(v) + (val,))
 
-        acc: dict = {}
-        get = acc.get
         if all(len(img._terms) <= 1 for *_, img in subs):
             # every image is a monomial or zero (variable renames and
             # numeric specialisations): each term maps to one term
+            acc: dict = {}
+            get = acc.get
             images = []
             for shift, unit, img in subs:
                 k, ic = next(iter(img._terms.items()), (0, 0))
@@ -481,32 +481,38 @@ class SparsePoly:
                 else:
                     if bound is None or key & _FIELD <= bound:
                         acc[key] = get(key, 0) + c
-            return SparsePoly._new(target, _clean(acc, target.rational))
-
-        # the terms grouped by their exponents of the substituted variables
-        groups: dict = {}
-        for m, c in self._terms.items():
-            exps = []
-            for shift, unit, _ in subs:
-                e = m >> shift & _FIELD
-                m -= e * unit
-                exps.append(e)
-            groups.setdefault(tuple(exps), {})[m] = c
-        # powers[j][e] is the j-th image to the e-th power; each group's
-        # last factor goes into the one final sum
-        one = SparsePoly.const(target, 1)
-        powers = [[one, img] for *_, img in subs]
-        pairs = []
-        for exps, rest in groups.items():
-            part, factor = SparsePoly._new(target, rest), one
-            for e, (*_, img), pw in zip(exps, subs, powers):
-                while len(pw) <= e:
-                    pw.append(sum_of_products([(pw[-1], img)], target, bound))
-                if e:
-                    part = sum_of_products([(part, factor)], target, bound)
-                    factor = pw[e]
-            pairs.append((part, factor))
-        return sum_of_products(pairs, target, bound)
+            out = SparsePoly._new(target, _clean(acc, target.rational))
+        else:
+            # the terms grouped by their exponents of the substituted
+            # variables
+            groups: dict = {}
+            for m, c in self._terms.items():
+                exps = []
+                for shift, unit, _ in subs:
+                    e = m >> shift & _FIELD
+                    m -= e * unit
+                    exps.append(e)
+                groups.setdefault(tuple(exps), {})[m] = c
+            # powers[j][e] is the j-th image to the e-th power; each group's
+            # last factor goes into the one final sum
+            one = SparsePoly.const(target, 1)
+            powers = [[one, img] for *_, img in subs]
+            pairs = []
+            for exps, rest in groups.items():
+                part, factor = SparsePoly._new(target, rest), one
+                for e, (*_, img), pw in zip(exps, subs, powers):
+                    while len(pw) <= e:
+                        pw.append(
+                            sum_of_products([(pw[-1], img)], target, bound))
+                    if e:
+                        part = sum_of_products([(part, factor)], target, bound)
+                        factor = pw[e]
+                pairs.append((part, factor))
+            out = sum_of_products(pairs, target, bound)
+        if self.ring.rational and not target.rational:
+            # from Q: integral coefficients become ints, others raise
+            out = SparsePoly(target, out.terms)
+        return out
 
     # -- canonical output ----------------------------------------------------
 

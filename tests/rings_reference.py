@@ -291,14 +291,15 @@ class RefPoly:
                 acc[m] = acc.get(m, 0) + c
             return RefPoly(target, acc)
         for mono, c in self.terms.items():
-            term = RefPoly(target, {(): c})
+            # c joins at the end, so only the sum need fit the target
+            term = RefPoly.const(target, 1)
             for v, e in mono:
                 if v in images:
                     term = term * images[v] ** e
                 else:
                     term = term * RefPoly.var(target, v, e)
             for m2, c2 in term.terms.items():
-                acc[m2] = acc.get(m2, 0) + c2
+                acc[m2] = acc.get(m2, 0) + c * c2
         return RefPoly(target, acc)
 
     # -- canonical output ----------------------------------------------------

@@ -171,6 +171,16 @@ def test_09_multiplicative_coincidence():
     for w in all_permutations(3):
         word = lex_smallest_reduced_word(w0.compose(w))
         ok = ok and bott_samelson_class(fgl8, word, 3) == beta_poly(w)
+    # over S_4 and S_5 at D = n(n - 1), the degree of h_top(n); one degree
+    # lower every class is cut short and differs
+    for n in (4, 5):
+        top, below = (make_multiplicative(-V("b"), D, _RING)
+                      for D in (n * (n - 1), n * (n - 1) - 1))
+        w0 = longest_element(n)
+        for w in all_permutations(n):
+            word = lex_smallest_reduced_word(w0.compose(w))
+            ok = ok and bott_samelson_class(top, word, n) == beta_poly(w)
+            ok = ok and bott_samelson_class(below, word, n) != beta_poly(w)
     report(9, "multiplicative law reproduces the signed family", ok)
 
 

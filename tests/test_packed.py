@@ -107,27 +107,58 @@ def test_truncation_and_degree_match_reference(kind, data):
         assert p.coeff(mono) == rp.coeff(mono)
 
 
+@st.composite
+def assignments(draw, source, target):
+    """Images over target for one to three variables of source (numbers,
+    monomials and polynomials, built both ways) and numbers for the
+    generators of source that target lacks."""
+    ours, theirs = {}, {}
+    for v in draw(st.lists(st.sampled_from(_names(source)), min_size=1,
+                           max_size=3, unique=True), label="targets"):
+        choice = draw(st.integers(0, 2), label=f"image of {v}")
+        if choice == 0:
+            value = draw(st.integers(-2, 2), label="value")
+            ours[v] = theirs[v] = value
+        else:
+            # a monomial (choice 1) or a polynomial (choice 2) image
+            raw = draw(raw_polys(target, max_terms=1 if choice == 1 else 3,
+                                 max_exp=2), label="image")
+            ours[v], theirs[v] = both(target, raw)
+    for v in _names(source):
+        # a generator the target lacks is specialised
+        if v not in ours and not target.allows_generator(v):
+            ours[v] = theirs[v] = draw(st.integers(-2, 2), label=v)
+    return ours, theirs
+
+
 @pytest.mark.parametrize("kind", sorted(RINGS))
 @fixed
 @given(data=st.data())
 def test_substitute_matches_reference(kind, data):
     ring = RINGS[kind]
     p, rp = both(ring, data.draw(raw_polys(ring), label="p"))
-    names = _names(ring)
-    targets = data.draw(st.lists(st.sampled_from(names), min_size=1,
-                                 max_size=3, unique=True), label="targets")
-    ours, theirs = {}, {}
-    for v in targets:
-        choice = data.draw(st.integers(0, 2), label=f"image of {v}")
-        if choice == 0:
-            value = data.draw(st.integers(-2, 2), label="value")
-            ours[v] = theirs[v] = value
-        else:
-            # a monomial (choice 1) or a polynomial (choice 2) image
-            raw = data.draw(raw_polys(ring, max_terms=1 if choice == 1 else 3,
-                                      max_exp=2), label="image")
-            ours[v], theirs[v] = both(ring, raw)
+    ours, theirs = data.draw(assignments(ring, ring), label="assignment")
     assert_same(p.substitute(ours), rp.substitute(theirs))
+
+
+@pytest.mark.parametrize("target", sorted(RINGS))
+@pytest.mark.parametrize("source", sorted(RINGS))
+@fixed
+@given(data=st.data())
+def test_substitute_into_another_ring_matches_reference(source, target,
+                                                        data):
+    """The result's coefficients live in the target: from Q into Z or
+    Z[b], an integral one becomes an int and another raises ValueError."""
+    source, target = RINGS[source], RINGS[target]
+    p, rp = both(source, data.draw(raw_polys(source), label="p"))
+    ours, theirs = data.draw(assignments(source, target), label="assignment")
+    try:
+        expected = rp.substitute(theirs, ring=target)
+    except ValueError:
+        with pytest.raises(ValueError):
+            p.substitute(ours, ring=target)
+    else:
+        assert_same(p.substitute(ours, ring=target), expected)
 
 
 @pytest.mark.parametrize("kind", sorted(RINGS))

@@ -7,7 +7,7 @@ each against a reference kept here or in tests/:
   and with a bound against that sum truncated;
 * ``divided_difference`` on several parts against the reference kernel;
 * ``FlagRingPresentation.reduce`` against the packed worklist in
-  flagring_reference, with warm and cold memos;
+  flagring_reference;
 * ``all_reduced_words`` against the recursive search;
 * ``chern_tensor_dual`` against the product of the factors 1 + f t.
 
@@ -226,9 +226,7 @@ def test_divided_difference_of_parts_matches_reference(kind, data):
 
 # -- flag-ring normal forms ---------------------------------------------------
 
-FLAG_RINGS = {"ZZ": ZZ, "Zb": beta_ring()}
-# presentations that live for the whole module, so their memos are warm
-WARM: dict = {}
+FLAG_RINGS = {"ZZ": ZZ, "Zb": beta_ring(), "Qm": lazard_rational(2)}
 
 
 def _presentation(n: int, ring, symbolic: bool):
@@ -239,15 +237,17 @@ def _presentation(n: int, ring, symbolic: bool):
 
 @st.composite
 def flag_inputs(draw, ring, n: int):
-    """A product of two polynomials in x_1..x_n, c_1, y_1 (and b)."""
-    names = [f"x{k}" for k in range(1, n + 1)] + ["c1", "y1"]
-    if ring.kind == "BetaRing":
-        names.append("b")
+    """a (b + x_1^n x_2^(n-1) ... x_n), a and b polynomials in x_1..x_n,
+    c_1, y_1 (and b or m1): each term of a times the staircase reaches
+    x_k^(n-k+1) for every k, so the elimination runs through all n
+    steps."""
+    xs = [f"x{k}" for k in range(1, n + 1)]
+    names = xs + ["c1", "y1"] + [v for v in ("b", "m1") if v in _names(ring)]
     a = SparsePoly(ring, draw(raw_polys(ring, names, max_terms=4,
                                         max_exp=2)))
     b = SparsePoly(ring, draw(raw_polys(ring, names, max_terms=3,
                                         max_exp=2)))
-    return a * b
+    return a * (b + SparsePoly.monomial(ring, xs, range(n, 0, -1)))
 
 
 @pytest.mark.parametrize("symbolic", [True, False],
@@ -260,13 +260,8 @@ def test_reduce_matches_reference(kind, n, symbolic, data):
     ring = FLAG_RINGS[kind]
     p = data.draw(flag_inputs(ring, n), label="p")
     cold = _presentation(n, ring, symbolic)
-    warm = WARM.get((kind, n, symbolic))
-    if warm is None:
-        warm = WARM[kind, n, symbolic] = _presentation(n, ring, symbolic)
     expected = ReferencePresentation(n, cold.base_chern, ring).reduce(p)
     assert cold.reduce(p) == expected
-    assert warm.reduce(p) == expected
-    assert warm.reduce(p) == expected
     assert cold.reduce(expected) == expected
 
 
@@ -275,11 +270,15 @@ def test_presentation_sets_only_declared_fields():
     x1 = SparsePoly.var(pres.ring, "x1")
     pres.reduce(x1 ** 5)
     assert set(vars(pres)) == {f.name for f in fields(pres)}
-    memo = pres._normal_forms
-    hits = memo.hits
-    pres.reduce(x1 ** 5)
-    assert memo.hits == hits + 1
     assert pres == FlagRingPresentation.symbolic(3, beta_ring())
+
+
+def test_reduce_rejects_another_ring():
+    """A normal-form input over another ring would need no rewriting."""
+    pres = FlagRingPresentation.trivial(3, beta_ring())
+    x1 = SparsePoly.var(ZZ, "x1")
+    with pytest.raises(RingMismatchError):
+        pres.reduce(x1)
 
 
 # -- reduced words ------------------------------------------------------------
