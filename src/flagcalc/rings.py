@@ -28,12 +28,14 @@ canonical term order only when a polynomial is rendered.
 from __future__ import annotations
 
 import re
-import struct
+import sys
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import add, itemgetter, or_, sub
+from itertools import compress, repeat
+from operator import add, neg, or_, sub
 
 __all__ = [
     "CoefficientRing",
@@ -183,25 +185,41 @@ def _encode(mono) -> int:
     return key
 
 
-def _unpacker(keys) -> tuple:
-    """The variables present in keys, in canonical order, and a function
-    taking a key to its exponents of those variables."""
+def _columns(keys) -> tuple:
+    """The variables present in keys, in canonical order, and the columns
+    of the geometric degree and of each of those variables' exponents, in
+    key order.  All keys are decoded at once, as one array of fields."""
     present = reduce(or_, keys, 0)
-    n = (present.bit_length() + _BITS - 1) // _BITS
+    n = (present.bit_length() + _BITS - 1) // _BITS or 1
     slots = [k for k in _CANON if k < n and present >> _BITS * k & _FIELD]
-    unpack = struct.Struct(f"<{n}H").unpack
-    pick = itemgetter(*slots) if len(slots) > 1 else (
-        lambda fields: tuple(fields[k] for k in slots))
-    return ([_NAMES[k] for k in slots],
-            lambda m: pick(unpack(m.to_bytes(2 * n, "little"))))
+    fields = array("H", b"".join(
+        map(int.to_bytes, keys, repeat(2 * n), repeat("little"))))
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return [_NAMES[k] for k in slots], [fields[k::n] for k in [0] + slots]
 
 
 def _clean(terms: dict, rational: bool) -> dict:
-    """Drop zero coefficients; over Q store integral fractions as ints."""
+    """Drop zero coefficients; over Q store integral fractions as ints.
+    Over Z and Z[b] it may return terms itself, which the caller owns."""
     if rational:
         return {m: c.numerator if type(c) is Fraction and c.denominator == 1
                 else c for m, c in terms.items() if c}
+    if 0 not in terms.values():
+        return terms
     return {m: c for m, c in terms.items() if c}
+
+
+def _output_order(names, degree, cols, values) -> list:
+    """Rows (-total degree, *exponents, value) from the columns _columns
+    gave and values in key order, sorted into output order: total degree
+    (b and the m_k counted) ascending, then exponents descending.  No two
+    rows tie before their values, so no values are compared."""
+    key = map(neg, degree)
+    for v, col in zip(names, cols):
+        if is_coefficient_var(v):
+            key = map(sub, key, col)
+    return sorted(zip(key, *cols, values), reverse=True)
 
 
 def _coeff_str(c) -> str:
@@ -224,9 +242,9 @@ class _Terms(Mapping):
         return len(self._packed)
 
     def __iter__(self):
-        names, exps = _unpacker(self._packed)
-        for m in self._packed:
-            yield tuple((v, e) for v, e in zip(names, exps(m)) if e)
+        names, cols = _columns(self._packed)
+        for _, *exps in zip(*cols):
+            yield tuple(compress(zip(names, exps), exps))
 
     def __getitem__(self, mono):
         return self._packed[_encode(mono)]
@@ -306,7 +324,7 @@ class SparsePoly:
     # -- inspection ----------------------------------------------------------
 
     def variables(self) -> set:
-        return set(_unpacker(self._terms)[0])
+        return set(_columns((reduce(or_, self._terms, 0),))[0])
 
     def degree(self) -> int:
         """Total degree in the geometric variables (-1 for the zero poly)."""
@@ -461,7 +479,7 @@ class SparsePoly:
             images = []
             for shift, unit, img in subs:
                 k, ic = next(iter(img._terms.items()), (0, 0))
-                top = max(_unpacker((k,))[1](k) + (k & _FIELD,))
+                top = max(col[0] for col in _columns((k,))[1])
                 images.append((shift, unit, k, ic, top))
             for m, c in self._terms.items():
                 key = m
@@ -512,42 +530,33 @@ class SparsePoly:
         if self.ring.rational and not target.rational:
             # from Q: integral coefficients become ints, others raise
             out = SparsePoly(target, out.terms)
+        if target != self.ring and not all(
+                map(target.allows_generator, out.variables())):
+            raise RingMismatchError(f"a generator is not in {target.kind}")
         return out
 
     # -- canonical output ----------------------------------------------------
-
-    def _sorted_terms(self) -> tuple:
-        """The variables present, in canonical order, their exponent rows
-        and the coefficients, both in output order: total degree
-        ascending, then the exponent vector descending."""
-        names, exps = _unpacker(self._terms)
-        rows = list(map(exps, self._terms))
-        coeff = dict(zip(rows, self._terms.values()))
-        rows.sort(reverse=True)
-        rows.sort(key=sum)
-        return names, rows, list(map(coeff.__getitem__, rows))
 
     def _render(self, label, power, magnitude) -> str:
         """Signed terms joined in output order; label(v) prints a variable,
         power(label, e) a power and magnitude(c) a positive coefficient."""
         if not self._terms:
             return "0"
-        names, rows, coeffs = self._sorted_terms()
-        cols = []
-        for s, col in zip(map(label, names), zip(*rows)):
+        names, (degree, *cols) = _columns(self._terms)
+        words = []
+        for s, col in zip(map(label, names), cols):
             # the variable's printed powers by exponent, each after a space
-            words = ["", " " + s]
-            words += [" " + power(s, e) for e in range(2, max(col) + 1)]
-            cols.append(map(words.__getitem__, col))
-        monos = map("".join, zip(*cols)) if cols else [""]
-        pieces = ["+" + m if c == 1 else "-" + m if c == -1
-                  else "+ " + magnitude(c) + m if c > 0
-                  else "- " + magnitude(-c) + m
-                  for c, m in zip(coeffs, monos)]
-        first = pieces[0]
-        if len(first) == 1:  # a constant term 1 or -1, which sorts first
-            first += " " + magnitude(abs(coeffs[0]))
-        pieces[0] = first[2:] if first[0] == "+" else "-" + first[2:]
+            powers = ["", " " + s]
+            powers += [" " + power(s, e) for e in range(2, max(col) + 1)]
+            words.append(map(powers.__getitem__, col))
+        signs = {c: "+" if c == 1 else "-" if c == -1
+                 else "+ " + magnitude(c) if c > 0 else "- " + magnitude(-c)
+                 for c in set(self._terms.values())}
+        pieces = map("".join, zip(
+            map(signs.__getitem__, self._terms.values()), *words))
+        pieces = [r[-1] for r in _output_order(names, degree, cols, pieces)]
+        first = pieces[0][2:] or magnitude(1)  # a constant 1 or -1 sorts first
+        pieces[0] = first if pieces[0][0] == "+" else "-" + first
         return " ".join(pieces)
 
     def to_text(self) -> str:
@@ -568,10 +577,11 @@ class SparsePoly:
         return self._render(label, lambda s, e: f"{s}^{{{e}}}", magnitude)
 
     def to_json_obj(self) -> dict:
-        names, rows, coeffs = self._sorted_terms()
+        names, (degree, *cols) = _columns(self._terms)
+        rows = _output_order(names, degree, cols, self._terms.values())
         return {"vars": names,
-                "terms": [{"exponents": list(exps), "coeff": _coeff_str(c)}
-                          for exps, c in zip(rows, coeffs)]}
+                "terms": [{"exponents": exps, "coeff": _coeff_str(c)}
+                          for _, *exps, c in rows]}
 
     def __repr__(self):
         return f"SparsePoly({self.to_text()})"

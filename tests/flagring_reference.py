@@ -1,9 +1,12 @@
-"""Reference flag-ring reduction: the packed-monomial worklist that
-flagcalc.flagring used before its coefficients became SparsePoly pairs
-summed with ``sum_of_products``.  It reads the packed keys of
+"""Reference flag-ring reduction: one heap worklist over the packed
+x-exponent vectors of the whole input, each rewritten term by term with
+the tails of the basis, where flagcalc.flagring eliminates x_n, ..., x_1
+in turn with ``sum_of_products``.  It reads the packed keys of
 flagcalc.rings directly; the property tests hold the library to it."""
 
 import heapq
+from fractions import Fraction
+from math import lcm
 
 from flagcalc.rings import SparsePoly, _FIELD, _check_guard, _clean, _slot
 
@@ -23,7 +26,7 @@ def _order_key(alpha: tuple) -> tuple:
 
 
 class ReferencePresentation:
-    """base[x_1..x_n] / (e_i(x) - c_i) with its own normal-form cache."""
+    """base[x_1..x_n] / (e_i(x) - c_i)."""
 
     def __init__(self, n: int, base_chern: tuple, ring):
         self.n = n
@@ -42,7 +45,6 @@ class ReferencePresentation:
             tail = SparsePoly.var(ring, f"x{k}", M) - g
             self.tails.append(tuple(self._split(m) + (c,)
                                     for m, c in tail._terms.items()))
-        self.nf_cache = {}
 
     def _split(self, m: int) -> tuple:
         exps = tuple(m >> shift & _FIELD for shift, _ in self.slots)
@@ -51,30 +53,36 @@ class ReferencePresentation:
     def _x_key(self, exps: tuple) -> int:
         return sum(e * unit for e, (_, unit) in zip(exps, self.slots))
 
-    def _normal_form_of_exponents(self, alpha: tuple) -> dict:
-        cached = self.nf_cache.get(alpha)
-        if cached is not None:
-            return cached
-        work = {alpha: {0: 1}}
-        heap = [_order_key(alpha)]
+    def reduce(self, p: SparsePoly) -> SparsePoly:
+        """One worklist over the whole input: its x-exponent vectors, each
+        with a map from the rest of the key to a coefficient, popped in
+        the order of _order_key.  A vector with a_k >= n - k + 1 for some
+        k (the largest) is rewritten by tail_k, whose vectors come later
+        in that order, so no popped vector is pushed again.  The input is
+        scaled to integer coefficients first, so the worklist does no
+        Fraction arithmetic."""
+        scale = lcm(*(c.denominator for c in p._terms.values()))
+        work: dict = {}
+        heap = []
+        for m, c in p._terms.items():
+            alpha, rest = self._split(m)
+            if alpha not in work:
+                work[alpha] = {}
+                heapq.heappush(heap, _order_key(alpha))
+            work[alpha][rest] = c.numerator * (scale // c.denominator)
         out: dict = {}
         while heap:
             beta = heapq.heappop(heap)[2]
             coeffs = work.pop(beta)
             _check_guard(coeffs)
-            nf = self.nf_cache.get(beta)
-            if nf is None:
-                for k in range(self.n, 0, -1):
-                    M = self.n - k + 1
-                    if beta[k - 1] >= M:
-                        break
-                else:
-                    nf = {self._x_key(beta): 1}
-            if nf is not None:
+            for k in range(self.n, 0, -1):
+                M = self.n - k + 1
+                if beta[k - 1] >= M:
+                    break
+            else:
+                key = self._x_key(beta)
                 for rest, c in coeffs.items():
-                    for m2, c2 in nf.items():
-                        m = m2 + rest
-                        out[m] = out.get(m, 0) + c * c2
+                    out[key + rest] = Fraction(c, scale) if scale > 1 else c
                 continue
             base = list(beta)
             base[k - 1] -= M
@@ -87,17 +95,5 @@ class ReferencePresentation:
                 for rest, c in coeffs.items():
                     m = rest + t_rest
                     target[m] = target.get(m, 0) + c * t_c
-        out = {m: c for m, c in out.items() if c}
         _check_guard(out)
-        self.nf_cache[alpha] = out
-        return out
-
-    def reduce(self, p: SparsePoly) -> SparsePoly:
-        acc: dict = {}
-        for m, c in p._terms.items():
-            alpha, rest = self._split(m)
-            for m2, c2 in self._normal_form_of_exponents(alpha).items():
-                k = m2 + rest
-                acc[k] = acc.get(k, 0) + c * c2
-        _check_guard(acc)
-        return SparsePoly._new(p.ring, _clean(acc, p.ring.rational))
+        return SparsePoly._new(p.ring, _clean(out, p.ring.rational))

@@ -289,18 +289,24 @@ class RefPoly:
                     continue
                 m = tuple(sorted(exps.items(), key=lambda p: _var_key(p[0])))
                 acc[m] = acc.get(m, 0) + c
-            return RefPoly(target, acc)
-        for mono, c in self.terms.items():
-            # c joins at the end, so only the sum need fit the target
-            term = RefPoly.const(target, 1)
-            for v, e in mono:
-                if v in images:
-                    term = term * images[v] ** e
-                else:
-                    term = term * RefPoly.var(target, v, e)
-            for m2, c2 in term.terms.items():
-                acc[m2] = acc.get(m2, 0) + c * c2
-        return RefPoly(target, acc)
+        else:
+            for mono, c in self.terms.items():
+                # c joins at the end, so only the sum need fit the target;
+                # a variable kept is checked against the target at the end
+                term = RefPoly.const(target, 1)
+                for v, e in mono:
+                    if v in images:
+                        term = term * images[v] ** e
+                    else:
+                        term = term * RefPoly(target, {((v, e),): 1})
+                for m2, c2 in term.terms.items():
+                    acc[m2] = acc.get(m2, 0) + c * c2
+        out = RefPoly(target, acc)
+        for v in out.variables():
+            if not target.allows_generator(v):
+                raise RingMismatchError(
+                    f"generator {v!r} not in {target.kind}")
+        return out
 
     # -- canonical output ----------------------------------------------------
 

@@ -6,6 +6,7 @@ each against a reference kept here or in tests/:
 * ``sum_of_products`` against the sum of products in rings_reference,
   and with a bound against that sum truncated;
 * ``divided_difference`` on several parts against the reference kernel;
+* both, on inputs that cancel, storing no zero coefficient;
 * ``FlagRingPresentation.reduce`` against the packed worklist in
   flagring_reference;
 * ``all_reduced_words`` against the recursive search;
@@ -222,6 +223,37 @@ def test_divided_difference_of_parts_matches_reference(kind, data):
         ref.RefPoly(ring, dict(total.terms.items())), i)
     got = divided_difference(parts, f"x{i}", f"x{i + 1}")
     assert dict(got.terms.items()) == expected.terms
+
+
+def _stores_no_zero(p: SparsePoly) -> bool:
+    return 0 not in dict(p.terms.items()).values()
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@fixed
+@given(data=st.data())
+def test_cancelled_terms_are_not_stored(kind, data):
+    """The pairs (p, q) and (-p, q) cancel in sum_of_products, bounded or
+    not, and the divided difference of a part symmetric in x1, x2
+    vanishes: the results store no zero coefficient, and are the zero
+    polynomial when everything cancels."""
+    ring = RINGS[kind]
+    names = _names(ring)
+    p, q, r, s = (SparsePoly(ring, data.draw(raw_polys(ring, names),
+                                             label=label))
+                  for label in "pqrs")
+    cancelling = [(p, q), (-p, q)]
+    for bound in (None, data.draw(st.integers(0, 12), label="bound")):
+        assert sum_of_products(cancelling, ring, bound).is_zero()
+        got = sum_of_products(cancelling + [(r, s)], ring, bound)
+        assert _stores_no_zero(got)
+        assert got == sum_of_products([(r, s)], ring, bound)
+    x1, x2 = SparsePoly.var(ring, "x1"), SparsePoly.var(ring, "x2")
+    symmetric = p + p.substitute({"x1": x2, "x2": x1})
+    assert divided_difference([symmetric], "x1", "x2").is_zero()
+    got = divided_difference([symmetric, r], "x1", "x2")
+    assert _stores_no_zero(got)
+    assert got == divided_difference([r], "x1", "x2")
 
 
 # -- flag-ring normal forms ---------------------------------------------------

@@ -50,6 +50,15 @@ class TestArith:
         with pytest.raises(RingMismatchError):
             V(ZZ, "b")
 
+    def test_substitute_keeps_no_generator_the_target_lacks(self):
+        Zb = beta_ring()
+        p = V(Zb, "b") * V(Zb, "x1")
+        for image in (2, V(ZZ, "x2") + 1):
+            with pytest.raises(RingMismatchError):
+                p.substitute({"x1": image}, ring=ZZ)
+        assert p.substitute({"x1": 0}, ring=ZZ).is_zero()
+        assert p.substitute({"b": 3}, ring=ZZ) == 3 * V(ZZ, "x1")
+
     def test_no_fractions_over_integers(self):
         with pytest.raises(ValueError):
             SparsePoly.const(ZZ, Fraction(1, 2))
