@@ -90,7 +90,8 @@ class OperatorContext:
 
     def _denominator_unit(self, i: int) -> SparsePoly:
         """The reciprocal of the unit g with F(x_i, chi(x_{i+1})) =
-        (x_i - x_{i+1}) g, truncated at D - 1; memoised per law, i and D."""
+        (x_i - x_{i+1}) g, truncated at D - 1; memoised per law, i and D.
+        It is built once, for i = 1, and renamed x1 -> x_i, x2 -> x_{i+1}."""
         fgl = self.fgl
         if fgl is None:
             raise ValueError("context has no formal group law")
@@ -99,9 +100,12 @@ class OperatorContext:
         if ginv is None:
             xi = SparsePoly.var(fgl.ring, f"x{i}")
             xi1 = SparsePoly.var(fgl.ring, f"x{i + 1}")
-            denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
-            g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
-            ginv = series_reciprocal(TruncatedSeries(g, self.D - 1)).body
+            if i > 1:
+                ginv = self._denominator_unit(1).substitute({"x1": xi, "x2": xi1})
+            else:
+                denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
+                g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
+                ginv = series_reciprocal(TruncatedSeries(g, self.D - 1)).body
             _GINV_MEMO.put(key, ginv)
         return ginv
 

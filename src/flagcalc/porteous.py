@@ -89,10 +89,28 @@ def specialize_nu(t: RankTriple, n_pad: int = 0) -> SparsePoly:
     appears.  ``n_pad`` runs the same steps inside S_{n + n_pad}."""
     if n_pad < 0:
         raise ValueError(f"n_pad must be >= 0, got {n_pad}")
-    u = t.dominant()
-    start = cell_product(beta_ring(), u.diagram(), oplus)
-    word = lex_smallest_reduced_word(u.inverse().compose(t.permutation()))
+    start = cell_product(beta_ring(), t.dominant().diagram(), oplus)
+    return _walk(t, start, n_pad)
+
+
+def _walk(t: RankTriple, start: SparsePoly, n_pad: int = 0) -> SparsePoly:
+    """phi along the lex-smallest reduced word of u^-1 nu, in S_{n + n_pad}."""
+    word = lex_smallest_reduced_word(t.dominant().inverse().compose(
+        t.permutation()))
     return OperatorContext(t.n + n_pad).compose_word(word, start, mode="beta")
+
+
+def _ck_body(t: RankTriple) -> SparsePoly:
+    """The CK body: the walk started in the d-slots, then only the x-block
+    rewritten.  A row of the start is prod_j (x + y_j + b x y_j) =
+    sum_k x^(e - k) (1 + b x)^k d_k with d_0 = 1; phi never touches y."""
+    ring = beta_ring()
+    d = [1] + [SparsePoly.var(ring, f"d{k}") for k in range(1, t.e + 1)]
+    start = SparsePoly.const(ring, 1)
+    for x in (SparsePoly.var(ring, f"x{i}") for i in range(1, t.f - t.r + 1)):
+        unit = 1 + SparsePoly.var(ring, "b") * x
+        start *= sum(x ** (t.e - k) * unit ** k * d[k] for k in range(t.e + 1))
+    return _reduce_block(_walk(t, start), *_blocks(t)[0])
 
 
 def _blocks(t: RankTriple):
@@ -184,7 +202,7 @@ def thom_porteous(t: RankTriple, theory: str = "ck") -> DPoly:
         raise ValueError(f"unknown theory {theory!r}")
     body = _CK_MEMO.get(t)
     if body is None:
-        body = to_elementary(specialize_nu(t), t).body
+        body = _ck_body(t)
         _CK_MEMO.put(t, body)
     if assignment[theory]:
         body = body.substitute(assignment[theory], ring=ZZ)

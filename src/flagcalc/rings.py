@@ -87,10 +87,8 @@ class CoefficientRing:
     def allows_generator(self, name: str) -> bool:
         if name == "b":
             return self.kind == "BetaRing"
-        m = re.fullmatch(r"m(\d+)", name)
-        if m:
-            return self.kind == "LazardRational" and 1 <= int(m.group(1)) <= self.K
-
+        if name[:1] == "m" and name[1:].isdecimal():
+            return self.kind == "LazardRational" and 1 <= int(name[1:]) <= self.K
         return True
 
 

@@ -238,6 +238,7 @@ def test_12_degeneracy_locus_coherence():
                 dp = to_elementary(p, t)
                 ok = ok and from_elementary(dp) == p
                 ck = thom_porteous(t, "ck").body
+                ok = ok and ck == dp.body
                 sub = {"b": 0}
                 for j in range(1, e + 1):
                     sub[f"d{j}"] = -SparsePoly.var(ZZ, f"d{j}")

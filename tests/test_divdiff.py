@@ -2,13 +2,22 @@ import random
 
 import pytest
 
+from flagcalc import divdiff
 from flagcalc.divdiff import OperatorContext, braid_check
 from flagcalc.fgl import (
+    FormalGroupLaw,
     make_additive,
     make_multiplicative,
     make_universal_rational,
 )
-from flagcalc.rings import SparsePoly, ZZ, beta_ring
+from flagcalc.rings import (
+    SparsePoly,
+    TruncatedSeries,
+    ZZ,
+    beta_ring,
+    divide_by_difference,
+    series_reciprocal,
+)
 
 from conftest import random_poly
 
@@ -152,6 +161,34 @@ class TestGeneralisedOperator:
         # bind the law
         with pytest.raises(TypeError):
             OperatorContext(3, make_additive(4, ring))
+
+    @pytest.mark.parametrize("law", [
+        *(f"universal D={D}" for D in (4, 5, 6, 7)),
+        "multiplicative b", "multiplicative 3"])
+    def test_denominator_unit_is_renamed_per_index(self, law, monkeypatch):
+        # 1/g is built once, at i = 1, and renamed for i = 2..5; each
+        # rename equals 1/g built directly from F(x_i, chi(x_{i+1}))
+        if law.startswith("universal"):
+            D = int(law[-1])
+            fgl = make_universal_rational(D, D)
+        else:
+            ring = beta_ring() if law.endswith("b") else ZZ
+            b = V(ring, "b") if law.endswith("b") else 3
+            fgl = make_multiplicative(b, 6, ring)
+        builds = []
+        inverse = FormalGroupLaw.inverse_series
+        monkeypatch.setattr(FormalGroupLaw, "inverse_series",
+                            lambda self, a: builds.append(a) or inverse(self, a))
+        divdiff._GINV_MEMO.clear()
+        ctx = OperatorContext(6, fgl=fgl)
+        got = {i: ctx._denominator_unit(i) for i in (5, 4, 3, 2, 1)}
+        assert len(builds) == 1
+        for i, ginv in got.items():
+            xi, xi1 = V(fgl.ring, f"x{i}"), V(fgl.ring, f"x{i + 1}")
+            denom = fgl.sum_series(xi, inverse(fgl, xi1))
+            g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
+            want = series_reciprocal(TruncatedSeries(g, fgl.D - 1)).body
+            assert ginv == want, i
 
     def test_kills_symmetric_to_unit_multiple(self):
         # A_i(1) for the multiplicative law is -(-b) = b times 1... the

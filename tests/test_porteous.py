@@ -39,6 +39,20 @@ TRIPLES_4 = [RankTriple(e, f, r)
 # every triple with 1 <= e, f <= 3: 23 of them
 TRIPLES_3 = [t for t in TRIPLES_4 if t.e <= 3 and t.f <= 3]
 
+# a bundle of rank 0 on either side: the locus is everything, the body 1
+EDGE_TRIPLES = [RankTriple(0, f, 0) for f in (1, 2, 3)] + \
+    [RankTriple(e, 0, 0) for e in (1, 2, 3)]
+
+# the triples with max(e, f) = 5 whose CK body and CH determinant below
+# take well under a second together; each of (4,5,0), (4,5,1), (5,3,0),
+# (5,4,0), (5,5,0), (5,5,1) and (5,5,2) takes from 0.4 s to 17 s
+TRIPLES_5 = [RankTriple(e, f, r)
+             for e in range(1, 6) for f in range(1, 6)
+             for r in range(min(e, f) + 1)
+             if max(e, f) == 5 and (e, f, r) not in {
+                 (4, 5, 0), (4, 5, 1), (5, 3, 0), (5, 4, 0),
+                 (5, 5, 0), (5, 5, 1), (5, 5, 2)}]
+
 
 def near_symmetric(data):
     """A triple (e, f, 0) and a symmetric polynomial from its slots, plus
@@ -237,11 +251,29 @@ class TestTheories:
     def test_unknown_theory_fails_before_the_walk(self, monkeypatch):
         def no_walk(*args):
             raise AssertionError("locus built for an unknown theory")
-        monkeypatch.setattr(porteous, "specialize_nu", no_walk)
+        monkeypatch.setattr(porteous, "_walk", no_walk)
+        porteous._CK_MEMO.clear()
         with pytest.raises(ValueError, match="unknown theory"):
             thom_porteous(RankTriple(3, 3, 0), "ko")
+        # a known theory on the empty memo runs the patched walk
+        with pytest.raises(AssertionError, match="unknown theory"):
+            thom_porteous(RankTriple(3, 3, 0), "ck")
 
-    @pytest.mark.parametrize("t", TRIPLES_3[::4], ids=str)
+    def test_body_does_not_walk_in_x_and_y(self, monkeypatch):
+        # the CK body comes from the walk in the d-slots alone; the x, y
+        # walk and its two-block rewrite are the reference it must equal
+        want = {t: to_elementary(specialize_nu(t), t).body
+                for t in TRIPLES_3[::4]}
+
+        def reference(*args):
+            raise AssertionError("thom_porteous ran the x, y pipeline")
+        monkeypatch.setattr(porteous, "specialize_nu", reference)
+        monkeypatch.setattr(porteous, "to_elementary", reference)
+        porteous._CK_MEMO.clear()
+        for t, body in want.items():
+            assert thom_porteous(t, "ck").body == body
+
+    @pytest.mark.parametrize("t", TRIPLES_3 + EDGE_TRIPLES, ids=str)
     def test_theories_share_one_rewrite(self, t):
         # the first theory asked rewrites the locus, the other two hit the
         # memo; each equals its value from a fresh rewrite
@@ -324,7 +356,7 @@ class TestDeterminantOracle:
             got_sym += term
         assert sympy.expand(got_sym - det) == 0
 
-    @pytest.mark.parametrize("t", TRIPLES_4, ids=str)
+    @pytest.mark.parametrize("t", TRIPLES_4 + TRIPLES_5, ids=str)
     def test_ch_slots_match_determinant(self, t):
         # in the slot variables: c(F) = 1 + sum c_i and, the d-slots
         # being -c_j(E^dual) = (-1)^(j+1) c_j(E),

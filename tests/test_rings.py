@@ -59,6 +59,21 @@ class TestArith:
         assert p.substitute({"x1": 0}, ring=ZZ).is_zero()
         assert p.substitute({"b": 3}, ring=ZZ) == 3 * V(ZZ, "x1")
 
+    def test_allows_generator(self):
+        # b only over Z[b]; m1..mK only over Q[m1..mK]; m<digits> nowhere
+        # else; any other name (m, mx, x1) is a variable in every ring
+        K = 3
+        names = ["b", "m", "m0", "m1", f"m{K}", f"m{K + 1}", "mx", "x1"]
+        want = {
+            ZZ: [False, True, False, False, False, False, True, True],
+            QQ: [False, True, False, False, False, False, True, True],
+            beta_ring(): [True, True, False, False, False, False, True, True],
+            lazard_rational(K):
+                [False, True, False, True, True, False, True, True],
+        }
+        for ring, allowed in want.items():
+            assert [ring.allows_generator(v) for v in names] == allowed, ring
+
     def test_no_fractions_over_integers(self):
         with pytest.raises(ValueError):
             SparsePoly.const(ZZ, Fraction(1, 2))
