@@ -31,6 +31,7 @@ from .rings import DivisionError, SparsePoly, beta_ring
 _POSITIVE = click.IntRange(min=1)
 _RANK = click.IntRange(min=0)
 _TERM_SPLIT = re.compile(r"(?=[+-])")
+_WORD_SPLIT = re.compile(r"\s*,\s*|\s+")
 _FACTOR = re.compile(r"([a-zA-Z]+\d*)(?:\^(\d+))?|(\d+(?:/\d+)?)")
 
 
@@ -94,9 +95,13 @@ def _make_law(law: str, trunc: int, loggen: int):
 
 
 def _parse_word(text: str) -> tuple:
+    """Indices separated by commas or spaces; none may be empty."""
     if not text.strip():
         return ()
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+    tokens = _WORD_SPLIT.split(text.strip())
+    if "" in tokens:
+        raise click.UsageError(f"empty index in word {text!r}")
+    return tuple(map(int, tokens))
 
 
 fmt_option = click.option("--format", "fmt",

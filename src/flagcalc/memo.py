@@ -2,9 +2,10 @@
 
 Every cache of polynomials in flagcalc (the h_w family, the inverse
 denominator units of the generalised operators, the push-forward classes,
-the connective K-theory body of each degeneracy locus) is a ``TermMemo``: a
-map whose size is measured in stored polynomial terms, evicted
-least-recently-used first, with hit and miss counts for inspection.
+the connective K-theory body of each degeneracy locus, the products of
+elementary symmetric polynomials) is a ``TermMemo``: a map whose size is
+measured in stored polynomial terms, evicted least-recently-used first,
+with hit and miss counts for inspection.
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ __all__ = [
 
 # the CK body of each triple's locus, from which every theory is derived
 _CK_MEMO = TermMemo()
+_ELEMENTARY_MEMO = TermMemo()
 
 
 class SymmetryError(ValueError):
@@ -119,9 +120,20 @@ def _blocks(t: RankTriple):
             ("d", [f"y{i}" for i in range(1, t.e + 1)]))
 
 
-def _elementaries(ring, prefix: str, block: list) -> dict:
-    return {f"{prefix}{i}": elementary_symmetric(ring, i, block)
-            for i in range(1, len(block) + 1)}
+def _e_product(ring, block: list, exps: tuple) -> SparsePoly:
+    """prod_j e_j(block)^exps[j-1], memoised by ring, block and exps, each
+    built from the memoised product with one factor fewer, e_1 first."""
+    p, done = SparsePoly.const(ring, 1), [0] * len(exps)
+    for j, a in enumerate(exps):
+        for k in range(1, a + 1):
+            done[j] = k
+            key = (ring, tuple(block), tuple(done))
+            q = _ELEMENTARY_MEMO.get(key)
+            if q is None:
+                q = p * elementary_symmetric(ring, j + 1, block)
+                _ELEMENTARY_MEMO.put(key, q)
+            p = q
+    return p
 
 
 def _symmetric(parts: dict) -> bool:
@@ -158,15 +170,14 @@ def _reduce_block(p: SparsePoly, prefix: str, block: list) -> SparsePoly:
     if not _symmetric(parts):
         raise SymmetryError(f"input not symmetric in {block}")
     lams = {a: c for a, c in parts.items() if _is_partition(a)}
-    slots = _elementaries(p.ring, prefix, block)
+    slots = [f"{prefix}{i}" for i in range(1, len(block) + 1)]
     pairs = []
     while lams:
         lam = max(lams)
         coeff = lams[lam]
-        mono = SparsePoly.monomial(
-            p.ring, list(slots), [a - b for a, b in zip(lam, lam[1:] + (0,))])
-        pairs.append((coeff, mono))
-        for mu, c in mono.substitute(slots).split(block).items():
+        exps = tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
+        pairs.append((coeff, SparsePoly.monomial(p.ring, slots, exps)))
+        for mu, c in _e_product(p.ring, block, exps).split(block).items():
             if _is_partition(mu):
                 rest = lams.pop(mu, 0) - coeff * c
                 if rest:
@@ -183,9 +194,13 @@ def to_elementary(p: SparsePoly, t: RankTriple) -> DPoly:
 
 
 def from_elementary(dp: DPoly) -> SparsePoly:
-    """Substitute the elementary symmetric functions back in."""
-    return dp.body.substitute({k: v for pb in _blocks(dp.triple) for k, v
-                               in _elementaries(dp.body.ring, *pb).items()})
+    """Substitute the elementary symmetric functions back in, by block."""
+    p = dp.body
+    for prefix, block in _blocks(dp.triple):
+        slots = [f"{prefix}{i}" for i in range(1, len(block) + 1)]
+        p = sum_of_products([(rest, _e_product(p.ring, block, exps))
+                             for exps, rest in p.split(slots).items()], p.ring)
+    return p
 
 
 def thom_porteous(t: RankTriple, theory: str = "ck") -> DPoly:

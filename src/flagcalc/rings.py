@@ -34,7 +34,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, repeat
+from itertools import compress, islice, product, repeat
 from operator import add, neg, or_, sub
 
 __all__ = [
@@ -184,9 +184,9 @@ def _encode(mono) -> int:
 
 
 def _columns(keys) -> tuple:
-    """The variables present in keys, in canonical order, and the columns
-    of the geometric degree and of each of those variables' exponents, in
-    key order.  All keys are decoded at once, as one array of fields."""
+    """The variables present in keys, in canonical order; the columns of
+    the geometric degree and of their exponents, in key order, all decoded
+    at once as one array of fields; and each column's OR, a bound on it."""
     present = reduce(or_, keys, 0)
     n = (present.bit_length() + _BITS - 1) // _BITS or 1
     slots = [k for k in _CANON if k < n and present >> _BITS * k & _FIELD]
@@ -194,7 +194,22 @@ def _columns(keys) -> tuple:
         map(int.to_bytes, keys, repeat(2 * n), repeat("little"))))
     if sys.byteorder == "big":
         fields.byteswap()
-    return [_NAMES[k] for k in slots], [fields[k::n] for k in [0] + slots]
+    return ([_NAMES[k] for k in slots], [fields[k::n] for k in [0] + slots],
+            [present >> _BITS * k & _FIELD for k in [0] + slots])
+
+
+# print sort keys: base-32 digits below " ", which no printed text has
+_KEY_UP = [chr(k) for k in range(32)]
+_KEY_DOWN = _KEY_UP[::-1]
+_DROP_KEYS = dict.fromkeys(range(32))
+
+
+def _keys(digits, count) -> list:
+    """Keys of one width, in digits' order, of 0 up to at least count - 1."""
+    if count <= 32:
+        return digits
+    width = ((count - 1).bit_length() + 4) // 5
+    return list(islice(map("".join, product(digits, repeat=width)), count))
 
 
 def _clean(terms: dict, rational: bool) -> dict:
@@ -240,7 +255,7 @@ class _Terms(Mapping):
         return len(self._packed)
 
     def __iter__(self):
-        names, cols = _columns(self._packed)
+        names, cols, _ = _columns(self._packed)
         for _, *exps in zip(*cols):
             yield tuple(compress(zip(names, exps), exps))
 
@@ -477,7 +492,7 @@ class SparsePoly:
             images = []
             for shift, unit, img in subs:
                 k, ic = next(iter(img._terms.items()), (0, 0))
-                top = max(col[0] for col in _columns((k,))[1])
+                top = max(_columns((k,))[2])
                 images.append((shift, unit, k, ic, top))
             for m, c in self._terms.items():
                 key = m
@@ -537,25 +552,34 @@ class SparsePoly:
 
     def _render(self, label, power, magnitude) -> str:
         """Signed terms joined in output order; label(v) prints a variable,
-        power(label, e) a power and magnitude(c) a positive coefficient."""
+        power(label, e) a power and magnitude(c) a positive coefficient.
+        A monomial's text has its total degree as a key, then each exponent
+        complemented before its word, so one sort puts the texts in order."""
         if not self._terms:
             return "0"
-        names, (degree, *cols) = _columns(self._terms)
-        words = []
-        for s, col in zip(map(label, names), cols):
-            # the variable's printed powers by exponent, each after a space
+        names, (total, *cols), (top, *tops) = _columns(self._terms)
+        for v, col, t in zip(names, cols, tops):
+            if is_coefficient_var(v):
+                total, top = map(add, total, col), top + t
+        words = [map(_keys(_KEY_UP, top + 1).__getitem__, total)]
+        for s, col, t in zip(map(label, names), cols, tops):
+            # by exponent: its key, then its printed power after a space
             powers = ["", " " + s]
-            powers += [" " + power(s, e) for e in range(2, max(col) + 1)]
-            words.append(map(powers.__getitem__, col))
-        signs = {c: "+" if c == 1 else "-" if c == -1
-                 else "+ " + magnitude(c) if c > 0 else "- " + magnitude(-c)
+            if t > 1:
+                powers += [" " + power(s, e) for e in range(2, t + 1)]
+            words.append(map(list(map(
+                add, _keys(_KEY_DOWN, t + 1), powers)).__getitem__, col))
+        signs = {c: " +" if c == 1 else " -" if c == -1
+                 else " + " + magnitude(c) if c > 0 else " - " + magnitude(-c)
                  for c in set(self._terms.values())}
-        pieces = map("".join, zip(
-            map(signs.__getitem__, self._terms.values()), *words))
-        pieces = [r[-1] for r in _output_order(names, degree, cols, pieces)]
-        first = pieces[0][2:] or magnitude(1)  # a constant 1 or -1 sorts first
-        pieces[0] = first if pieces[0][0] == "+" else "-" + first
-        return " ".join(pieces)
+        signed = dict(zip(map("".join, zip(*words)),
+                          map(signs.__getitem__, self._terms.values())))
+        order = sorted(signed)
+        if self._terms.get(0) in (1, -1):  # a constant 1 or -1 sorts first
+            signed[order[0]] += " " + magnitude(1)
+        text = "".join(map(add, map(signed.__getitem__, order), order))
+        text = text.translate(_DROP_KEYS)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def to_text(self) -> str:
         return self._render(str, lambda s, e: f"{s}^{e}", _coeff_str)
@@ -575,7 +599,7 @@ class SparsePoly:
         return self._render(label, lambda s, e: f"{s}^{{{e}}}", magnitude)
 
     def to_json_obj(self) -> dict:
-        names, (degree, *cols) = _columns(self._terms)
+        names, (degree, *cols), _ = _columns(self._terms)
         rows = _output_order(names, degree, cols, self._terms.values())
         return {"vars": names,
                 "terms": [{"exponents": exps, "coeff": _coeff_str(c)}

@@ -1,16 +1,19 @@
-"""References for the locus polynomials: the walk down from w0, and
-block symmetry by swapping variables.
+"""References for the locus polynomials: the walk down from w0, block
+symmetry by swapping variables, and the slots substituted back in.
 
 ``beta_poly`` walks from h_top(m) = h_{w0} to the triple's permutation
 embedded in S_m; the variables beyond x_f and y_e are then set to zero.
 ``porteous.specialize_nu`` starts lower, at a dominant permutation, and
 the tests hold it to this walk.  ``porteous.check_rect_symmetry`` and
 ``to_elementary`` compare split coefficients, and the tests hold them to
-``symmetric_by_swaps``."""
+``symmetric_by_swaps``.  ``porteous.from_elementary`` multiplies memoised
+products of elementary symmetric polynomials, and the tests hold it to
+``from_elementary_by_substitution``."""
 
 from itertools import combinations
 
 from flagcalc.families import beta_poly
+from flagcalc.porteous import elementary_symmetric
 from flagcalc.rings import SparsePoly
 
 
@@ -35,3 +38,16 @@ def symmetric_by_swaps(p, t) -> bool:
     return all(p.substitute({a: SparsePoly.var(p.ring, b),
                              b: SparsePoly.var(p.ring, a)}) == p
                for a, b in pairs)
+
+
+def from_elementary_by_substitution(dp):
+    """The body with e_i(x_1..x_f) for c_i and e_j(y_1..y_e) for d_j, in
+    one general substitution."""
+    t, ring = dp.triple, dp.body.ring
+    xs = [f"x{i}" for i in range(1, t.f + 1)]
+    ys = [f"y{j}" for j in range(1, t.e + 1)]
+    images = {f"c{i}": elementary_symmetric(ring, i, xs)
+              for i in range(1, t.f + 1)}
+    images.update({f"d{j}": elementary_symmetric(ring, j, ys)
+                   for j in range(1, t.e + 1)})
+    return dp.body.substitute(images)

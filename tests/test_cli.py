@@ -169,6 +169,8 @@ class TestErrors:
         ("family", "--perm", ""),
         ("porteous", "--e", "1", "--f", "1", "--r", "5"),
         ("bott-samelson", "--word", "5", "--n", "3"),
+        ("bott-samelson", "--word", "1,,2", "--n", "3"),
+        ("bott-samelson", "--word", "1,2,", "--n", "3"),
         ("braid", "--n", "2"),
         ("flagring", "reduce", "--n", "2", "--input", "1/0 x1"),
         ("flagring", "reduce", "--n", "0", "--input", "x1"),
@@ -181,6 +183,7 @@ class TestErrors:
         ("bott-samelson", "--law", "additive", "--n", "3", "--trunc", "-1"),
         ("chern-tensor", "--e", "-1", "--f", "2"),
     ], ids=["repeated-image", "empty-perm", "rank-above-min", "word-index",
+            "word-empty-index", "word-trailing-comma",
             "braid-n2", "zero-denominator", "flagring-n0", "hecke-n0",
             "exponent-limit", "x-degree-bound", "bott-samelson-n0",
             "bott-samelson-n-negative", "bott-samelson-trunc0",

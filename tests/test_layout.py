@@ -1,7 +1,8 @@
 """The packed-monomial layout is private to flagcalc.rings: no other
 module of the package may name its helpers or a polynomial's packed
-terms.  Other modules use SparsePoly.split, SparsePoly.monomial,
-sum_of_products and divided_difference instead.
+terms, nor the column decoder and sort keys that printing uses.  Other
+modules use SparsePoly.split, SparsePoly.monomial, sum_of_products and
+divided_difference instead.
 
 Every callable that ``bench/trace_layers.py`` wraps still exists where
 ``Tracer.install`` looks it up, so a rename cannot silently drop a layer
@@ -18,7 +19,8 @@ import flagcalc
 
 PACKAGE = Path(flagcalc.__file__).parent
 # the helpers by whole name, so a local such as c_slots is not a leak
-PRIVATE = re.compile(r"\b(_FIELD|_slot|_clean|_check_guard|_encode)\b"
+PRIVATE = re.compile(r"\b(_FIELD|_slot|_clean|_check_guard|_encode|_columns"
+                     r"|_keys|_KEY_UP|_KEY_DOWN|_DROP_KEYS)\b"
                      r"|\._terms|\._new\(")
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "rings.py")
 
@@ -31,7 +33,11 @@ def test_every_module_is_checked():
     ("si, ui = rings._slot(v)", True),
     ("key = _encode(mono)", True),
     ("return p._terms", True),
+    ("names, cols, tops = rings._columns(keys)", True),
+    ("table = _keys(_KEY_DOWN, top + 1)", True),
+    ("text.translate(_DROP_KEYS)", True),
     ("c_slots = []", False),
+    ("json.dumps(obj, sort_keys=True)", False),
     ("def encode_word(w):", False),
 ])
 def test_private_pattern(line, leaks):

@@ -223,6 +223,36 @@ def wide_polys(draw, ring):
     return terms
 
 
+@st.composite
+def wide_key_polys(draw, ring):
+    """2 to 12 terms in 2 to 5 variables, whose print keys take more than
+    one character.  The first variable's exponents are at most 3; the
+    second's lie around 32, or around 32 and 1024, and in the first term
+    it is one of the two highest, so the total degree reaches 32 or 1024;
+    every other variable takes one of the two kinds."""
+    pool = WIDE + {"BetaRing": ["b"], "LazardRational": ["m1", "m3", "m8"]
+                   }.get(ring.kind, [])
+    names = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=5,
+                          unique=True))
+    narrow = [0, 1, 2, 3]
+    wide = draw(st.sampled_from([[31, 32, 33],
+                                 [31, 32, 33, 1023, 1024, 1025]]))
+    cols = [narrow, [0] + wide] + [
+        draw(st.sampled_from([narrow, [0] + wide])) for _ in names[2:]]
+    coeffs = st.integers(-9, 9)
+    if ring.rational:
+        coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    terms = {}
+    for k in range(draw(st.integers(2, 12))):
+        exps = [draw(st.sampled_from(col)) for col in cols]
+        if k == 0:
+            exps[1] = draw(st.sampled_from(wide[-2:]))
+        mono = tuple(sorted(((v, e) for v, e in zip(names, exps) if e),
+                            key=lambda p: ref._var_key(p[0])))
+        terms[mono] = draw(coeffs)
+    return terms
+
+
 def test_late_names_have_late_fields():
     from flagcalc import rings
     assert rings._SLOTS["y29"] < rings._SLOTS["x29"]
@@ -235,6 +265,16 @@ def test_late_names_have_late_fields():
 def test_rendering_matches_reference(kind, data):
     ring = WIDE_RINGS[kind]
     assert_same(*both(ring, data.draw(wide_polys(ring), label="p")))
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_RINGS))
+@fixed
+@given(data=st.data())
+def test_rendering_of_wide_keys_matches_reference(kind, data):
+    ring = WIDE_RINGS[kind]
+    p, r = both(ring, data.draw(wide_key_polys(ring), label="p"))
+    assert_same(p, r)
+    assert min(map(ord, p.to_text() + p.to_latex())) >= ord(" ")
 
 
 @pytest.mark.parametrize("kind", sorted(WIDE_RINGS))

@@ -19,7 +19,12 @@ from flagcalc.porteous import (
     to_elementary,
 )
 from flagcalc.rings import SparsePoly, ZZ, beta_ring
-from locus_reference import is_dominant, symmetric_by_swaps, walk_from_top
+from locus_reference import (
+    from_elementary_by_substitution,
+    is_dominant,
+    symmetric_by_swaps,
+    walk_from_top,
+)
 
 
 def V(ring, name, e=1):
@@ -214,6 +219,13 @@ class TestElementaryRewrite:
     def test_round_trip(self, t):
         p = specialize_nu(t)
         assert from_elementary(to_elementary(p, t)) == p
+
+    @pytest.mark.parametrize("t", TRIPLES_4 + EDGE_TRIPLES, ids=str)
+    def test_from_elementary_matches_substitution(self, t):
+        # over Z[b] and, for ch, over Z: the product memo is keyed on ring
+        for theory in ("ck", "ch"):
+            dp = thom_porteous(t, theory)
+            assert from_elementary(dp) == from_elementary_by_substitution(dp)
 
     def test_elementary_symmetric_values(self):
         assert elementary_symmetric(ZZ, 0, ["x1", "x2"]) == \
