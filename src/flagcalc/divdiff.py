@@ -5,7 +5,7 @@ Every operator is partial_i(q p) for a fixed q: phi_i, partial_i and pi_i
 take q = 1 + beta x_{i+1}, and A_i takes q = 1/g, the inverse of the unit
 g with F(x_i, chi(x_{i+1})) = (x_i - x_{i+1}) g, truncated.  One
 closed-form kernel, ``rings.divided_difference``, applies partial_i, so
-the only inexact step for a general law is the truncation at the context
+the only inexact step for a general law is the truncation at the law's
 bound D.
 """
 
@@ -26,7 +26,7 @@ from .rings import (
 
 __all__ = ["OperatorContext", "braid_check"]
 
-# 1/g per (law, i, D); see OperatorContext._denominator_unit
+# 1/g per (law, i); see OperatorContext._denominator_unit
 _GINV_MEMO = TermMemo()
 
 
@@ -35,17 +35,15 @@ class OperatorContext:
     """Operators act on polynomials in x_1..x_n, over the ring of each
     polynomial they are given.
 
-    ``fgl`` is only needed for the generalised operators; D bounds the
-    truncation they introduce."""
+    ``fgl`` is only needed for the generalised operators, which truncate
+    at the law's bound D."""
 
     n: int
     _: KW_ONLY
     fgl: FormalGroupLaw | None = None
-    D: int | None = None
 
-    def __post_init__(self):
-        if self.D is None and self.fgl is not None:
-            object.__setattr__(self, "D", self.fgl.D)
+    # the law's bound, which bench/trace_layers.py reads in its A_op hook
+    D = property(lambda self: self.fgl.D)
 
     def _check_index(self, i: int):
         if not 1 <= i <= self.n - 1:
@@ -90,12 +88,12 @@ class OperatorContext:
 
     def _denominator_unit(self, i: int) -> SparsePoly:
         """The reciprocal of the unit g with F(x_i, chi(x_{i+1})) =
-        (x_i - x_{i+1}) g, truncated at D - 1; memoised per law, i and D.
+        (x_i - x_{i+1}) g, truncated at D - 1; memoised per law and i.
         It is built once, for i = 1, and renamed x1 -> x_i, x2 -> x_{i+1}."""
         fgl = self.fgl
         if fgl is None:
             raise ValueError("context has no formal group law")
-        key = (fgl, i, self.D)
+        key = (fgl, i)
         ginv = _GINV_MEMO.get(key)
         if ginv is None:
             xi = SparsePoly.var(fgl.ring, f"x{i}")
@@ -105,7 +103,7 @@ class OperatorContext:
             else:
                 denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
                 g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
-                ginv = series_reciprocal(TruncatedSeries(g, self.D - 1)).body
+                ginv = series_reciprocal(TruncatedSeries(g, fgl.D - 1)).body
             _GINV_MEMO.put(key, ginv)
         return ginv
 
@@ -114,27 +112,15 @@ class OperatorContext:
         computed as partial_i of (p / g) truncated at D + 1."""
         self._check_index(i)
         ginv = self._denominator_unit(i)
-        r = sum_of_products([(p, ginv)], p.ring, self.D + 1)
+        r = sum_of_products([(p, ginv)], p.ring, self.fgl.D + 1)
         return divided_difference([r], f"x{i}", f"x{i + 1}")
 
     # -- words ---------------------------------------------------------------
 
-    def apply(self, i: int, p: SparsePoly, mode: str = "beta") -> SparsePoly:
-        if mode == "beta":
-            return self.phi_beta(i, p)
-        if mode == "partial":
-            return self.partial(i, p)
-        if mode == "pi":
-            return self.pi_op(i, p)
-        if mode == "fgl":
-            return self.A_op(i, p)
-        raise ValueError(f"unknown mode {mode!r}")
-
-    def compose_word(self, word: tuple, p: SparsePoly, mode: str = "beta"
-                     ) -> SparsePoly:
-        """Apply the operator for i_1 first, then i_2, and so on."""
+    def compose_word(self, word: tuple, p: SparsePoly, op) -> SparsePoly:
+        """Apply op, such as ``ctx.A_op``, for i_1 first, then i_2, ..."""
         for i in word:
-            p = self.apply(i, p, mode)
+            p = op(i, p)
         return p
 
 
@@ -143,11 +129,16 @@ def braid_check(ctx: OperatorContext, i: int, samples, mode: str = "beta"
     """Compare O_i O_{i+1} O_i with O_{i+1} O_i O_{i+1} on sample inputs.
 
     Returns {"holds": bool, "witness": poly-or-None, "input": sample-or-None}
-    with the difference of the two sides as witness on first failure."""
+    with the difference of the two sides as witness on first failure.
+    mode names the operator: "beta", "partial", "pi" or "fgl" (A_i)."""
     ctx._check_index(i + 1)
+    op = {"beta": ctx.phi_beta, "partial": ctx.partial, "pi": ctx.pi_op,
+          "fgl": ctx.A_op}.get(mode)
+    if op is None:
+        raise ValueError(f"unknown mode {mode!r}")
     for p in samples:
-        lhs = ctx.compose_word((i, i + 1, i), p, mode)
-        rhs = ctx.compose_word((i + 1, i, i + 1), p, mode)
+        lhs = ctx.compose_word((i, i + 1, i), p, op)
+        rhs = ctx.compose_word((i + 1, i, i + 1), p, op)
         diff = lhs - rhs
         if not diff.is_zero():
             return {"holds": False, "witness": diff, "input": p}

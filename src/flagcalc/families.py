@@ -53,7 +53,7 @@ def beta_poly_via_word(w: Permutation, word: tuple) -> SparsePoly:
     if apply_word(word, n) != target or len(word) != target.length():
         raise ValueError("word is not a reduced word of w0*w")
     ctx = OperatorContext(n)
-    return ctx.compose_word(word, h_top(n), mode="beta")
+    return ctx.compose_word(word, h_top(n), ctx.phi_beta)
 
 
 def beta_poly(w: Permutation) -> SparsePoly:

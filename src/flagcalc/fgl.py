@@ -66,7 +66,8 @@ def make_multiplicative(b, D: int, ring: CoefficientRing | None = None
     u = SparsePoly.var(ring, "u")
     v = SparsePoly.var(ring, "v")
     F = TruncatedSeries(u + v - b * u * v, D)
-    chi = series_reciprocal(TruncatedSeries(1 - b * u, D)) * -u
+    recip = series_reciprocal(TruncatedSeries(1 - b * u, D)).body
+    chi = TruncatedSeries(sum_of_products([(recip, -u)], ring, D), D)
     return FormalGroupLaw(ring, F, chi, D)
 
 
@@ -80,7 +81,7 @@ def make_universal_rational(K: int, D: int) -> FormalGroupLaw:
     for k in range(1, K + 1):
         log = log + SparsePoly.var(ring, f"m{k}") * t ** (k + 1)
     log_s = TruncatedSeries(log, D)
-    exp_s = compositional_inverse(log_s, "t")
+    exp_s = compositional_inverse(log_s)
     u = SparsePoly.var(ring, "u")
     v = SparsePoly.var(ring, "v")
     log_u = log_s.substitute_into({"t": u}).body

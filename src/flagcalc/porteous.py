@@ -98,7 +98,8 @@ def _walk(t: RankTriple, start: SparsePoly, n_pad: int = 0) -> SparsePoly:
     """phi along the lex-smallest reduced word of u^-1 nu, in S_{n + n_pad}."""
     word = lex_smallest_reduced_word(t.dominant().inverse().compose(
         t.permutation()))
-    return OperatorContext(t.n + n_pad).compose_word(word, start, mode="beta")
+    ctx = OperatorContext(t.n + n_pad)
+    return ctx.compose_word(word, start, ctx.phi_beta)
 
 
 def _ck_body(t: RankTriple) -> SparsePoly:

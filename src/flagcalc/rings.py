@@ -326,7 +326,9 @@ class SparsePoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = SparsePoly(self.ring, {(): other})
+            # as a constant term, so a non-integral Fraction over Z or Z[b]
+            # is unequal rather than an error
+            return self._terms == ({0: other} if other else {})
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return self.ring == other.ring and self._terms == other._terms
@@ -710,36 +712,13 @@ class TruncatedSeries:
         if self.body.degree() > self.bound:
             object.__setattr__(self, "body", self.body.truncate(self.bound))
 
-    def _check(self, other: "TruncatedSeries"):
-        if self.bound != other.bound:
-            raise ValueError("truncation bounds differ")
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check(other)
-            other = other.body
-        return TruncatedSeries(self.body + other, self.bound)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check(other)
-            other = other.body
-        return TruncatedSeries(sum_of_products(
-            [(self.body, self.body._coerce(other))], self.body.ring,
-            self.bound), self.bound)
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.bound == other.bound and self.body == other.body
-        return self.body == other
-
     def substitute_into(self, assignment: dict) -> "TruncatedSeries":
         """Substitute polynomials for variables, re-truncating.
 
         Every image must have zero constant term, so the composite is a
         well-defined series."""
         for v, img in assignment.items():
-            if isinstance(img, SparsePoly) and img.constant_term():
+            if img.constant_term() if isinstance(img, SparsePoly) else img:
                 raise ValueError(f"image of {v} has a constant term")
         return TruncatedSeries(
             self.body.substitute(assignment, bound=self.bound), self.bound)
@@ -753,42 +732,39 @@ def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
     ring = s.body.ring
     c0 = s.body.constant_term()
     c = c0.coeff(())
-    if c == 0 or c0 != SparsePoly(ring, {(): c}):
+    if c == 0 or c0 != c:
         raise ValueError("constant term is not a unit constant")
     if not ring.rational and c not in (1, -1):
         raise ValueError(f"{c} is not a unit over {ring.kind}")
     cinv = Fraction(1, c) if ring.rational else c  # c = +-1 otherwise
     # s = c(1 - r) with r of positive degree: invert via the geometric series
     one = SparsePoly.const(ring, 1)
-    r = TruncatedSeries(one - s.body * cinv, s.bound)
-    acc = TruncatedSeries(one, s.bound)
-    power = acc
+    r = one - s.body * cinv
+    acc = power = one
     for _ in range(s.bound):
-        power = power * r
-        if power.body.is_zero():
+        power = sum_of_products([(power, r)], ring, s.bound)
+        if not power:
             break
         acc = acc + power
-    return TruncatedSeries(acc.body * cinv, s.bound)
+    return TruncatedSeries(acc * cinv, s.bound)
 
 
-def compositional_inverse(s: TruncatedSeries, var: str = "t") -> TruncatedSeries:
-    """Inverse under composition of a single-variable series t + O(t^2).
+def compositional_inverse(s: TruncatedSeries) -> TruncatedSeries:
+    """Inverse under composition of a series t + O(t^2) in t alone.
 
     Fixed-point iteration g <- g - (s(g) - t), not Newton iteration:
     each pass gains one order of accuracy, so bound passes suffice."""
     ring = s.body.ring
-    vars_ = {v for v in s.body.variables() if not is_coefficient_var(v)}
-    if vars_ - {var}:
-        raise ValueError(f"series involves variables besides {var}")
-    if s.body.coeff(((var, 1),)) != 1:
+    if {v for v in s.body.variables() if not is_coefficient_var(v)} - {"t"}:
+        raise ValueError("series involves variables besides t")
+    if s.body.coeff((("t", 1),)) != 1:
         raise ValueError("linear coefficient must be 1")
     if not s.body.constant_term().is_zero():
         raise ValueError("nonzero constant term")
-    t = SparsePoly.var(ring, var)
-    g = TruncatedSeries(t, s.bound)
+    t = g = SparsePoly.var(ring, "t")
     for _ in range(s.bound):
-        err = s.substitute_into({var: g.body}).body - t
+        err = s.substitute_into({"t": g}).body - t
         if err.is_zero():
             break
-        g = TruncatedSeries(g.body - err, s.bound)
-    return g
+        g = g - err
+    return TruncatedSeries(g, s.bound)

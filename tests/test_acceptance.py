@@ -143,8 +143,8 @@ def test_08_operator_algebra_randomised():
         ok = ok and ctx.phi_beta(i, ctx.phi_beta(i, p)) == \
             -b * ctx.phi_beta(i, p)
         j = rng.randint(1, 2)
-        lhs = ctx.compose_word((j, j + 1, j), p)
-        rhs = ctx.compose_word((j + 1, j, j + 1), p)
+        lhs = ctx.compose_word((j, j + 1, j), p, ctx.phi_beta)
+        rhs = ctx.compose_word((j + 1, j, j + 1), p, ctx.phi_beta)
         ok = ok and lhs == rhs
         ok = ok and ctx.phi_beta(1, ctx.phi_beta(3, p)) == \
             ctx.phi_beta(3, ctx.phi_beta(1, p))

@@ -104,6 +104,11 @@ class TestBraid:
         res = braid_check(ctx, 1, samples(ring, 6), mode)
         assert res["holds"] and res["witness"] is None
 
+    def test_unknown_mode_raises(self, ring):
+        ctx = OperatorContext(3)
+        with pytest.raises(ValueError, match="unknown mode"):
+            braid_check(ctx, 1, samples(ring, 6), "phi")
+
     def test_commutation_far_apart(self, ring):
         ctx = OperatorContext(4)
         for p in samples(ring, 7, nvars=4):
@@ -204,10 +209,10 @@ class TestWords:
     def test_order_convention(self, ring):
         ctx = OperatorContext(3)
         p = V(ring, "x1", 2) * V(ring, "x2")
-        assert ctx.compose_word((1, 2), p) == \
+        assert ctx.compose_word((1, 2), p, ctx.phi_beta) == \
             ctx.phi_beta(2, ctx.phi_beta(1, p))
 
     def test_empty_word(self, ring):
         ctx = OperatorContext(3)
         p = V(ring, "x1")
-        assert ctx.compose_word((), p) == p
+        assert ctx.compose_word((), p, ctx.phi_beta) == p

@@ -238,8 +238,9 @@ class TestBottSamelson:
                     for k in range(1, len(word) + 1)}
         assert len(calls) == len(prefixes)
         for (n, word), p in got.items():
-            fresh = OperatorContext(n, fgl=fgl).compose_word(
-                word, bott_samelson_initial(fgl, n), mode="fgl")
+            ctx = OperatorContext(n, fgl=fgl)
+            fresh = ctx.compose_word(
+                word, bott_samelson_initial(fgl, n), ctx.A_op)
             assert p == fresh
 
     def test_bad_index_rejected_after_a_memoised_prefix(self):

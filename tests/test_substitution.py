@@ -4,13 +4,15 @@ fixed-point formal inverse kept in rings_reference.
 
 Hypothesis runs derandomised, so every run draws the same examples."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rings_reference as ref
 from flagcalc.fgl import make_multiplicative
-from flagcalc.rings import SparsePoly, TruncatedSeries, ZZ, beta_ring
+from flagcalc.rings import QQ, SparsePoly, TruncatedSeries, ZZ, beta_ring
 from test_packed import (
     GEOMETRIC, RINGS, _names, assert_same, both, fixed, raw_polys)
 
@@ -82,3 +84,13 @@ def test_closed_form_chi_matches_fixed_point(b, D):
     u, v = ref.RefPoly.var(ring, "u"), ref.RefPoly.var(ring, "v")
     F = (u + v - b * u * v).truncate(D)
     assert_same(fgl.chi.body, ref.solve_chi(F, D))
+
+
+@pytest.mark.parametrize("image", [3, Fraction(-1, 2)])
+def test_numeric_image_with_constant_is_rejected(image):
+    # a number is an image like any other: a nonzero one is a constant term
+    F = make_multiplicative(2, 4, QQ).F
+    x1 = SparsePoly.var(QQ, "x1")
+    with pytest.raises(ValueError, match="constant term"):
+        F.substitute_into({"u": image, "v": x1})
+    assert F.substitute_into({"u": 0, "v": x1}).body == x1
