@@ -1,19 +1,18 @@
 """Batch command-line front-end.
 
-Exit codes: 2 for usage errors (click) and input the library rejects
+Exit codes: 2 for usage errors and input the library rejects
 (ValueError), 3 for violated mathematical contracts (exact-division or
 symmetry failures), 1 for anything else.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import re
 import sys
 from fractions import Fraction
-
-import click
 
 from . import families, hecke
 from .divdiff import OperatorContext, braid_check
@@ -28,18 +27,20 @@ from .perms import Permutation
 from .porteous import RankTriple, SymmetryError, thom_porteous
 from .rings import DivisionError, SparsePoly, beta_ring
 
-_POSITIVE = click.IntRange(min=1)
-_RANK = click.IntRange(min=0)
 _TERM_SPLIT = re.compile(r"(?=[+-])")
 _WORD_SPLIT = re.compile(r"\s*,\s*|\s+")
 _FACTOR = re.compile(r"([a-zA-Z]+\d*)(?:\^(\d+))?|(\d+(?:/\d+)?)")
+
+
+class UsageError(ValueError):
+    """A malformed command line or polynomial."""
 
 
 def parse_poly(text: str, ring) -> SparsePoly:
     """Parse '2 x1^2 y1 - 3/2 b x2 + 1'-style expressions (no parentheses)."""
     text = text.replace("*", " ").strip()
     if not text:
-        raise click.UsageError("empty polynomial")
+        raise UsageError("empty polynomial")
     out = SparsePoly.zero(ring)
     for chunk in _TERM_SPLIT.split(text):
         chunk = chunk.strip()
@@ -55,32 +56,30 @@ def parse_poly(text: str, ring) -> SparsePoly:
         matched = False
         for m in _FACTOR.finditer(chunk):
             if chunk[pos:m.start()].strip():
-                raise click.UsageError(f"cannot parse {chunk!r}")
+                raise UsageError(f"cannot parse {chunk!r}")
             pos = m.end()
             matched = True
             if m.group(3):
                 try:
                     c = Fraction(m.group(3))
                 except ZeroDivisionError:
-                    raise click.UsageError(
+                    raise UsageError(
                         f"zero denominator in {chunk!r}") from None
                 term = term * SparsePoly(ring, {(): c})
             else:
                 term = term * SparsePoly.var(
                     ring, m.group(1), int(m.group(2) or 1))
         if not matched or chunk[pos:].strip():
-            raise click.UsageError(f"cannot parse {chunk!r}")
+            raise UsageError(f"cannot parse {chunk!r}")
         out = out + term
     return out
 
 
 def emit(poly: SparsePoly, fmt: str):
     if fmt == "json":
-        click.echo(json.dumps(poly.to_json_obj(), sort_keys=True))
-    elif fmt == "latex":
-        click.echo(poly.to_latex())
+        print(json.dumps(poly.to_json_obj(), sort_keys=True))
     else:
-        click.echo(poly.to_text())
+        print(poly.to_latex() if fmt == "latex" else poly.to_text())
 
 
 def _make_law(law: str, trunc: int, loggen: int):
@@ -91,7 +90,7 @@ def _make_law(law: str, trunc: int, loggen: int):
         return make_multiplicative(SparsePoly.var(ring, "b"), trunc, ring)
     if law == "universal":
         return make_universal_rational(loggen, trunc)
-    raise click.UsageError(f"unknown law {law!r}")
+    raise UsageError(f"unknown law {law!r}")
 
 
 def _parse_word(text: str) -> tuple:
@@ -100,190 +99,208 @@ def _parse_word(text: str) -> tuple:
         return ()
     tokens = _WORD_SPLIT.split(text.strip())
     if "" in tokens:
-        raise click.UsageError(f"empty index in word {text!r}")
+        raise UsageError(f"empty index in word {text!r}")
     return tuple(map(int, tokens))
 
 
-fmt_option = click.option("--format", "fmt",
-                          type=click.Choice(["text", "json", "latex"]),
-                          default="text", show_default=True)
+def _at_least(low: int):
+    """An argument type: an integer no less than low."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is not >= {low}")
+        return int(text)
+    return integer
 
 
-@click.group()
-def main():
-    """Exact calculator for Schubert-type polynomial families."""
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError in place of printing the usage and exiting."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
-@main.command()
-@click.option("--theory", type=click.Choice(["beta", "schubert", "grothendieck"]),
-              default="beta", show_default=True)
-@click.option("--perm", required=True, help='one-line notation, e.g. "3 1 2"')
-@click.option("--n", type=int, default=None,
-              help="ambient rank (defaults to the permutation size)")
-@fmt_option
-def family(theory, perm, n, fmt):
+def family(args):
     """Compute a member of one of the named polynomial families."""
-    w = Permutation.from_one_line(perm)
-    if n is not None:
-        w = w.embed(n)
+    w = Permutation.from_one_line(args.perm)
+    if args.n is not None:
+        w = w.embed(args.n)
     build = {"beta": families.beta_poly, "schubert": families.double_schubert,
-             "grothendieck": families.double_grothendieck}[theory]
-    emit(build(w), fmt)
+             "grothendieck": families.double_grothendieck}[args.theory]
+    emit(build(w), args.format)
 
 
-@main.command("bott-samelson")
-@click.option("--law", type=click.Choice(["additive", "multiplicative",
-                                          "universal"]), default="universal",
-              show_default=True)
-@click.option("--word", default="", help='comma-separated indices, e.g. "1,2,1"')
-@click.option("--n", type=_POSITIVE, required=True)
-@click.option("--trunc", type=_POSITIVE, default=None,
-              help="truncation bound D (default n(n-1)/2 + 2)")
-@click.option("--loggen", type=_POSITIVE, default=None,
-              help="number K of log generators (universal law)")
-@fmt_option
-def bott_samelson(law, word, n, trunc, loggen, fmt):
+def bott_samelson(args):
     """Push-forward class for a word over a formal group law."""
-    D = trunc if trunc is not None else n * (n - 1) // 2 + 2
-    K = loggen if loggen is not None else D
-    fgl = _make_law(law, D, K)
-    emit(families.bott_samelson_class(fgl, _parse_word(word), n), fmt)
+    D = args.trunc or args.n * (args.n - 1) // 2 + 2
+    K = args.loggen or D
+    fgl = _make_law(args.law, D, K)
+    emit(families.bott_samelson_class(fgl, _parse_word(args.word), args.n),
+         args.format)
 
 
-@main.command()
-@click.option("--e", type=int, required=True)
-@click.option("--f", type=int, required=True)
-@click.option("--r", type=int, required=True)
-@click.option("--theory", type=click.Choice(["ck", "ch", "k0"]), default="ck",
-              show_default=True)
-@fmt_option
-def porteous(e, f, r, theory, fmt):
+def porteous(args):
     """Universal degeneracy-locus polynomial in Chern classes."""
-    dp = thom_porteous(RankTriple(e, f, r), theory)
-    if fmt == "json":
-        obj = dp.body.to_json_obj()
-        obj["slots"] = {"c": dp.slot_labels[0], "d": dp.slot_labels[1]}
-        obj["theory"] = dp.theory
-        click.echo(json.dumps(obj, sort_keys=True))
+    dp = thom_porteous(RankTriple(args.e, args.f, args.r), args.theory)
+    if args.format == "json":
+        slots = {"c": dp.slot_labels[0], "d": dp.slot_labels[1]}
+        print(json.dumps({**dp.body.to_json_obj(), "slots": slots,
+                          "theory": dp.theory}, sort_keys=True))
     else:
-        emit(dp.body, fmt)
+        emit(dp.body, args.format)
 
 
-@main.group("hecke")
-def hecke_group():
-    """Operations in the degenerate Hecke algebra."""
-
-
-@hecke_group.command()
-@click.option("--n", type=_POSITIVE, default=3, show_default=True)
-def verify(n):
+def verify(args):
     """Emit a pass/fail certificate for each algebra identity."""
-    results = hecke.verify_identities(n)
-    click.echo(json.dumps(results, sort_keys=True))
+    results = hecke.verify_identities(args.n)
+    print(json.dumps(results, sort_keys=True))
     if not all(r["ok"] for r in results):
         sys.exit(3)
 
 
-@main.command()
-@click.option("--law", type=click.Choice(["beta", "additive", "multiplicative",
-                                          "universal"]), default="universal",
-              show_default=True)
-@click.option("--n", type=int, default=3, show_default=True)
-@click.option("--i", type=int, default=1, show_default=True)
-@click.option("--trunc", type=_POSITIVE, default=4, show_default=True)
-@click.option("--loggen", type=_POSITIVE, default=None)
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="seed for the randomised sample polynomials")
-def braid(law, n, i, trunc, loggen, seed):
+def braid(args):
     """Test the braid relation on sample polynomials; report a witness."""
-    K = loggen if loggen is not None else max(trunc, 1)
-    if law == "beta":
-        ctx = OperatorContext(n)
+    K = args.loggen or max(args.trunc, 1)
+    if args.law == "beta":
+        ctx = OperatorContext(args.n)
         mode = "beta"
         ring = beta_ring()
     else:
-        fgl = _make_law(law, trunc, K)
-        ctx = OperatorContext(n, fgl=fgl)
+        fgl = _make_law(args.law, args.trunc, K)
+        ctx = OperatorContext(args.n, fgl=fgl)
         mode = "fgl"
         ring = fgl.ring
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     samples = [SparsePoly.var(ring, "x1", 2) * SparsePoly.var(ring, "x2")]
     for _ in range(5):
         p = SparsePoly.zero(ring)
         for _ in range(4):
             term = SparsePoly(ring, {(): rng.randint(-3, 3)})
-            for k in range(1, n + 1):
+            for k in range(1, args.n + 1):
                 term = term * SparsePoly.var(ring, f"x{k}", rng.randint(0, 2))
             p = p + term
         samples.append(p)
-    report = braid_check(ctx, i, samples, mode)
+    report = braid_check(ctx, args.i, samples, mode)
     out = {"holds": report["holds"]}
     if not report["holds"]:
         out["witness"] = report["witness"].to_text()
         out["input"] = report["input"].to_text()
-    click.echo(json.dumps(out, sort_keys=True))
+    print(json.dumps(out, sort_keys=True))
 
 
-@main.group("flagring")
-def flagring_group():
-    """The flag-bundle quotient ring."""
-
-
-@flagring_group.command("reduce")
-@click.option("--n", type=_POSITIVE, required=True)
-@click.option("--trivial", is_flag=True,
-              help="zero base Chern classes (trivial bundle)")
-@click.option("--input", "input_", required=True, help="polynomial to reduce")
-@fmt_option
-def flagring_reduce(n, trivial, input_, fmt):
+def flagring_reduce(args):
     """Normal form modulo (e_i(x) - c_i)."""
     ring = beta_ring()
-    pres = FlagRingPresentation.trivial(n, ring) if trivial \
-        else FlagRingPresentation.symbolic(n, ring)
-    p = parse_poly(input_, ring)
-    emit(pres.reduce(p), fmt)
+    pres = FlagRingPresentation.trivial(args.n, ring) if args.trivial \
+        else FlagRingPresentation.symbolic(args.n, ring)
+    p = parse_poly(args.input, ring)
+    emit(pres.reduce(p), args.format)
 
 
-@main.command("chern-tensor")
-@click.option("--law", type=click.Choice(["additive", "multiplicative",
-                                          "universal"]), default="multiplicative",
-              show_default=True)
-@click.option("--e", type=_RANK, required=True, help="rank of E (y-roots)")
-@click.option("--f", type=_RANK, required=True, help="rank of F (x-roots)")
-@click.option("--trunc", type=_POSITIVE, default=4, show_default=True)
-@click.option("--loggen", type=_POSITIVE, default=None)
-@fmt_option
-def chern_tensor(law, e, f, trunc, loggen, fmt):
+def chern_tensor(args):
     """Chern polynomial and top Chern class of Hom(E, F) from roots."""
-    K = loggen if loggen is not None else trunc
-    fgl = _make_law(law, trunc, K)
-    xs = [SparsePoly.var(fgl.ring, f"x{i}") for i in range(1, f + 1)]
-    ys = [SparsePoly.var(fgl.ring, f"y{j}") for j in range(1, e + 1)]
+    K = args.loggen or args.trunc
+    fgl = _make_law(args.law, args.trunc, K)
+    xs = [SparsePoly.var(fgl.ring, f"x{i}") for i in range(1, args.f + 1)]
+    ys = [SparsePoly.var(fgl.ring, f"y{j}") for j in range(1, args.e + 1)]
     chern, top = chern_tensor_dual(fgl, xs, ys)
-    if fmt == "json":
-        click.echo(json.dumps({"chern_polynomial": chern.to_json_obj(),
-                               "top": top.to_json_obj()}, sort_keys=True))
+    if args.format == "json":
+        print(json.dumps({"chern_polynomial": chern.to_json_obj(),
+                          "top": top.to_json_obj()}, sort_keys=True))
     else:
-        click.echo("chern_polynomial: " + (chern.to_latex() if fmt == "latex"
-                                           else chern.to_text()))
-        click.echo("top: " + (top.to_latex() if fmt == "latex"
-                              else top.to_text()))
+        render = (SparsePoly.to_latex if args.format == "latex"
+                  else SparsePoly.to_text)
+        print(f"chern_polynomial: {render(chern)}\ntop: {render(top)}")
 
 
-def run():  # pragma: no cover
+def _parser() -> argparse.ArgumentParser:
+    positive, rank = _at_least(1), _at_least(0)
+    laws = ["additive", "multiplicative", "universal"]
+    parser = _Parser(prog="flagcalc", description=(
+        "Exact calculator for Schubert-type polynomial families."))
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(group, name, run, *options):
+        sub = group.add_parser(name, help=run.__doc__, allow_abbrev=False,
+                               description=run.__doc__)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(run=run)
+
+    fmt = ("--format", {"choices": ["text", "json", "latex"],
+                        "default": "text"})
+    command(commands, "family", family,
+            ("--theory", {"choices": ["beta", "schubert", "grothendieck"],
+                          "default": "beta"}),
+            ("--perm", {"required": True,
+                        "help": 'one-line notation, e.g. "3 1 2"'}),
+            ("--n", {"type": int, "help":
+                     "ambient rank (defaults to the permutation size)"}),
+            fmt)
+    command(commands, "bott-samelson", bott_samelson,
+            ("--law", {"choices": laws, "default": "universal"}),
+            ("--word", {"default": "",
+                        "help": 'comma-separated indices, e.g. "1,2,1"'}),
+            ("--n", {"type": positive, "required": True}),
+            ("--trunc", {"type": positive,
+                         "help": "truncation bound D (default n(n-1)/2 + 2)"}),
+            ("--loggen", {"type": positive, "help":
+                          "number K of log generators (universal law)"}),
+            fmt)
+    command(commands, "porteous", porteous,
+            ("--e", {"type": int, "required": True}),
+            ("--f", {"type": int, "required": True}),
+            ("--r", {"type": int, "required": True}),
+            ("--theory", {"choices": ["ck", "ch", "k0"], "default": "ck"}),
+            fmt)
+    hecke_group = commands.add_parser(
+        "hecke", help="Operations in the degenerate Hecke algebra.")
+    command(hecke_group.add_subparsers(metavar="COMMAND", required=True),
+            "verify", verify, ("--n", {"type": positive, "default": 3}))
+    command(commands, "braid", braid,
+            ("--law", {"choices": ["beta"] + laws, "default": "universal"}),
+            ("--n", {"type": int, "default": 3}),
+            ("--i", {"type": int, "default": 1}),
+            ("--trunc", {"type": positive, "default": 4}),
+            ("--loggen", {"type": positive}),
+            ("--seed", {"type": int, "default": 0,
+                        "help": "seed for the randomised sample polynomials"}))
+    flagring_group = commands.add_parser(
+        "flagring", help="The flag-bundle quotient ring.")
+    command(flagring_group.add_subparsers(metavar="COMMAND", required=True),
+            "reduce", flagring_reduce,
+            ("--n", {"type": positive, "required": True}),
+            ("--trivial", {"action": "store_true", "help":
+                           "zero base Chern classes (trivial bundle)"}),
+            ("--input", {"required": True, "help": "polynomial to reduce"}),
+            fmt)
+    command(commands, "chern-tensor", chern_tensor,
+            ("--law", {"choices": laws, "default": "multiplicative"}),
+            ("--e", {"type": rank, "required": True,
+                     "help": "rank of E (y-roots)"}),
+            ("--f", {"type": rank, "required": True,
+                     "help": "rank of F (x-roots)"}),
+            ("--trunc", {"type": positive, "default": 4}),
+            ("--loggen", {"type": positive}),
+            fmt)
+    return parser
+
+
+def main(argv=None):
+    """Run the command in argv (by default the process's arguments)."""
     try:
-        main(standalone_mode=False)
-    except click.UsageError as exc:
-        click.echo(exc.format_message(), err=True)
+        args = _parser().parse_args(argv)
+        args.run(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
         sys.exit(2)
     except (DivisionError, SymmetryError) as exc:
-        click.echo(f"contract violation: {exc}", err=True)
+        print(f"contract violation: {exc}", file=sys.stderr)
         sys.exit(3)
     except ValueError as exc:
         # out-of-range permutations, indices, rank triples and rings
-        click.echo(f"invalid input: {exc}", err=True)
+        print(f"invalid input: {exc}", file=sys.stderr)
         sys.exit(2)
 
 
 if __name__ == "__main__":  # pragma: no cover
-    run()
+    main()

@@ -11,8 +11,6 @@ bound D.
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
-
 from .fgl import FormalGroupLaw
 from .memo import TermMemo
 from .rings import (
@@ -30,7 +28,6 @@ __all__ = ["OperatorContext", "braid_check"]
 _GINV_MEMO = TermMemo()
 
 
-@dataclass(frozen=True)
 class OperatorContext:
     """Operators act on polynomials in x_1..x_n, over the ring of each
     polynomial they are given.
@@ -38,9 +35,10 @@ class OperatorContext:
     ``fgl`` is only needed for the generalised operators, which truncate
     at the law's bound D."""
 
-    n: int
-    _: KW_ONLY
-    fgl: FormalGroupLaw | None = None
+    __slots__ = ("n", "fgl")
+
+    def __init__(self, n: int, *, fgl: FormalGroupLaw | None = None):
+        self.n, self.fgl = n, fgl
 
     # the law's bound, which bench/trace_layers.py reads in its A_op hook
     D = property(lambda self: self.fgl.D)

@@ -9,8 +9,6 @@ phenomena but has fully generic low-order coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .rings import (
     CoefficientRing,
     SparsePoly,
@@ -31,12 +29,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class FormalGroupLaw:
-    ring: CoefficientRing
-    F: TruncatedSeries   # in u, v
-    chi: TruncatedSeries  # in u
-    D: int
+    """F in u, v and chi in u, truncated at D.  A law equals only itself,
+    so a memo keyed on it hashes no series."""
+
+    __slots__ = ("ring", "F", "chi", "D")
+
+    def __init__(self, ring: CoefficientRing, F: TruncatedSeries,
+                 chi: TruncatedSeries, D: int):
+        self.ring, self.F, self.chi, self.D = ring, F, chi, D
 
     def sum_series(self, a: SparsePoly, b: SparsePoly) -> SparsePoly:
         """F(a, b) truncated at D; a, b must have zero constant term."""

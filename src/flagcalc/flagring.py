@@ -18,7 +18,6 @@ with j >= k, so the result has a_k <= n - k for every k.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
 
 from .rings import (CoefficientRing, RingMismatchError, SparsePoly,
@@ -37,21 +36,17 @@ def _complete_homogeneous(ring, m: int, names: list) -> SparsePoly:
     return SparsePoly(ring, {tuple(Counter(c).items()): 1 for c in combos})
 
 
-@dataclass(frozen=True)
 class FlagRingPresentation:
-    n: int
-    base_chern: tuple  # c_1..c_n as SparsePoly over ring
-    ring: CoefficientRing
-    # tail_k = x_k^M - G_k per k, as (j, T_j) pairs: tail_k = sum T_j x_k^j
-    _tails: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "base_chern", "ring", "_tails")
 
-    def __post_init__(self):
-        if len(self.base_chern) != self.n:
-            raise ValueError(f"need n={self.n} base Chern classes")
-        ring = self.ring
+    def __init__(self, n: int, base_chern: tuple, ring: CoefficientRing):
+        """base_chern is c_1..c_n as SparsePoly over ring."""
+        if len(base_chern) != n:
+            raise ValueError(f"need n={n} base Chern classes")
+        self.n, self.base_chern, self.ring = n, base_chern, ring
         # (-1)^i c_i for i = 0..n
         signed = [(-1) ** i * c for i, c in enumerate(
-            (SparsePoly.const(ring, 1),) + tuple(self.base_chern))]
+            (SparsePoly.const(ring, 1),) + tuple(base_chern))]
         tails = []
         for k in range(1, self.n + 1):
             M = self.n - k + 1
@@ -62,7 +57,8 @@ class FlagRingPresentation:
             tail = SparsePoly.var(ring, f"x{k}", M) - g
             tails.append(tuple((j, t) for (j,), t in
                                tail.split((f"x{k}",)).items()))
-        object.__setattr__(self, "_tails", tuple(tails))
+        # tail_k = x_k^M - G_k per k, as (j, T_j) pairs: tail_k = sum T_j x_k^j
+        self._tails = tuple(tails)
 
     @staticmethod
     def trivial(n: int, ring: CoefficientRing) -> "FlagRingPresentation":

@@ -9,8 +9,6 @@ z(i) < z(i+1) and a factor b at a descent.  Equality is a map comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .perms import (Permutation, all_permutations, identity,
                     lex_smallest_reduced_word, transposition)
 from .rings import SparsePoly, beta_ring, sum_of_products
@@ -36,10 +34,19 @@ def oplus(a: SparsePoly, b: SparsePoly) -> SparsePoly:
     return a + b + SparsePoly.var(_RING, "b") * a * b
 
 
-@dataclass(frozen=True)
 class HeckeElement:
-    n: int
-    coeffs: tuple  # tuple of (Permutation, SparsePoly), normalised
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n: int, coeffs: tuple):
+        """coeffs is a tuple of (Permutation, SparsePoly), normalised."""
+        self.n, self.coeffs = n, coeffs
+
+    def __eq__(self, other):
+        return (type(other) is HeckeElement
+                and (self.n, self.coeffs) == (other.n, other.coeffs))
+
+    def __hash__(self):
+        return hash((self.n, self.coeffs))
 
     @staticmethod
     def from_dict(n: int, d: dict) -> "HeckeElement":

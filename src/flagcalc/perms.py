@@ -7,7 +7,7 @@ permutation and they are never canonicalised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations as _it_perms
 
 __all__ = [
@@ -25,14 +25,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
-    images: tuple  # (w(1), ..., w(n))
+class Permutation(namedtuple("Permutation", "images")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+    def __new__(cls, images: tuple):
+        """images = (w(1), ..., w(n))."""
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        return tuple.__new__(cls, (images,))
 
     @property
     def n(self) -> int:

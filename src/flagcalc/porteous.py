@@ -9,7 +9,7 @@ y-side).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .divdiff import OperatorContext
@@ -40,17 +40,18 @@ class SymmetryError(ValueError):
     """Input is not symmetric in the declared variable blocks."""
 
 
-@dataclass(frozen=True)
-class RankTriple:
-    e: int  # rank of the source bundle (y-side)
-    f: int  # rank of the target bundle (x-side)
-    r: int  # rank bound
+class RankTriple(namedtuple("RankTriple", "e f r")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.r <= min(self.e, self.f)):
-            raise ValueError(f"need 0 <= r <= min(e, f), got {self}")
-        if self.e + self.f - self.r < 1:
+    def __new__(cls, e: int, f: int, r: int):
+        """e and f are the ranks of the source (y-side) and target (x-side)
+        bundles, r the rank bound."""
+        t = tuple.__new__(cls, (e, f, r))
+        if not (0 <= r <= min(e, f)):
+            raise ValueError(f"need 0 <= r <= min(e, f), got {t}")
+        if e + f - r < 1:
             raise ValueError("empty triple")
+        return t
 
     @property
     def n(self) -> int:
@@ -73,12 +74,12 @@ class RankTriple:
         return (self.e - self.r) * (self.f - self.r)
 
 
-@dataclass(frozen=True)
-class DPoly:
-    triple: RankTriple
-    theory: str  # Beta | CH | K0 | CK
-    body: SparsePoly  # in c_1..c_f (x-side), d_1..d_e (y-side)
-    slot_labels: tuple  # (label for the c-slots, label for the d-slots)
+class DPoly(namedtuple("DPoly", "triple theory body slot_labels")):
+    """A body in c_1..c_f (x-side) and d_1..d_e (y-side) for a triple;
+    theory is Beta, CH, K0 or CK, and slot_labels label the c- and the
+    d-slots."""
+
+    __slots__ = ()
 
 
 def specialize_nu(t: RankTriple, n_pad: int = 0) -> SparsePoly:

@@ -30,8 +30,8 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, islice, product, repeat
@@ -69,16 +69,17 @@ class ExponentOverflowError(ValueError):
     """An exponent or a geometric degree would exceed MAX_EXP."""
 
 
-@dataclass(frozen=True)
-class CoefficientRing:
-    kind: str  # Integers | Rationals | BetaRing | LazardRational
-    K: int = 0  # number of log generators, LazardRational only
+class CoefficientRing(namedtuple("CoefficientRing", "kind K")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("Integers", "Rationals", "BetaRing", "LazardRational"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "LazardRational" and self.K < 1:
+    def __new__(cls, kind: str, K: int = 0):
+        """kind is Integers, Rationals, BetaRing or LazardRational; K is
+        the number of log generators, of LazardRational only."""
+        if kind not in ("Integers", "Rationals", "BetaRing", "LazardRational"):
+            raise ValueError(f"unknown ring kind {kind!r}")
+        if kind == "LazardRational" and K < 1:
             raise ValueError("LazardRational needs K >= 1")
+        return tuple.__new__(cls, (kind, K))
 
     @property
     def rational(self) -> bool:
@@ -204,12 +205,19 @@ _KEY_DOWN = _KEY_UP[::-1]
 _DROP_KEYS = dict.fromkeys(range(32))
 
 
-def _keys(digits, count) -> list:
-    """Keys of one width, in digits' order, of 0 up to at least count - 1."""
-    if count <= 32:
+def _keys(digits, top, col) -> "list | dict":
+    """Keys of one width, in digits' order, indexed by exponent: a list of
+    0 up to at least top, or, when top needs more than one digit and
+    exceeds the length of col, a dict of col's exponents alone."""
+    if top < 32:
         return digits
-    width = ((count - 1).bit_length() + 4) // 5
-    return list(islice(map("".join, product(digits, repeat=width)), count))
+    width = (top.bit_length() + 4) // 5
+    if top < len(col):
+        return list(islice(map("".join, product(digits, repeat=width)),
+                           top + 1))
+    shifts = range(5 * width - 5, -1, -5)
+    return {e: "".join([digits[e >> k & 31] for k in shifts])
+            for e in set(col)}
 
 
 def _clean(terms: dict, rational: bool) -> dict:
@@ -562,15 +570,20 @@ class SparsePoly:
         names, (total, *cols), (top, *tops) = _columns(self._terms)
         for v, col, t in zip(names, cols, tops):
             if is_coefficient_var(v):
-                total, top = map(add, total, col), top + t
-        words = [map(_keys(_KEY_UP, top + 1).__getitem__, total)]
+                total, top = list(map(add, total, col)), top + t
+        words = [map(_keys(_KEY_UP, top, total).__getitem__, total)]
         for s, col, t in zip(map(label, names), cols, tops):
             # by exponent: its key, then its printed power after a space
-            powers = ["", " " + s]
-            if t > 1:
-                powers += [" " + power(s, e) for e in range(2, t + 1)]
-            words.append(map(list(map(
-                add, _keys(_KEY_DOWN, t + 1), powers)).__getitem__, col))
+            keys = _keys(_KEY_DOWN, t, col)
+            if type(keys) is dict:
+                word = {e: k + (" " + power(s, e) if e > 1 else " " + s
+                                if e else "") for e, k in keys.items()}
+            else:
+                powers = ["", " " + s]
+                if t > 1:
+                    powers += [" " + power(s, e) for e in range(2, t + 1)]
+                word = list(map(add, keys, powers))
+            words.append(map(word.__getitem__, col))
         signs = {c: " +" if c == 1 else " -" if c == -1
                  else " + " + magnitude(c) if c > 0 else " - " + magnitude(-c)
                  for c in set(self._terms.values())}
@@ -698,19 +711,24 @@ def divide_by_difference(p: SparsePoly, va: str, vb: str) -> SparsePoly:
 
 # -- truncated power series --------------------------------------------------
 
-@dataclass(frozen=True)
 class TruncatedSeries:
     """A polynomial representing a power series modulo degree > bound.
 
     Only geometric variables count towards the bound; the generators b
     and m_k live in degree 0 for truncation purposes."""
 
-    body: SparsePoly
-    bound: int
+    __slots__ = ("body", "bound")
 
-    def __post_init__(self):
-        if self.body.degree() > self.bound:
-            object.__setattr__(self, "body", self.body.truncate(self.bound))
+    def __init__(self, body: SparsePoly, bound: int):
+        self.body = body.truncate(bound) if body.degree() > bound else body
+        self.bound = bound
+
+    def __eq__(self, other):
+        return (type(other) is TruncatedSeries
+                and (self.body, self.bound) == (other.body, other.bound))
+
+    def __hash__(self):
+        return hash((self.body, self.bound))
 
     def substitute_into(self, assignment: dict) -> "TruncatedSeries":
         """Substitute polynomials for variables, re-truncating.

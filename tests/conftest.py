@@ -1,7 +1,9 @@
 import random
+from collections import namedtuple
 
 import pytest
 
+from flagcalc.cli import main
 from flagcalc.rings import SparsePoly, beta_ring
 
 
@@ -26,3 +28,16 @@ def random_poly(ring, rng: random.Random, nvars: int = 3, nterms: int = 4,
             term = term * SparsePoly.var(ring, "b", rng.randint(1, 2))
         p = p + term
     return p
+
+
+Result = namedtuple("Result", "exit_code output")
+
+
+def invoke(capsys, *args):
+    """Run the command line on args; its exit code and standard output."""
+    try:
+        main(list(args))
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    return Result(code, capsys.readouterr().out)

@@ -9,9 +9,6 @@ import math
 import random
 from fractions import Fraction
 
-from click.testing import CliRunner
-
-from flagcalc.cli import main as cli_main
 from flagcalc.divdiff import OperatorContext
 from flagcalc.families import (
     beta_poly,
@@ -49,7 +46,7 @@ from flagcalc.porteous import (
 )
 from flagcalc.rings import QQ, SparsePoly, ZZ, beta_ring, lazard_rational
 
-from conftest import random_poly
+from conftest import invoke, random_poly
 from locus_reference import walk_from_top
 
 _RING = beta_ring()
@@ -185,25 +182,32 @@ def test_09_multiplicative_coincidence():
 
 
 def test_10_universal_braid_failure():
-    kill = {f"y{j}": 0 for j in (1, 2, 3)}
-    pres = FlagRingPresentation.trivial(3, lazard_rational(7))
-    one = SparsePoly.const(lazard_rational(7), 1)
-    zero_m = {f"m{k}": 0 for k in range(1, 8)}
-    mult_m = {f"m{k}": Fraction(1, k + 1) for k in range(1, 8)}
     ok = True
-    for D in (3, 4, 5, 6, 7):
-        fgl = make_universal_rational(7, D)
-        b1 = bott_samelson_class(fgl, (1, 2, 1), 3)
-        b2 = bott_samelson_class(fgl, (2, 1, 2), 3)
-        r1 = pres.reduce(b1.substitute(kill))
-        r2 = pres.reduce(b2.substitute(kill))
-        witness = r1 - r2
-        ok = ok and not witness.is_zero()
-        ok = ok and r1 != one and r2 != one
-        ok = ok and any(v == "m1" for mono in witness.terms for v, _ in mono)
-        diff = b1 - b2
-        ok = ok and diff.substitute(zero_m, ring=QQ).is_zero()
-        ok = ok and diff.substitute(mult_m, ring=QQ).is_zero()
+    # (n, K, the degrees D, the pairs of reduced words of one permutation)
+    for n, K, degrees, pairs in [
+            (3, 7, (3, 4, 5, 6, 7), [((1, 2, 1), (2, 1, 2))]),
+            (4, 9, (6, 7, 8, 9), [((1, 2, 1), (2, 1, 2)),
+                                  ((2, 3, 2), (3, 2, 3))])]:
+        kill = {f"y{j}": 0 for j in range(1, n + 1)}
+        pres = FlagRingPresentation.trivial(n, lazard_rational(K))
+        one = SparsePoly.const(lazard_rational(K), 1)
+        zero_m = {f"m{k}": 0 for k in range(1, K + 1)}
+        mult_m = {f"m{k}": Fraction(1, k + 1) for k in range(1, K + 1)}
+        for D in degrees:
+            fgl = make_universal_rational(K, D)
+            for word1, word2 in pairs:
+                b1 = bott_samelson_class(fgl, word1, n)
+                b2 = bott_samelson_class(fgl, word2, n)
+                r1 = pres.reduce(b1.substitute(kill))
+                r2 = pres.reduce(b2.substitute(kill))
+                witness = r1 - r2
+                ok = ok and not witness.is_zero()
+                ok = ok and r1 != one and r2 != one
+                ok = ok and any(v == "m1" for mono in witness.terms
+                                for v, _ in mono)
+                diff = b1 - b2
+                ok = ok and diff.substitute(zero_m, ring=QQ).is_zero()
+                ok = ok and diff.substitute(mult_m, ring=QQ).is_zero()
     report(10, "word dependence for the generic law", ok)
 
 
@@ -275,8 +279,7 @@ def test_13_flag_ring_presentation():
     report(13, "flag quotient-ring presentation", ok)
 
 
-def test_14_cli_determinism():
-    runner = CliRunner()
+def test_14_cli_determinism(capsys):
     commands = [
         ["family", "--perm", "3 1 2", "--format", "json"],
         ["braid", "--law", "universal", "--n", "3", "--trunc", "4",
@@ -286,8 +289,7 @@ def test_14_cli_determinism():
     ]
     ok = True
     for args in commands:
-        first = runner.invoke(cli_main, args, catch_exceptions=False)
-        second = runner.invoke(cli_main, args, catch_exceptions=False)
+        first, second = invoke(capsys, *args), invoke(capsys, *args)
         ok = ok and first.exit_code == 0 and second.exit_code == 0
         ok = ok and first.output == second.output
     report(14, "deterministic command-line output", ok)

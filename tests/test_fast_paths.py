@@ -147,6 +147,21 @@ def test_universal_class_matches_full_product_build(n, D):
         assert bott_samelson_class(law, word, n) == built[word]
 
 
+def test_universal_initial_class_at_n5():
+    """n = 5 at D = 10, the lowest bound at which the class is nonzero.
+    Each of the ten factors F(x_i, y_j) of the initial product is x_i + y_j
+    plus terms of degree 2 and more, so only the linear parts reach degree
+    10.  On a 2-vCPU x86-64 host the full products of the test above would
+    take 22 s, and each word against the reference A_op about 1 s."""
+    law = make_universal_rational(10, 10)
+    ring = law.ring
+    initial = SparsePoly.const(ring, 1)
+    for i, j in longest_element(5).diagram():
+        x, y = SparsePoly.var(ring, f"x{i}"), SparsePoly.var(ring, f"y{j}")
+        initial *= x + y
+    assert bott_samelson_initial(law, 5) == initial
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
 @given(order=st.permutations(list(all_permutations(4))), data=st.data())
 def test_memo_fill_order_is_word_independent(order, data):

@@ -16,6 +16,18 @@ def V(ring, name, e=1):
     return SparsePoly.var(ring, name, e)
 
 
+def test_law_is_hashed_without_its_series(monkeypatch):
+    """A memo keyed on a law hashes none of its series; a law equals
+    only itself."""
+    law = make_universal_rational(6, 6)
+
+    def no_hash(self):
+        raise AssertionError("a series was hashed")
+    monkeypatch.setattr(SparsePoly, "__hash__", no_hash)
+    assert {law: 1}[law] == 1
+    assert law != make_universal_rational(6, 6)
+
+
 class TestAdditive:
     def test_sum(self):
         fgl = make_additive(4)

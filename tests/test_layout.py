@@ -6,11 +6,17 @@ divided_difference instead.
 
 Every callable that ``bench/trace_layers.py`` wraps still exists where
 ``Tracer.install`` looks it up, so a rename cannot silently drop a layer
-from ``bench/run.py --trace 1``."""
+from ``bench/run.py --trace 1``.
+
+Importing the command line loads the standard library alone: every CLI
+call and every benchmark set-up starts a fresh interpreter."""
 
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,7 +40,7 @@ def test_every_module_is_checked():
     ("key = _encode(mono)", True),
     ("return p._terms", True),
     ("names, cols, tops = rings._columns(keys)", True),
-    ("table = _keys(_KEY_DOWN, top + 1)", True),
+    ("table = _keys(_KEY_DOWN, t, col)", True),
     ("text.translate(_DROP_KEYS)", True),
     ("c_slots = []", False),
     ("json.dumps(obj, sort_keys=True)", False),
@@ -76,3 +82,25 @@ def test_traced_target_resolves(short, target):
         assert attr in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, target, None))
+
+
+def test_cli_import_loads_no_click_or_dataclasses():
+    # the modules that the import adds, so those the interpreter's site
+    # hook already loaded (such as typing) are not counted
+    code = ("import sys; before = set(sys.modules); import flagcalc.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    path = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    added = set(subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path}).stdout.split())
+    assert "flagcalc.cli" in added
+    assert not added & {"click", "dataclasses", "inspect"}
+
+
+def test_no_file_imports_click():
+    root = Path(__file__).parents[1]
+    imports = re.compile(r"^\s*(from|import)\s+click\b", re.MULTILINE)
+    files = [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]
+    assert len(files) > 20
+    assert [f.name for f in files if imports.search(f.read_text())] == []

@@ -288,6 +288,28 @@ def test_rendering_edge_cases(kind, raw):
     assert_same(*both(WIDE_RINGS[kind], raw))
 
 
+@pytest.mark.parametrize("kind", sorted(WIDE_RINGS))
+@pytest.mark.parametrize("raw", [
+    {(("x1", 16384),): 1, (("x1", 1),): 1},
+    {(("x1", 16384),): -2, (("x1", 1), ("y29", 40)): 3, (): 1},
+    {(("x1", 20), ("c17", 20)): 1, (): -1},
+    {(("y1", 32767),): Fraction(1, 1), (("t", 31),): 5, (("x29", 1024),): -1},
+    {(("x1", i), ("y1", j)): i - j for i in range(1, 33)
+     for j in range(1, 33)},
+], ids=["x1^16384+x1", "mixed", "wide-total", "top-exponent", "dense"])
+def test_rendering_of_sparse_high_powers(kind, raw):
+    """Bounds far above the number of terms, and one below it; b and the
+    m_k add to the total degree."""
+    ring = WIDE_RINGS[kind]
+    assert_same(*both(ring, raw))
+    gen = {"BetaRing": "b", "LazardRational": "m8"}.get(ring.kind)
+    if gen:
+        raw = {tuple(sorted(mono + ((gen, 40),),
+                            key=lambda pair: ref._var_key(pair[0]))): c
+               for mono, c in raw.items()}
+        assert_same(*both(ring, raw))
+
+
 @pytest.mark.parametrize("c", [Fraction(-1, 2), Fraction(-7, 3),
                                Fraction(5, 4)], ids=str)
 def test_rendering_fractions(c):

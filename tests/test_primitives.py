@@ -10,11 +10,11 @@ each against a reference kept here or in tests/:
 * ``FlagRingPresentation.reduce`` against the packed worklist in
   flagring_reference;
 * ``all_reduced_words`` against the recursive search;
-* ``chern_tensor_dual`` against the product of the factors 1 + f t.
+* ``chern_tensor_dual`` against the product of the factors 1 + f t;
+* the value classes, equal and hashed alike when built twice.
 
 Hypothesis runs derandomised, so every run draws the same examples."""
 
-from dataclasses import fields
 from functools import reduce
 from operator import mul
 
@@ -25,7 +25,9 @@ from hypothesis import strategies as st
 import rings_reference as ref
 from flagcalc import fgl
 from flagcalc.flagring import FlagRingPresentation
+from flagcalc.hecke import h_factor
 from flagcalc.perms import Permutation, all_permutations, all_reduced_words
+from flagcalc.porteous import RankTriple, thom_porteous
 from flagcalc.rings import (
     MAX_EXP,
     QQ,
@@ -33,6 +35,7 @@ from flagcalc.rings import (
     ExponentOverflowError,
     RingMismatchError,
     SparsePoly,
+    TruncatedSeries,
     beta_ring,
     divided_difference,
     lazard_rational,
@@ -301,8 +304,10 @@ def test_presentation_sets_only_declared_fields():
     pres = FlagRingPresentation.symbolic(3, beta_ring())
     x1 = SparsePoly.var(pres.ring, "x1")
     pres.reduce(x1 ** 5)
-    assert set(vars(pres)) == {f.name for f in fields(pres)}
-    assert pres == FlagRingPresentation.symbolic(3, beta_ring())
+    assert not hasattr(pres, "__dict__")
+    fresh = FlagRingPresentation.symbolic(3, beta_ring())
+    for name in FlagRingPresentation.__slots__:
+        assert getattr(pres, name) == getattr(fresh, name)
 
 
 def test_reduce_rejects_another_ring():
@@ -366,3 +371,24 @@ def test_chern_tensor_matches_product_of_factors(law, D):
             got_chern, got_top = fgl.chern_tensor_dual(law, xs, ys)
             assert got_chern.to_text() == chern.to_text()
             assert got_top.to_text() == top.to_text()
+
+
+# -- value classes ------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: lazard_rational(3),
+    lambda: Permutation((2, 3, 1)),
+    lambda: RankTriple(2, 1, 0),
+    lambda: TruncatedSeries(SparsePoly.var(ZZ, "t", 3) + 1, 2),
+    lambda: h_factor(3, 1, SparsePoly.var(beta_ring(), "x1")),
+    lambda: thom_porteous(RankTriple(2, 1, 0), "ch"),
+], ids=["ring", "permutation", "triple", "series", "hecke", "dpoly"])
+def test_value_classes_compare_by_value(build):
+    a, b = build(), build()
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+
+
+def test_hecke_element_is_no_tuple():
+    e = h_factor(3, 1, SparsePoly.var(beta_ring(), "x1"))
+    with pytest.raises(TypeError):
+        2 * e
