@@ -5,6 +5,8 @@ classes attached to words over an arbitrary formal group law.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .divdiff import OperatorContext
 from .fgl import FormalGroupLaw
 from .hecke import oplus
@@ -56,34 +58,44 @@ def beta_poly_via_word(w: Permutation, word: tuple) -> SparsePoly:
     return ctx.compose_word(word, h_top(n), ctx.phi_beta)
 
 
+def _resume(memo: TermMemo, key, walk, start, op) -> SparsePoly:
+    """memo's value at key.  On a miss, walk() gives a word and the keys of
+    its prefixes: keys[k] names the value after the first k letters, so
+    keys[0] names start()'s and keys[-1] is key.  The walk resumes at the
+    longest memoised prefix, applies op(i, p) for each further letter i
+    and memoises every prefix it passes."""
+    p = memo.get(key)
+    if p is not None:
+        return p
+    word, keys = walk()
+    k = len(word)
+    while p is None and k > 0:
+        k -= 1
+        p = memo.get(keys[k])
+    if p is None:
+        p = start()
+        memo.put(keys[0], p)
+    for k in range(k, len(word)):
+        p = op(word[k], p)
+        memo.put(keys[k + 1], p)
+    return p
+
+
 def beta_poly(w: Permutation) -> SparsePoly:
     """h_w, computed along the lex-smallest reduced word of w0*w.
 
     The walk h_{v_0} = h_top(n), h_{v_k} = phi_{i_k} h_{v_{k-1}} with
-    v_k = w0 s_{i_1} ... s_{i_k} starts at the longest prefix already
-    memoised and memoises every h_{v_k} it passes.  Each prefix is the
+    v_k = w0 s_{i_1} ... s_{i_k} is memoised by v_k.  Each prefix is the
     lex-smallest reduced word of w0*v_k, and h_v does not depend on the
     word, so a full sweep of S_n costs n! - 1 operator applications."""
-    p = _FAMILY_MEMO.get(w)
-    if p is not None:
-        return p
     n = w.n
-    word = lex_smallest_reduced_word(longest_element(n).compose(w))
-    chain = [longest_element(n)]
-    for i in word:
-        chain.append(chain[-1].right_multiply(i))
-    k = len(word)
-    while p is None and k > 0:
-        k -= 1
-        p = _FAMILY_MEMO.get(chain[k])
-    if p is None:
-        p = h_top(n)
-        _FAMILY_MEMO.put(chain[0], p)
-    ctx = OperatorContext(n)
-    for k in range(k, len(word)):
-        p = ctx.phi_beta(word[k], p)
-        _FAMILY_MEMO.put(chain[k + 1], p)
-    return p
+
+    def walk():
+        w0 = longest_element(n)
+        word = lex_smallest_reduced_word(w0.compose(w))
+        return word, [*accumulate(word, Permutation.right_multiply, initial=w0)]
+    return _resume(_FAMILY_MEMO, w, walk, lambda: h_top(n),
+                   OperatorContext(n).phi_beta)
 
 
 def double_schubert(w: Permutation) -> SparsePoly:
@@ -114,23 +126,15 @@ def bott_samelson_initial(fgl: FormalGroupLaw, n: int) -> SparsePoly:
 
 def bott_samelson_class(fgl: FormalGroupLaw, word: tuple, n: int
                         ) -> SparsePoly:
-    """Apply the word's generalised operators to the initial class, from
-    the longest memoised prefix of the word (the empty prefix holds the
-    initial class); every prefix passed is memoised.  Results are
-    word-dependent in general: no deduplication across words with equal
-    products."""
+    """Apply the word's generalised operators to the initial class, memoised
+    per law, n and prefix of the word (the empty prefix holds the initial
+    class).  Results are word-dependent in general: no deduplication
+    across words with equal products."""
     word = tuple(word)
     for i in word:
         if not 1 <= i <= n - 1:
             raise ValueError(f"index {i} out of range for n={n}")
-    k = len(word)
-    while (out := _BS_MEMO.get((fgl, n, word[:k]))) is None and k:
-        k -= 1
-    if out is None:
-        out = bott_samelson_initial(fgl, n)
-        _BS_MEMO.put((fgl, n, ()), out)
-    ctx = OperatorContext(n, fgl=fgl)
-    for k in range(k, len(word)):
-        out = ctx.A_op(word[k], out)
-        _BS_MEMO.put((fgl, n, word[:k + 1]), out)
-    return out
+    keys = [(fgl, n, word[:k]) for k in range(len(word) + 1)]
+    return _resume(_BS_MEMO, keys[-1], lambda: (word, keys),
+                   lambda: bott_samelson_initial(fgl, n),
+                   OperatorContext(n, fgl=fgl).A_op)

@@ -13,8 +13,6 @@ from collections import namedtuple
 from itertools import combinations
 
 from .divdiff import OperatorContext
-from .families import cell_product
-from .hecke import oplus
 from .memo import TermMemo
 from .perms import Permutation, lex_smallest_reduced_word, nu_triple
 from .rings import SparsePoly, ZZ, beta_ring, sum_of_products
@@ -83,37 +81,34 @@ class DPoly(namedtuple("DPoly", "triple theory body slot_labels")):
 
 
 def specialize_nu(t: RankTriple, n_pad: int = 0) -> SparsePoly:
-    """The family member for the triple's permutation nu.
+    """The family member for the triple's permutation nu: the memoised CK
+    body with the elementary symmetric functions substituted back in.
 
-    The walk starts at the dominant u = t.dominant(), whose member is the
-    product over its rectangle, and applies phi along a reduced word of
-    u^-1 nu: r(f - r) steps on x_1..x_f, so no variable beyond x_f or y_e
-    appears.  ``n_pad`` runs the same steps inside S_{n + n_pad}."""
+    No variable beyond x_f or y_e appears, and the member inside
+    S_{n + n_pad} is the same polynomial, so ``n_pad`` changes nothing."""
     if n_pad < 0:
         raise ValueError(f"n_pad must be >= 0, got {n_pad}")
-    start = cell_product(beta_ring(), t.dominant().diagram(), oplus)
-    return _walk(t, start, n_pad)
-
-
-def _walk(t: RankTriple, start: SparsePoly, n_pad: int = 0) -> SparsePoly:
-    """phi along the lex-smallest reduced word of u^-1 nu, in S_{n + n_pad}."""
-    word = lex_smallest_reduced_word(t.dominant().inverse().compose(
-        t.permutation()))
-    ctx = OperatorContext(t.n + n_pad)
-    return ctx.compose_word(word, start, ctx.phi_beta)
+    return from_elementary(thom_porteous(t, "ck"))
 
 
 def _ck_body(t: RankTriple) -> SparsePoly:
-    """The CK body: the walk started in the d-slots, then only the x-block
-    rewritten.  A row of the start is prod_j (x + y_j + b x y_j) =
-    sum_k x^(e - k) (1 + b x)^k d_k with d_0 = 1; phi never touches y."""
+    """The CK body: the walk from the dominant u = t.dominant(), whose
+    member is the product over its rectangle, applying phi along the
+    lex-smallest reduced word of u^-1 nu (r(f - r) steps on x_1..x_f),
+    started in the d-slots; then only the x-block is rewritten.  A row of
+    the start is prod_j (x + y_j + b x y_j) = sum_k x^(e - k) (1 + b x)^k d_k
+    with d_0 = 1; phi never touches y."""
     ring = beta_ring()
     d = [1] + [SparsePoly.var(ring, f"d{k}") for k in range(1, t.e + 1)]
     start = SparsePoly.const(ring, 1)
     for x in (SparsePoly.var(ring, f"x{i}") for i in range(1, t.f - t.r + 1)):
         unit = 1 + SparsePoly.var(ring, "b") * x
         start *= sum(x ** (t.e - k) * unit ** k * d[k] for k in range(t.e + 1))
-    return _reduce_block(_walk(t, start), *_blocks(t)[0])
+    word = lex_smallest_reduced_word(t.dominant().inverse().compose(
+        t.permutation()))
+    ctx = OperatorContext(t.n)
+    return _reduce_block(ctx.compose_word(word, start, ctx.phi_beta),
+                         *_blocks(t)[0])
 
 
 def _blocks(t: RankTriple):

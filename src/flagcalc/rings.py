@@ -525,28 +525,21 @@ class SparsePoly:
             out = SparsePoly._new(target, _clean(acc, target.rational))
         else:
             # the terms grouped by their exponents of the substituted
-            # variables
-            groups: dict = {}
-            for m, c in self._terms.items():
-                exps = []
-                for shift, unit, _ in subs:
-                    e = m >> shift & _FIELD
-                    m -= e * unit
-                    exps.append(e)
-                groups.setdefault(tuple(exps), {})[m] = c
-            # powers[j][e] is the j-th image to the e-th power; each group's
-            # last factor goes into the one final sum
+            # variables; powers[j][e] is the j-th image to the e-th power,
+            # and each group's last factor goes into the one final sum
             one = SparsePoly.const(target, 1)
             powers = [[one, img] for *_, img in subs]
             pairs = []
-            for exps, rest in groups.items():
-                part, factor = SparsePoly._new(target, rest), one
+            for exps, rest in self.split(assignment).items():
+                part, factor = SparsePoly._new(target, rest._terms), one
                 for e, (*_, img), pw in zip(exps, subs, powers):
                     while len(pw) <= e:
                         pw.append(
                             sum_of_products([(pw[-1], img)], target, bound))
                     if e:
-                        part = sum_of_products([(part, factor)], target, bound)
+                        if factor is not one:  # no product with 1
+                            part = sum_of_products([(part, factor)], target,
+                                                   bound)
                         factor = pw[e]
                 pairs.append((part, factor))
             out = sum_of_products(pairs, target, bound)

@@ -52,15 +52,21 @@ def reciprocal(s, D):
     return (out * cinv).truncate(D)
 
 
+# 1/g per (law, i, D), each built for its own i by full products
+_GINV = {}
+
+
 def A_op(fgl, D, i, p):
     """(1 + sigma_i)(p / F(x_i, chi(x_{i+1}))) modulo degree > D, with the
-    unit g of F(x_i, chi(x_{i+1})) = (x_i - x_{i+1}) g inverted afresh and
-    every product formed in full and then truncated."""
-    xi = SparsePoly.var(fgl.ring, f"x{i}")
-    xi1 = SparsePoly.var(fgl.ring, f"x{i + 1}")
-    denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
-    g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
-    ginv = reciprocal(g, D - 1)
+    unit g of F(x_i, chi(x_{i+1})) = (x_i - x_{i+1}) g inverted once per
+    law, i and D, and every product formed in full and then truncated."""
+    ginv = _GINV.get((fgl, i, D))
+    if ginv is None:
+        xi = SparsePoly.var(fgl.ring, f"x{i}")
+        xi1 = SparsePoly.var(fgl.ring, f"x{i + 1}")
+        denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
+        g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
+        ginv = _GINV[fgl, i, D] = reciprocal(g, D - 1)
     r = (p * ginv).truncate(D + 1)
     out = divide_by_difference(r - swap(i, r), f"x{i}", f"x{i + 1}")
     return out.truncate(D)

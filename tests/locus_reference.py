@@ -1,20 +1,26 @@
-"""References for the locus polynomials: the walk down from w0, block
+"""References for the locus polynomials: the walks in x and y, block
 symmetry by swapping variables, and the slots substituted back in.
 
-``beta_poly`` walks from h_top(m) = h_{w0} to the triple's permutation
-embedded in S_m; the variables beyond x_f and y_e are then set to zero.
-``porteous.specialize_nu`` starts lower, at a dominant permutation, and
-the tests hold it to this walk.  ``porteous.check_rect_symmetry`` and
-``to_elementary`` compare split coefficients, and the tests hold them to
-``symmetric_by_swaps``.  ``porteous.from_elementary`` multiplies memoised
-products of elementary symmetric polynomials, and the tests hold it to
+``walk_from_top`` runs ``beta_poly`` from h_top(m) = h_{w0} to the
+triple's permutation embedded in S_m; the variables beyond x_f and y_e
+are then set to zero.  ``walk_from_dominant`` starts lower, at a dominant
+permutation, with r(f - r) steps.  ``porteous.specialize_nu`` substitutes
+the slots back into the CK body, which ``porteous`` walks in the d-slots,
+and the tests hold it and the body to these walks.
+``porteous.check_rect_symmetry`` and ``to_elementary`` compare split
+coefficients, and the tests hold them to ``symmetric_by_swaps``.
+``porteous.from_elementary`` multiplies memoised products of elementary
+symmetric polynomials, and the tests hold it to
 ``from_elementary_by_substitution``."""
 
 from itertools import combinations
 
-from flagcalc.families import beta_poly
+from flagcalc.divdiff import OperatorContext
+from flagcalc.families import beta_poly, cell_product
+from flagcalc.hecke import oplus
+from flagcalc.perms import lex_smallest_reduced_word
 from flagcalc.porteous import elementary_symmetric
-from flagcalc.rings import SparsePoly
+from flagcalc.rings import SparsePoly, beta_ring
 
 
 def walk_from_top(t, n_pad: int = 0):
@@ -23,6 +29,17 @@ def walk_from_top(t, n_pad: int = 0):
     dead = {f"x{i}": 0 for i in range(t.f + 1, m + 1)}
     dead.update({f"y{j}": 0 for j in range(t.e + 1, m + 1)})
     return p.substitute(dead)
+
+
+def walk_from_dominant(t):
+    """phi in x and y along the lex-smallest reduced word of u^-1 nu, from
+    the member of the dominant u = t.dominant(), the product over its
+    rectangle: r(f - r) steps on x_1..x_f."""
+    start = cell_product(beta_ring(), t.dominant().diagram(), oplus)
+    word = lex_smallest_reduced_word(t.dominant().inverse().compose(
+        t.permutation()))
+    ctx = OperatorContext(t.n)
+    return ctx.compose_word(word, start, ctx.phi_beta)
 
 
 def is_dominant(w) -> bool:

@@ -23,6 +23,7 @@ from locus_reference import (
     from_elementary_by_substitution,
     is_dominant,
     symmetric_by_swaps,
+    walk_from_dominant,
     walk_from_top,
 )
 
@@ -187,13 +188,19 @@ class TestSpecialize:
     @pytest.mark.parametrize("t", [RankTriple(3, 3, 1), RankTriple(2, 3, 2),
                                    RankTriple(3, 2, 0)], ids=str)
     def test_walk_length(self, t, monkeypatch):
+        # the one walk is the CK body's, on a cold memo; the member and the
+        # other theories then read the memoised body
         steps = []
         phi = OperatorContext.phi_beta
         monkeypatch.setattr(OperatorContext, "phi_beta",
                             lambda ctx, i, p: steps.append(i) or phi(ctx, i, p))
+        porteous._CK_MEMO.clear()
         specialize_nu(t)
         assert len(steps) == t.r * (t.f - t.r)
         assert all(i < t.f for i in steps)
+        specialize_nu(t, n_pad=1)
+        thom_porteous(t, "ch")
+        assert len(steps) == t.r * (t.f - t.r)
 
 
 class TestElementaryRewrite:
@@ -291,7 +298,8 @@ class TestTheories:
     def test_unknown_theory_fails_before_the_walk(self, monkeypatch):
         def no_walk(*args):
             raise AssertionError("locus built for an unknown theory")
-        monkeypatch.setattr(porteous, "_walk", no_walk)
+        # the walk in the d-slots is one compose_word, even with no steps
+        monkeypatch.setattr(OperatorContext, "compose_word", no_walk)
         porteous._CK_MEMO.clear()
         with pytest.raises(ValueError, match="unknown theory"):
             thom_porteous(RankTriple(3, 3, 0), "ko")
@@ -302,7 +310,7 @@ class TestTheories:
     def test_body_does_not_walk_in_x_and_y(self, monkeypatch):
         # the CK body comes from the walk in the d-slots alone; the x, y
         # walk and its two-block rewrite are the reference it must equal
-        want = {t: to_elementary(specialize_nu(t), t).body
+        want = {t: to_elementary(walk_from_dominant(t), t).body
                 for t in TRIPLES_3[::4]}
 
         def reference(*args):
@@ -317,7 +325,7 @@ class TestTheories:
     def test_theories_share_one_rewrite(self, t):
         # the first theory asked rewrites the locus, the other two hit the
         # memo; each equals its value from a fresh rewrite
-        fresh = to_elementary(specialize_nu(t), t).body
+        fresh = to_elementary(walk_from_dominant(t), t).body
         flips = {f"d{j}": -V(ZZ, f"d{j}") for j in range(1, t.e + 1)}
         want = {"ck": fresh,
                 "ch": fresh.substitute({"b": 0, **flips}, ring=ZZ),
