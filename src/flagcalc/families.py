@@ -25,7 +25,8 @@ __all__ = [
     "bott_samelson_class",
 ]
 
-# h_v per permutation v, filled along the walks of beta_poly
+# h_v per permutation v without its fixed tail, filled along the walks
+# of beta_poly
 _FAMILY_MEMO = TermMemo()
 # push-forward classes per (law, n, word)
 _BS_MEMO = TermMemo()
@@ -81,19 +82,32 @@ def _resume(memo: TermMemo, key, walk, start, op) -> SparsePoly:
     return p
 
 
+def _stable(w: Permutation) -> Permutation:
+    """w with its fixed tail k+1, ..., n dropped: w in the smallest S_k."""
+    k = w.n
+    while k > 1 and w.images[k - 1] == k:
+        k -= 1
+    return w if k == w.n else Permutation(w.images[:k])
+
+
 def beta_poly(w: Permutation) -> SparsePoly:
-    """h_w, computed along the lex-smallest reduced word of w0*w.
+    """h_w, computed in the smallest S_n that holds w (h_w is stable under
+    embedding) along the lex-smallest reduced word of w0*w.
 
     The walk h_{v_0} = h_top(n), h_{v_k} = phi_{i_k} h_{v_{k-1}} with
-    v_k = w0 s_{i_1} ... s_{i_k} is memoised by v_k.  Each prefix is the
+    v_k = w0 s_{i_1} ... s_{i_k} is memoised by v_k without its fixed
+    tail, the key a call in a smaller group reads.  Each prefix is the
     lex-smallest reduced word of w0*v_k, and h_v does not depend on the
-    word, so a full sweep of S_n costs n! - 1 operator applications."""
+    word, so a full sweep of S_n costs at most n! - 1 operator
+    applications."""
+    w = _stable(w)
     n = w.n
 
     def walk():
         w0 = longest_element(n)
         word = lex_smallest_reduced_word(w0.compose(w))
-        return word, [*accumulate(word, Permutation.right_multiply, initial=w0)]
+        return word, [*map(_stable, accumulate(
+            word, Permutation.right_multiply, initial=w0))]
     return _resume(_FAMILY_MEMO, w, walk, lambda: h_top(n),
                    OperatorContext(n).phi_beta)
 

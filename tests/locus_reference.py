@@ -1,9 +1,11 @@
 """References for the locus polynomials: the walks in x and y, block
 symmetry by swapping variables, and the slots substituted back in.
 
-``walk_from_top`` runs ``beta_poly`` from h_top(m) = h_{w0} to the
-triple's permutation embedded in S_m; the variables beyond x_f and y_e
-are then set to zero.  ``walk_from_dominant`` starts lower, at a dominant
+``walk_from_top`` applies phi_beta from h_top(m) = h_{w0} along the
+lex-smallest reduced word of w0 times the triple's permutation embedded
+in S_m, with a memo of its own, so it walks in S_m where ``beta_poly``
+would drop the fixed tail; the variables beyond x_f and y_e are then set
+to zero.  ``walk_from_dominant`` starts lower, at a dominant
 permutation, with r(f - r) steps.  ``porteous.specialize_nu`` substitutes
 the slots back into the CK body, which ``porteous`` walks in the d-slots,
 and the tests hold it and the body to these walks.
@@ -16,16 +18,31 @@ symmetric polynomials, and the tests hold it to
 from itertools import combinations
 
 from flagcalc.divdiff import OperatorContext
-from flagcalc.families import beta_poly, cell_product
+from flagcalc.families import cell_product, h_top
 from flagcalc.hecke import oplus
-from flagcalc.perms import lex_smallest_reduced_word
+from flagcalc.memo import TermMemo
+from flagcalc.perms import lex_smallest_reduced_word, longest_element
 from flagcalc.porteous import elementary_symmetric
 from flagcalc.rings import SparsePoly, beta_ring
 
 
+# h_top(m) after each prefix of a word, keyed by (m, prefix)
+_WALKS = TermMemo()
+
+
+def _walk(m: int, word: tuple):
+    p = _WALKS.get((m, word))
+    if p is None:
+        p = h_top(m) if not word else OperatorContext(m).phi_beta(
+            word[-1], _walk(m, word[:-1]))
+        _WALKS.put((m, word), p)
+    return p
+
+
 def walk_from_top(t, n_pad: int = 0):
     m = t.n + n_pad
-    p = beta_poly(t.permutation().embed(m))
+    w = t.permutation().embed(m)
+    p = _walk(m, lex_smallest_reduced_word(longest_element(m).compose(w)))
     dead = {f"x{i}": 0 for i in range(t.f + 1, m + 1)}
     dead.update({f"y{j}": 0 for j in range(t.e + 1, m + 1)})
     return p.substitute(dead)

@@ -56,6 +56,13 @@ class TestFamilyCommand:
         assert res.output.strip() == \
             double_schubert(Permutation((2, 1, 3))).to_text()
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_fixed_tail_does_not_change_the_output(self, capsys, fmt):
+        small = invoke(capsys, "family", "--perm", "2 1", "--format", fmt)
+        big = invoke(capsys, "family", "--perm", "2 1", "--n", "9",
+                     "--format", fmt)
+        assert big == small and small.exit_code == 0
+
     def test_json_output(self, capsys):
         res = invoke(capsys, "family", "--perm", "2 1", "--format", "json")
         obj = json.loads(res.output)

@@ -22,10 +22,12 @@ from flagcalc.perms import (
     all_permutations,
     all_reduced_words,
     identity,
+    lex_smallest_reduced_word,
     longest_element,
 )
-from flagcalc.rings import SparsePoly, ZZ, beta_ring
+from flagcalc.rings import SparsePoly, ZZ, beta_ring, divide_by_difference
 from locus_reference import is_dominant
+from test_porteous import laplace_det
 
 
 def V(ring, name, e=1):
@@ -75,8 +77,18 @@ class TestBetaFamily:
             beta_poly_via_word(identity(2), (1, 1))
 
     def test_stability(self):
-        for w in all_permutations(3):
-            assert beta_poly(w.embed(4)) == beta_poly(w)
+        # walks from h_top(n) and from h_top(n + 1), each along its own
+        # lex-smallest reduced word; beta_poly drops the fixed tail, so it
+        # reads one memo entry for w and w.embed(n + 1)
+        for n in (3, 4):
+            w0, w0_up = longest_element(n), longest_element(n + 1)
+            for w in all_permutations(n):
+                up = w.embed(n + 1)
+                ref = beta_poly_via_word(
+                    w, lex_smallest_reduced_word(w0.compose(w)))
+                assert beta_poly_via_word(
+                    up, lex_smallest_reduced_word(w0_up.compose(up))) == ref
+                assert beta_poly(w) == beta_poly(up) == ref
 
     def test_descent_recursion(self, ring):
         # phi_i sends the member for w to the member for w*s_i whenever
@@ -91,6 +103,40 @@ class TestBetaFamily:
     def test_cache_stable(self):
         w = Permutation((2, 3, 1))
         assert beta_poly(w) == beta_poly(w)
+
+
+def bialternant(w):
+    """h_w for w with one descent, at m, by the Ikeda-Naruse formula:
+    det([x_i|y]^(lam_j + m - j) (1 + b x_i)^(j - 1)) / Delta(x_1..x_m),
+    with lam_j = w(m + 1 - j) - (m + 1 - j) and [x|y]^k the product of
+    x + y_l + b x y_l over l <= k; the Vandermonde divides exactly."""
+    (m,) = w.right_descents()
+    ring = beta_ring()
+    one, b = SparsePoly.const(ring, 1), V(ring, "b")
+    lam = [w(m + 1 - j) - (m + 1 - j) for j in range(1, m + 1)]
+
+    def entry(i, j):
+        x, p = V(ring, f"x{i}"), one
+        for l in range(1, lam[j - 1] + m - j + 1):
+            p = p * oplus(x, V(ring, f"y{l}"))
+        for _ in range(j - 1):
+            p = p * (one + b * x)
+        return p
+
+    p = laplace_det([[entry(i, j) for j in range(1, m + 1)]
+                     for i in range(1, m + 1)], one)
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            p = divide_by_difference(p, f"x{i}", f"x{j}")
+    return p
+
+
+def test_grassmannian_members_match_the_bialternant():
+    grassmannian = [w for w in all_permutations(5)
+                    if len(w.right_descents()) == 1]
+    assert len(grassmannian) == 26
+    for w in grassmannian:
+        assert beta_poly(w) == bialternant(w), w
 
 
 # single-variable specialisation table for S_3 (y_j -> 0): the classical

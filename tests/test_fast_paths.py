@@ -23,8 +23,10 @@ from flagcalc.families import (
 )
 from flagcalc.fgl import make_additive, make_multiplicative, make_universal_rational
 from flagcalc.perms import (
+    Permutation,
     all_permutations,
     all_reduced_words,
+    identity,
     longest_element,
 )
 from flagcalc.rings import (
@@ -185,21 +187,52 @@ def _count_phi(monkeypatch) -> list:
     return calls
 
 
+def _count_tops(monkeypatch) -> list:
+    tops = []
+    original = families.h_top
+
+    def counted(n):
+        tops.append(n)
+        return original(n)
+
+    monkeypatch.setattr(families, "h_top", counted)
+    return tops
+
+
 def test_full_sweep_costs_one_application_per_member(monkeypatch):
+    # each member is one application from a memoised one, or a top class:
+    # h_top(k) for k = 1..4, as the members fixing 4 are walked in S_3 and
+    # below
     families._FAMILY_MEMO.clear()
-    calls = _count_phi(monkeypatch)
+    calls, tops = _count_phi(monkeypatch), _count_tops(monkeypatch)
     for w in all_permutations(4):
         beta_poly(w)
-    assert len(calls) == 24 - 1
+    assert sorted(tops) == [1, 2, 3, 4]
+    assert len(calls) == 24 - 4
 
 
 def test_s4_in_s5_walks_share_the_trunk(monkeypatch):
+    # the walks stay in S_4, under the keys the sweep of S_4 uses
     families._FAMILY_MEMO.clear()
-    calls = _count_phi(monkeypatch)
+    calls, tops = _count_phi(monkeypatch), _count_tops(monkeypatch)
     for w in all_permutations(4):
         beta_poly(w.embed(5))
-    assert len(calls) == 33
+    assert len(calls) == 20
+    assert 5 not in tops
+    assert all(key.n < 5 for key in families._FAMILY_MEMO._entries)
     assert families._FAMILY_MEMO.terms <= memo.MAX_TERMS
+
+
+def test_fixed_tail_is_dropped_before_the_walk(monkeypatch):
+    # in S_9 the walk from h_top(9) is out of reach; s_1 is h_top(2)
+    families._FAMILY_MEMO.clear()
+    calls = _count_phi(monkeypatch)
+    ring = beta_ring()
+    x1, y1, b = (SparsePoly.var(ring, v) for v in ("x1", "y1", "b"))
+    assert beta_poly(Permutation((2, 1, 3, 4, 5, 6, 7, 8, 9))) == \
+        x1 + y1 + b * x1 * y1
+    assert beta_poly(identity(9)) == SparsePoly.const(ring, 1)
+    assert calls == []
 
 
 class TestTermMemo:
