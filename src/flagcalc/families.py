@@ -87,7 +87,7 @@ def _stable(w: Permutation) -> Permutation:
     k = w.n
     while k > 1 and w.images[k - 1] == k:
         k -= 1
-    return w if k == w.n else Permutation(w.images[:k])
+    return w if k == w.n else Permutation._trusted(w.images[:k])
 
 
 def beta_poly(w: Permutation) -> SparsePoly:

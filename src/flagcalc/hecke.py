@@ -58,16 +58,19 @@ class HeckeElement:
     def as_dict(self) -> dict:
         return dict(self.coeffs)
 
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
+    def _combine(self, other: "HeckeElement", op) -> "HeckeElement":
         if self.n != other.n:
             raise ValueError("ranks differ")
         d = self.as_dict()
         for w, c in other.coeffs:
-            d[w] = d.get(w, SparsePoly.zero(_RING)) + c
+            d[w] = op(d.get(w, SparsePoly.zero(_RING)), c)
         return HeckeElement.from_dict(self.n, d)
 
+    def __add__(self, other: "HeckeElement") -> "HeckeElement":
+        return self._combine(other, SparsePoly.__add__)
+
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scale(SparsePoly.const(_RING, -1))
+        return self._combine(other, SparsePoly.__sub__)
 
     def scale(self, c: SparsePoly) -> "HeckeElement":
         return HeckeElement.from_dict(
@@ -95,7 +98,7 @@ class HeckeElement:
                     scaled.append(scaled[-1] * SparsePoly.var(_RING, "b"))
                 out.setdefault(tuple(im), []).append((cz, scaled[k]))
         return HeckeElement.from_dict(self.n, {
-            Permutation(im): sum_of_products(pairs, _RING)
+            Permutation._trusted(im): sum_of_products(pairs, _RING)
             for im, pairs in out.items()})
 
     def is_zero(self) -> bool:

@@ -35,6 +35,11 @@ class Permutation(namedtuple("Permutation", "images")):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
         return tuple.__new__(cls, (images,))
 
+    @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """images known to be a permutation: no check."""
+        return tuple.__new__(cls, (images,))
+
     @property
     def n(self) -> int:
         return len(self.images)
@@ -52,13 +57,13 @@ class Permutation(namedtuple("Permutation", "images")):
         inv = [0] * self.n
         for i, v in enumerate(self.images, start=1):
             inv[v - 1] = i
-        return Permutation(tuple(inv))
+        return self._trusted(tuple(inv))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self o other: i -> self(other(i))."""
         if self.n != other.n:
             raise ValueError("sizes differ")
-        return Permutation(tuple(self(other(i)) for i in range(1, self.n + 1)))
+        return self._trusted(tuple(map(self, other.images)))
 
     def right_multiply(self, i: int) -> "Permutation":
         """self * s_i (swap values in positions i, i+1)."""
@@ -66,7 +71,7 @@ class Permutation(namedtuple("Permutation", "images")):
             raise ValueError(f"index {i} out of range for S_{self.n}")
         im = list(self.images)
         im[i - 1], im[i] = im[i], im[i - 1]
-        return Permutation(tuple(im))
+        return self._trusted(tuple(im))
 
     def right_descents(self) -> list:
         return [i for i in range(1, self.n)
@@ -82,7 +87,7 @@ class Permutation(namedtuple("Permutation", "images")):
         """View inside S_n for n >= self.n, fixing the new points."""
         if n < self.n:
             raise ValueError("cannot shrink")
-        return Permutation(self.images + tuple(range(self.n + 1, n + 1)))
+        return self._trusted(self.images + tuple(range(self.n + 1, n + 1)))
 
     def one_line(self) -> str:
         return " ".join(str(v) for v in self.images)
@@ -99,11 +104,11 @@ class Permutation(namedtuple("Permutation", "images")):
 
 
 def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
+    return Permutation._trusted(tuple(range(1, n + 1)))
 
 
 def longest_element(n: int) -> Permutation:
-    return Permutation(tuple(range(n, 0, -1)))
+    return Permutation._trusted(tuple(range(n, 0, -1)))
 
 
 def transposition(n: int, i: int) -> Permutation:
@@ -156,8 +161,7 @@ def lex_smallest_reduced_word(w: Permutation) -> tuple:
 
 
 def all_permutations(n: int):
-    for im in _it_perms(range(1, n + 1)):
-        yield Permutation(im)
+    return map(Permutation._trusted, _it_perms(range(1, n + 1)))
 
 
 def nu_triple(t: tuple) -> Permutation:

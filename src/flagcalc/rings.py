@@ -143,6 +143,7 @@ _SLOTS: dict = {}              # name -> (shift, unit), unit = name^1
 _NAMES = [None]                # field index -> variable name
 _CANON: list = []              # variable field indices in canonical order
 _guard = 1 << _BITS - 1        # the guard bits of every field in use
+_UNIT = {0: 1}                 # the terms of the constant 1
 
 
 def _slot(name: str) -> tuple:
@@ -316,6 +317,8 @@ class SparsePoly:
 
     @staticmethod
     def const(ring: CoefficientRing, value) -> "SparsePoly":
+        if type(value) is int:
+            return SparsePoly._new(ring, {0: value} if value else {})
         return SparsePoly(ring, {(): Fraction(value)})
 
     @staticmethod
@@ -402,7 +405,7 @@ class SparsePoly:
         if isinstance(other, SparsePoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return SparsePoly(self.ring, {(): other})
+            return SparsePoly.const(self.ring, other)
         return None
 
     def _combine(self, other, op):
@@ -447,9 +450,9 @@ class SparsePoly:
             return NotImplemented
         self._check(other)
         small, big = self._terms, other._terms
-        if len(small) > len(big):
+        if len(small) > len(big) or big == _UNIT:
             small, big = big, small
-        if len(small) != 1:
+        if len(small) != 1 or small == _UNIT:
             return sum_of_products(((self, other),), self.ring)
         # a monomial times a polynomial: a shift of the keys
         (k, c0), = small.items()
@@ -537,9 +540,7 @@ class SparsePoly:
                         pw.append(
                             sum_of_products([(pw[-1], img)], target, bound))
                     if e:
-                        if factor is not one:  # no product with 1
-                            part = sum_of_products([(part, factor)], target,
-                                                   bound)
+                        part = sum_of_products([(part, factor)], target, bound)
                         factor = pw[e]
                 pairs.append((part, factor))
             out = sum_of_products(pairs, target, bound)
@@ -625,17 +626,32 @@ def sum_of_products(pairs, ring: CoefficientRing,
     accumulated in one dict, guard-checked and cleaned once.  With a
     bound, it is the sum truncated at that geometric degree, and no pair
     of terms above the bound is formed: an exponent overflow raises
-    ExponentOverflowError in a kept term, never in a pair above it."""
+    ExponentOverflowError in a kept term, never in a pair above it.  A
+    pair with the constant 1 forms no term pairs: as the whole sum within
+    the bound, it gives its other factor itself."""
     limit = 2 * _FIELD if bound is None else bound  # above any degree sum
     acc: dict = {}
     get = acc.get
+    shared = None  # the factor of a unit pair that is the sum so far
     for a, b in pairs:
         if (a.ring is not ring and a.ring != ring
                 or b.ring is not ring and b.ring != ring):
             raise RingMismatchError(f"{a.ring.kind}, {b.ring.kind}")
+        if shared is not None:
+            acc.update(shared._terms)
+            shared = None
         small, big = a._terms, b._terms
-        if len(small) > len(big):
+        if len(small) > len(big) or big == _UNIT:
             small, big = big, small
+        if small == _UNIT:  # no term pairs: big's terms within the bound
+            if bound is not None and any(m & _FIELD > bound for m in big):
+                big = {m: c for m, c in big.items() if m & _FIELD <= bound}
+            elif not acc:
+                shared = b if b._terms is big else a
+                continue
+            for m, c in big.items():
+                acc[m] = get(m, 0) + c
+            continue
         levels = ((0, big),)  # unbounded: one level
         if bound is not None:
             by_degree: dict = {}
@@ -649,6 +665,8 @@ def sum_of_products(pairs, ring: CoefficientRing,
                 for m2, c2 in level.items():
                     m = m1 + m2
                     acc[m] = get(m, 0) + c1 * c2
+    if shared is not None:
+        return shared
     _check_guard(acc)
     return SparsePoly._new(ring, _clean(acc, ring.rational))
 

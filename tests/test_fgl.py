@@ -98,16 +98,19 @@ class TestUniversal:
         t = sympy.symbols("t")
         ms = sympy.symbols(f"m1:{D + 1}")
         log = t + sum(ms[k - 1] * t ** (k + 1) for k in range(1, D + 1))
-        exp = sympy.series(log, t, 0, D + 1).removeO()
-        # revert by undetermined coefficients
+        # revert by undetermined coefficients: the t^k coefficient of
+        # log(cand) is a_k plus terms in a_1..a_{k-1} and the m's, so a_k
+        # is read off once it is seen to enter linearly with coefficient 1
         a = sympy.symbols(f"a1:{D + 1}")
         cand = sum(a[k - 1] * t ** k for k in range(1, D + 1))
-        comp = sympy.expand(log.subs(t, cand))
+        comp = sympy.Poly(log.subs(t, cand), t)
         sol = {}
         for k in range(1, D + 1):
-            eq = sympy.Poly(comp.subs(sol), t).coeff_monomial(t ** k)
+            eq = sympy.expand(comp.coeff_monomial(t ** k).subs(sol))
+            rest = sympy.expand(eq - a[k - 1])
+            assert not rest.has(*a[k - 1:])
             target = 1 if k == 1 else 0
-            sol[a[k - 1]] = sympy.solve(sympy.Eq(eq, target), a[k - 1])[0]
+            sol[a[k - 1]] = sympy.expand(target - rest)
         exp_series = sympy.expand(cand.subs(sol))
         u = sympy.symbols("u")
         chi_ref = sympy.expand(exp_series.subs(t, -log.subs(t, u)))

@@ -90,6 +90,43 @@ class TestArithmetic:
         e = hecke_one(3) - hecke_one(3)
         assert e.coeffs == ()
 
+    def test_sub_of_disjoint_supports(self):
+        a = HeckeElement.from_dict(3, {
+            identity(3): V("x1"), Permutation((2, 1, 3)): V("b") + 1})
+        b = HeckeElement.from_dict(3, {
+            Permutation((1, 3, 2)): V("y1"), Permutation((3, 2, 1)): -V("b")})
+        assert (a - b).as_dict() == {**a.as_dict(),
+                                     **{w: -c for w, c in b.coeffs}}
+        assert (b - a).as_dict() == {**b.as_dict(),
+                                     **{w: -c for w, c in a.coeffs}}
+        assert a - b == a + b.scale(SparsePoly.const(_R, -1))
+
+    def test_sub_cancels_to_zero(self):
+        e = build_Hxy(3)
+        twin = HeckeElement.from_dict(3, {w: c + 0 for w, c in e.coeffs})
+        assert (e - twin).coeffs == ()
+        part = HeckeElement.from_dict(3, dict(e.coeffs[::2]))
+        assert (e - part).as_dict() == dict(e.coeffs[1::2])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_h_factor_shares_the_coefficients_it_leaves(self, n):
+        """In e * h_i(c), the output at an ascent w of i is e's coefficient
+        at w itself; the output at a descent is a new polynomial."""
+        e = build_Hxy(n)
+        c = oplus(V("x1"), V("y2"))
+        for i in range(1, n):
+            before = e.as_dict()
+            texts = {w: p.to_text() for w, p in e.coeffs}
+            out = e * h_factor(n, i, c)
+            assert out == ref.mul(e, h_factor(n, i, c))
+            for w, p in out.coeffs:
+                if w(i) < w(i + 1):
+                    assert p is before[w]
+                else:
+                    assert all(p is not q for q in before.values())
+            assert {w: p.to_text() for w, p in e.coeffs} == texts
+            e = out
+
 
 class TestAgainstLengthRule:
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -8,9 +8,14 @@ Every callable that ``bench/trace_layers.py`` wraps still exists where
 ``Tracer.install`` looks it up, so a rename cannot silently drop a layer
 from ``bench/run.py --trace 1``.
 
+The permutation constructor that skips validation is called only where
+the images are a permutation by construction: in perms, families and
+hecke, never in the command line or on parsed input.
+
 Importing the command line loads the standard library alone: every CLI
 call and every benchmark set-up starts a fresh interpreter."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -56,6 +61,56 @@ def test_packed_layout_stays_in_rings(module):
     leaks = [f"{module}:{k}: {line.strip()}"
              for k, line in enumerate(lines, start=1) if PRIVATE.search(line)]
     assert not leaks, "\n".join(leaks)
+
+
+# the permutation constructor that skips the check, by whole name: it may
+# build only images that are a permutation by construction, so it stays in
+# the modules that make such images and out of the CLI and every parser
+TRUSTED = re.compile(r"\b_trusted\b")
+TRUSTED_IN = {"perms.py", "families.py", "hecke.py"}
+
+
+def _trusted_calls(module: str, text: str) -> list:
+    return [f"{module}:{k}: {line.strip()}"
+            for k, line in enumerate(text.splitlines(), start=1)
+            if TRUSTED.search(line)]
+
+
+@pytest.mark.parametrize("line, trusted", [
+    ("return Permutation._trusted(tuple(im))", True),
+    ("w = perms.Permutation._trusted(images)", True),
+    ("return self._trusted(tuple(inv))", True),
+    ("make = getattr(Permutation, '_trusted')", True),
+    ("return Permutation(images)", False),
+    ("untrusted = Permutation.from_one_line(text)", False),
+])
+def test_trusted_pattern(line, trusted):
+    assert bool(TRUSTED.search(line)) is trusted
+
+
+def test_trusted_guard_flags_a_planted_call():
+    planted = ("def parse_perm(text):\n"
+               "    images = tuple(map(int, text.split()))\n"
+               "    return Permutation._trusted(images)\n")
+    assert _trusted_calls("cli.py", planted) == [
+        "cli.py:3: return Permutation._trusted(images)"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_trusted_permutations_stay_internal(module):
+    calls = _trusted_calls(module, (PACKAGE / module).read_text())
+    assert bool(calls) is (module in TRUSTED_IN), "\n".join(calls)
+
+
+def test_parsed_permutations_are_checked():
+    text = (PACKAGE / "perms.py").read_text()
+    parse = next(node for node in ast.walk(ast.parse(text))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "from_one_line")
+    body = ast.get_source_segment(text, parse)
+    assert "return Permutation(images)" in body
+    assert not TRUSTED.search(body)
 
 
 def _trace_layers():

@@ -1,7 +1,10 @@
 from itertools import product
+from math import factorial
 
 import pytest
 
+from flagcalc.families import _stable
+from flagcalc.hecke import build_Hxy
 from flagcalc.perms import (
     Permutation,
     all_permutations,
@@ -152,3 +155,48 @@ class TestValueSemantics:
     def test_one_line_round_trip(self):
         w = Permutation((3, 1, 2))
         assert Permutation.from_one_line(w.one_line()) == w
+
+
+def _checked(w):
+    """w, built again with validation; equal to w with the same type."""
+    again = Permutation(w.images)
+    assert type(w) is Permutation and w == again and hash(w) == hash(again)
+    return again
+
+
+class TestTrustedConstruction:
+    """Results that are permutations by construction skip the check."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_results_equal_validated(self, n):
+        perms = list(all_permutations(n))
+        assert sorted(map(_checked, perms)) == perms
+        assert len(set(perms)) == factorial(n)
+        _checked(identity(n))
+        _checked(longest_element(n))
+        for w in perms:
+            _checked(w.inverse())
+            _checked(w.embed(n))
+            _checked(w.embed(n + 2))
+            _checked(_stable(w))
+            for i in range(1, n):
+                _checked(w.right_multiply(i))
+            for v in perms[::7]:
+                assert _checked(w.compose(v)).images == tuple(
+                    w(v(i)) for i in range(1, n + 1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_hecke_product_outputs_are_checked_permutations(self, n):
+        for w, _ in build_Hxy(n).coeffs:
+            _checked(w)
+
+    @pytest.mark.parametrize("images", [
+        (1, 1, 2), (0, 1, 2), (1, 2, 4), (2, 3), (1, 2, 2, 4), (3, 1)])
+    def test_bad_tuples_still_raise(self, images):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(images)
+
+    @pytest.mark.parametrize("text", ["1 1 2", "2 3", "0 1", "1,2,4"])
+    def test_parsed_input_is_checked(self, text):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation.from_one_line(text)

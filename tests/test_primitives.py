@@ -4,7 +4,8 @@ each against a reference kept here or in tests/:
 * ``SparsePoly.split`` and ``SparsePoly.monomial`` against grouping the
   tuple monomials by hand, and as a round trip;
 * ``sum_of_products`` against the sum of products in rings_reference,
-  and with a bound against that sum truncated;
+  and with a bound against that sum truncated, also for pairs with the
+  constant 1, which it shares or copies;
 * ``divided_difference`` on several parts against the reference kernel;
 * both, on inputs that cancel, storing no zero coefficient;
 * ``FlagRingPresentation.reduce`` against the packed worklist in
@@ -15,6 +16,7 @@ each against a reference kept here or in tests/:
 
 Hypothesis runs derandomised, so every run draws the same examples."""
 
+from fractions import Fraction
 from functools import reduce
 from operator import mul
 
@@ -209,6 +211,86 @@ def test_sum_of_products_overflow_raises(kind):
     r = SparsePoly.var(ring, "x2", half - 1) + 1
     top = sum_of_products([(p, r)], ring)
     assert top.degree() == MAX_EXP and top == p * r
+
+
+# -- the unit rule: a pair with the constant 1 forms no term pairs ------------
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@fixed
+@given(data=st.data())
+def test_unit_pairs_match_reference(kind, data):
+    """The constant 1 as the only, the first and a middle pair, on either
+    side of its pair, unbounded and at bounds below, at and above the top
+    degree of its other factor."""
+    ring = RINGS[kind]
+    raws = data.draw(st.lists(raw_polys(ring, _names(ring)), min_size=3,
+                              max_size=3), label="polys")
+    p, q, r = (SparsePoly(ring, t) for t in raws)
+    rp, rq, rr = (ref.RefPoly(ring, t) for t in raws)
+    one, rone = SparsePoly.const(ring, 1), ref.RefPoly.const(ring, 1)
+    top = p.degree()
+    for unit, runit in [((one, p), (rone, rp)), ((p, one), (rp, rone))]:
+        for pairs, rpairs in [([unit], [runit]),
+                              ([unit, (q, r)], [runit, (rq, rr)]),
+                              ([(q, r), unit, (r, q)],
+                               [(rq, rr), runit, (rr, rq)])]:
+            full = ref.RefPoly.zero(ring)
+            for a, b in rpairs:
+                full = full + a * b
+            got = sum_of_products(pairs, ring)
+            assert dict(got.terms.items()) == full.terms
+            assert got.to_text() == full.to_text()
+            for bound in (-1, top - 1, top, top + 1):
+                got = sum_of_products(pairs, ring, bound)
+                assert dict(got.terms.items()) == full.truncate(bound).terms
+        assert dict((unit[0] * unit[1]).terms.items()) == rp.terms
+    assert SparsePoly(ring, raws[0]) == p  # no factor was changed
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+def test_lone_unit_pair_shares_its_factor(kind):
+    """A unit pair that is the whole sum gives its other factor itself,
+    unless a term of it lies above the bound; p * 1 does the same."""
+    ring = RINGS[kind]
+    x1, y1 = SparsePoly.var(ring, "x1"), SparsePoly.var(ring, "y1")
+    p = x1 * x1 * y1 + 3 * x1 + 2
+    one = SparsePoly.const(ring, 1)
+    for pair in [(one, p), (p, one), (one, x1), (x1, one)]:
+        other = pair[1] if pair[0] is one else pair[0]
+        top = other.degree()
+        for bound in (None, top, top + 1, MAX_EXP):
+            assert sum_of_products([pair], ring, bound) is other
+        for bound in (-1, 0, top - 1):
+            cut = sum_of_products([pair], ring, bound)
+            assert cut is not other and cut == other.truncate(bound)
+        assert pair[0] * pair[1] is other
+    assert sum_of_products([(one, one)], ring) == one
+    for unit in (1, Fraction(1), one):
+        assert p * unit is p and unit * p is p and x1 * unit is x1
+    text = p.to_text()
+    assert sum_of_products([(one, p), (p, x1)], ring) == p + p * x1
+    assert sum_of_products([(p, x1), (p, one)], ring) == p + p * x1
+    assert p.to_text() == text
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+def test_unit_pair_checks_the_ring_first(kind):
+    ring = RINGS[kind]
+    other = ZZ if ring != ZZ else QQ
+    one, x1 = SparsePoly.const(ring, 1), SparsePoly.var(ring, "x1")
+    alien_one = SparsePoly.const(other, 1)
+    alien_x1 = SparsePoly.var(other, "x1")
+    for pairs in ([(alien_one, x1)], [(x1, alien_one)], [(one, alien_x1)],
+                  [(alien_x1, one)], [(one, x1), (alien_one, x1)]):
+        for bound in (None, 0, 5):
+            with pytest.raises(RingMismatchError):
+                sum_of_products(pairs, ring, bound)
+    with pytest.raises(RingMismatchError):
+        sum_of_products([(one, x1)], other)
+    with pytest.raises(RingMismatchError):
+        x1 * alien_one
+    with pytest.raises(RingMismatchError):
+        alien_one * x1
 
 
 @pytest.mark.parametrize("kind", sorted(RINGS))
