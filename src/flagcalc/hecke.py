@@ -117,55 +117,57 @@ def hecke_generator(n: int, i: int) -> HeckeElement:
 
 def h_factor(n: int, i: int, c: SparsePoly) -> HeckeElement:
     """h_i(c) = 1 + c * u_i."""
-    return hecke_one(n) + hecke_generator(n, i).scale(c)
+    return HeckeElement.from_dict(
+        n, {identity(n): SparsePoly.const(_RING, 1), transposition(n, i): c})
 
 
-def _alpha(n: int, i: int, x: SparsePoly) -> HeckeElement:
-    """h_{n-1}(x) ... h_i(x), descending index order."""
-    out = hecke_one(n)
-    for j in range(n - 1, i - 1, -1):
-        out = out * h_factor(n, j, x)
-    return out
+def _chain(e: HeckeElement, factors) -> HeckeElement:
+    """e h_{i_1}(c_1) h_{i_2}(c_2) ... for the (i, c) pairs of a word."""
+    for i, c in factors:
+        e = e * h_factor(e.n, i, c)
+    return e
 
 
-def _alpha_tilde(n: int, i: int, y: SparsePoly) -> HeckeElement:
-    """h_i(y) ... h_{n-1}(y), ascending index order."""
-    out = hecke_one(n)
-    for j in range(i, n):
-        out = out * h_factor(n, j, y)
-    return out
+def _alpha(n: int, i: int, x: SparsePoly) -> list:
+    """The word h_{n-1}(x) ... h_i(x), descending index order."""
+    return [(j, x) for j in range(n - 1, i - 1, -1)]
+
+
+def _alpha_tilde(n: int, i: int, y: SparsePoly) -> list:
+    """The word h_i(y) ... h_{n-1}(y), ascending index order."""
+    return [(j, y) for j in range(i, n)]
+
+
+def _H_word(n: int) -> list:
+    """The word alpha_1(x_1) ... alpha_{n-1}(x_{n-1}) of H(x)."""
+    return [f for i in range(1, n)
+            for f in _alpha(n, i, SparsePoly.var(_RING, f"x{i}"))]
 
 
 def build_H(n: int) -> HeckeElement:
-    """alpha_1(x_1) ... alpha_{n-1}(x_{n-1})."""
-    out = hecke_one(n)
-    for i in range(1, n):
-        out = out * _alpha(n, i, SparsePoly.var(_RING, f"x{i}"))
-    return out
+    """H(x) = alpha_1(x_1) ... alpha_{n-1}(x_{n-1})."""
+    return _chain(hecke_one(n), _H_word(n))
 
 
 def build_Htilde(n: int) -> HeckeElement:
     """alpha~_{n-1}(y_{n-1}) ... alpha~_1(y_1)."""
-    out = hecke_one(n)
-    for i in range(n - 1, 0, -1):
-        out = out * _alpha_tilde(n, i, SparsePoly.var(_RING, f"y{i}"))
-    return out
+    return _chain(hecke_one(n), [
+        f for i in range(n - 1, 0, -1)
+        for f in _alpha_tilde(n, i, SparsePoly.var(_RING, f"y{i}"))])
 
 
 def build_Hxy(n: int) -> HeckeElement:
-    return build_Htilde(n) * build_H(n)
+    """H~(y) H(x): the factors of H(x) chained onto H~(y) one at a time."""
+    return _chain(build_Htilde(n), _H_word(n))
 
 
 def alternative_product(n: int) -> HeckeElement:
     """The double product of h_{i+j-1}(x_i (+) y_j), multiplied from left
     to right with i ascending and j descending from n-i to 1."""
-    out = hecke_one(n)
-    for i in range(1, n):
-        for j in range(n - i, 0, -1):
-            c = oplus(SparsePoly.var(_RING, f"x{i}"),
-                      SparsePoly.var(_RING, f"y{j}"))
-            out = out * h_factor(n, i + j - 1, c)
-    return out
+    return _chain(hecke_one(n), [
+        (i + j - 1, oplus(SparsePoly.var(_RING, f"x{i}"),
+                          SparsePoly.var(_RING, f"y{j}")))
+        for i in range(1, n) for j in range(n - i, 0, -1)])
 
 
 def coefficient(e: HeckeElement, w: Permutation) -> SparsePoly:
@@ -196,38 +198,34 @@ def verify_identities(n: int) -> list:
 
     x = SparsePoly.var(_RING, "x1")
     y = SparsePoly.var(_RING, "y1")
+    b = SparsePoly.var(_RING, "b")
+    one = hecke_one(n)
 
     # defining relations on basis elements
     ok = True
     for w in all_permutations(n):
         e = HeckeElement.from_dict(n, {w: SparsePoly.const(_RING, 1)})
+        u = {i: e.mul_by_generator(i) for i in range(1, n)}  # e u_i
         for i in range(1, n):
-            b = SparsePoly.var(_RING, "b")
-            lhs = e.mul_by_generator(i).mul_by_generator(i)
-            rhs = e.mul_by_generator(i).scale(b)
-            ok = ok and lhs == rhs
-            for j in range(1, n):
-                if abs(i - j) >= 2:
-                    ok = ok and (e.mul_by_generator(i).mul_by_generator(j)
-                                 == e.mul_by_generator(j).mul_by_generator(i))
+            ok = ok and u[i].mul_by_generator(i) == u[i].scale(b)
+            for j in range(i + 2, n):
+                ok = ok and (u[i].mul_by_generator(j)
+                             == u[j].mul_by_generator(i))
             if i + 1 < n:
-                lhs = (e.mul_by_generator(i).mul_by_generator(i + 1)
-                       .mul_by_generator(i))
-                rhs = (e.mul_by_generator(i + 1).mul_by_generator(i)
-                       .mul_by_generator(i + 1))
-                ok = ok and lhs == rhs
+                ok = ok and (u[i].mul_by_generator(i + 1).mul_by_generator(i)
+                             == u[i + 1].mul_by_generator(i)
+                             .mul_by_generator(i + 1))
     record("generator relations", ok)
 
+    # identities between words of h-factors
+    xy = oplus(x, y)
     if n >= 2:
         record("h_i(x) h_i(y) = h_i(x (+) y)",
-               h_factor(n, 1, x) * h_factor(n, 1, y)
-               == h_factor(n, 1, oplus(x, y)))
+               _chain(one, [(1, x), (1, y)]) == _chain(one, [(1, xy)]))
     if n >= 3:
-        lhs = (h_factor(n, 1, x) * h_factor(n, 2, oplus(x, y))
-               * h_factor(n, 1, y))
-        rhs = (h_factor(n, 2, y) * h_factor(n, 1, oplus(x, y))
-               * h_factor(n, 2, x))
-        record("Yang-Baxter for h-factors", lhs == rhs)
+        record("Yang-Baxter for h-factors",
+               _chain(one, [(1, x), (2, xy), (1, y)])
+               == _chain(one, [(2, y), (1, xy), (2, x)]))
 
     # commutation of the alpha blocks
     ok = True
@@ -235,32 +233,27 @@ def verify_identities(n: int) -> list:
         a_x = _alpha(n, i, x)
         a_y = _alpha(n, i, y)
         at_y = _alpha_tilde(n, i, y)
-        ok = ok and a_x * a_y == a_y * a_x
-        ok = ok and a_x * at_y == at_y * a_x
+        ok = ok and _chain(one, a_x + a_y) == _chain(one, a_y + a_x)
+        ok = ok and _chain(one, a_x + at_y) == _chain(one, at_y + a_x)
     record("alpha commutation", ok)
 
     # exchange identity for the mixed products
+    ys = {k: SparsePoly.var(_RING, f"y{k}") for k in range(1, n)}
     ok = True
     for i in range(1, n):
-        lhs = hecke_one(n)
-        for k in range(n - 1, i - 1, -1):
-            lhs = lhs * _alpha_tilde(n, k, SparsePoly.var(_RING, f"y{k}"))
-        lhs = lhs * _alpha(n, i, x)
-        rhs = hecke_one(n)
-        for k in range(n - 1, i - 1, -1):
-            rhs = rhs * h_factor(
-                n, k, oplus(x, SparsePoly.var(_RING, f"y{k}")))
-        for k in range(n - 1, i, -1):
-            rhs = rhs * _alpha_tilde(
-                n, k, SparsePoly.var(_RING, f"y{k - 1}"))
-        ok = ok and lhs == rhs
+        lhs = [f for k in range(n - 1, i - 1, -1)
+               for f in _alpha_tilde(n, k, ys[k])]
+        lhs += _alpha(n, i, x)
+        rhs = [(k, oplus(x, ys[k])) for k in range(n - 1, i - 1, -1)]
+        rhs += [f for k in range(n - 1, i, -1)
+                for f in _alpha_tilde(n, k, ys[k - 1])]
+        ok = ok and _chain(one, lhs) == _chain(one, rhs)
     record("exchange identity", ok)
 
     H = build_Hxy(n)
     record("alternative product equals H(x, y)", H == alternative_product(n))
 
     # operator identity: phi_i H = H u_i - b H, coefficient-wise
-    b = SparsePoly.var(_RING, "b")
     ok = True
     for i in range(1, n):
         ok = ok and (_phi_coefficientwise(H, i)

@@ -97,7 +97,7 @@ def test_04_hecke_oracle_equivalence():
 
 
 def test_05_alternative_product():
-    ok = all(build_Hxy(n) == alternative_product(n) for n in (2, 3, 4))
+    ok = all(build_Hxy(n) == alternative_product(n) for n in (2, 3, 4, 5))
     report(5, "alternative product of the canonical element", ok)
 
 

@@ -12,6 +12,7 @@ from flagcalc.hecke import (
     HeckeElement,
     alternative_product,
     build_H,
+    build_Htilde,
     build_Hxy,
     coefficient,
     h_factor,
@@ -191,6 +192,36 @@ class TestCanonicalElement:
 
     def test_alternative_product_n3(self):
         assert alternative_product(3) == build_Hxy(3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_product_of_full_elements(self, n):
+        # no builder multiplies two full elements; this keeps that product
+        # pinned to the chained H(x, y)
+        assert build_Htilde(n) * build_H(n) == build_Hxy(n)
+
+    def test_product_of_full_elements_against_length_rule(self):
+        assert ref.mul(build_Htilde(3), build_H(3)) == build_Hxy(3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_builders_apply_one_h_factor_per_product(self, n, monkeypatch):
+        """Every builder is one word of h-factors: n(n - 1)/2 factors for
+        H(x) and for the alternative product, n(n - 1) for H(x, y), and no
+        right operand with more than two coefficients."""
+        sizes = []
+        mul = HeckeElement.__mul__
+
+        def counted(a, b):
+            sizes.append(len(b.coeffs))
+            return mul(a, b)
+
+        monkeypatch.setattr(HeckeElement, "__mul__", counted)
+        for build, products in ((build_Hxy, n * (n - 1)),
+                                (alternative_product, n * (n - 1) // 2),
+                                (build_H, n * (n - 1) // 2)):
+            sizes.clear()
+            build(n)
+            assert len(sizes) == products, build.__name__
+            assert max(sizes) <= 2, build.__name__
 
     def test_missing_basis_element_gives_zero(self):
         H = build_H(2)  # only x-variables; still supported
