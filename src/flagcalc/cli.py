@@ -82,14 +82,15 @@ def emit(poly: SparsePoly, fmt: str):
         print(poly.to_latex() if fmt == "latex" else poly.to_text())
 
 
-def _make_law(law: str, trunc: int, loggen: int):
+def _make_law(law: str, trunc: int, loggen: int | None):
+    """The law truncated at trunc; K = loggen, by default trunc."""
     if law == "additive":
         return make_additive(trunc)
     if law == "multiplicative":
         ring = beta_ring()
         return make_multiplicative(SparsePoly.var(ring, "b"), trunc, ring)
     if law == "universal":
-        return make_universal_rational(loggen, trunc)
+        return make_universal_rational(loggen or trunc, trunc)
     raise UsageError(f"unknown law {law!r}")
 
 
@@ -132,8 +133,7 @@ def family(args):
 def bott_samelson(args):
     """Push-forward class for a word over a formal group law."""
     D = args.trunc or args.n * (args.n - 1) // 2 + 2
-    K = args.loggen or D
-    fgl = _make_law(args.law, D, K)
+    fgl = _make_law(args.law, D, args.loggen)
     emit(families.bott_samelson_class(fgl, _parse_word(args.word), args.n),
          args.format)
 
@@ -159,13 +159,12 @@ def verify(args):
 
 def braid(args):
     """Test the braid relation on sample polynomials; report a witness."""
-    K = args.loggen or max(args.trunc, 1)
     if args.law == "beta":
         ctx = OperatorContext(args.n)
         mode = "beta"
         ring = beta_ring()
     else:
-        fgl = _make_law(args.law, args.trunc, K)
+        fgl = _make_law(args.law, args.trunc, args.loggen)
         ctx = OperatorContext(args.n, fgl=fgl)
         mode = "fgl"
         ring = fgl.ring
@@ -198,8 +197,7 @@ def flagring_reduce(args):
 
 def chern_tensor(args):
     """Chern polynomial and top Chern class of Hom(E, F) from roots."""
-    K = args.loggen or args.trunc
-    fgl = _make_law(args.law, args.trunc, K)
+    fgl = _make_law(args.law, args.trunc, args.loggen)
     xs = [SparsePoly.var(fgl.ring, f"x{i}") for i in range(1, args.f + 1)]
     ys = [SparsePoly.var(fgl.ring, f"y{j}") for j in range(1, args.e + 1)]
     chern, top = chern_tensor_dual(fgl, xs, ys)

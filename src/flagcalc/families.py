@@ -9,12 +9,12 @@ from itertools import accumulate
 
 from .divdiff import OperatorContext
 from .fgl import FormalGroupLaw
-from .hecke import oplus
 from .memo import TermMemo
 from .perms import Permutation, apply_word, lex_smallest_reduced_word, longest_element
-from .rings import SparsePoly, beta_ring, sum_of_products
+from .rings import ZZ, SparsePoly, beta_ring, sum_of_products
 
 __all__ = [
+    "oplus",
     "cell_product",
     "h_top",
     "beta_poly",
@@ -30,6 +30,11 @@ __all__ = [
 _FAMILY_MEMO = TermMemo()
 # push-forward classes per (law, n, word)
 _BS_MEMO = TermMemo()
+
+
+def oplus(a: SparsePoly, b: SparsePoly) -> SparsePoly:
+    """a + b + beta*a*b, the multiplicative formal sum."""
+    return a + b + SparsePoly.var(beta_ring(), "b") * a * b
 
 
 def cell_product(ring, cells, factor, bound=None) -> SparsePoly:
@@ -114,7 +119,6 @@ def beta_poly(w: Permutation) -> SparsePoly:
 
 def double_schubert(w: Permutation) -> SparsePoly:
     """Specialise b -> 0 and y_j -> -y_j; lands over Z."""
-    from .rings import ZZ
     p = beta_poly(w)
     assignment = {"b": 0}
     for j in range(1, w.n + 1):
@@ -124,7 +128,6 @@ def double_schubert(w: Permutation) -> SparsePoly:
 
 def double_grothendieck(w: Permutation) -> SparsePoly:
     """Specialise b -> -1; lands over Z."""
-    from .rings import ZZ
     return beta_poly(w).substitute({"b": -1}, ring=ZZ)
 
 

@@ -10,9 +10,9 @@ treated as base-ring constants throughout.
 
 G_k is monic in x_k: G_k = x_k^M - tail_k, where tail_k involves only
 x_1..x_k and has x_k-degree below M.  So reduce eliminates x_n, ..., x_1 in
-turn, dividing by G_k from the top power of x_k down, each x_k^a with
-a >= M becoming x_k^(a-M) tail_k.  A later step never brings back an x_j
-with j >= k, so the result has a_k <= n - k for every k.
+turn, keeping the remainder of rings.divide_monic by G_k, in which each
+x_k^a with a >= M has become x_k^(a-M) tail_k.  A later step never brings
+back an x_j with j >= k, so the result has a_k <= n - k for every k.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import Counter
 from itertools import combinations_with_replacement, product
 
 from .rings import (CoefficientRing, RingMismatchError, SparsePoly,
-                    sum_of_products)
+                    divide_monic, sum_of_products)
 
 __all__ = ["FlagRingPresentation", "MAX_X_DEGREE"]
 
@@ -53,7 +53,7 @@ class FlagRingPresentation:
             names = [f"x{j}" for j in range(1, k + 1)]
             hs = [_complete_homogeneous(ring, M - i, names)
                   for i in range(M + 1)]
-            g = sum_of_products(zip(signed, hs), ring)
+            g = sum_of_products(list(zip(signed, hs)), ring)
             tail = SparsePoly.var(ring, f"x{k}", M) - g
             tails.append(tuple((j, t) for (j,), t in
                                tail.split((f"x{k}",)).items()))
@@ -75,27 +75,14 @@ class FlagRingPresentation:
     def reduce(self, p: SparsePoly) -> SparsePoly:
         """The normal form of p.  Raises RingMismatchError for p over
         another ring, ValueError for x-degree above MAX_X_DEGREE."""
-        ring = self.ring
-        if p.ring != ring:
-            raise RingMismatchError(f"{p.ring.kind} vs {ring.kind}")
+        if p.ring != self.ring:
+            raise RingMismatchError(f"{p.ring.kind} vs {self.ring.kind}")
         xs = [f"x{k}" for k in range(1, self.n + 1)]
         degree = max(map(sum, p.split(xs)), default=0)
         if degree > MAX_X_DEGREE:
             raise ValueError(f"x-degree {degree} exceeds {MAX_X_DEGREE}")
-        one = SparsePoly.const(ring, 1)
         for k in range(self.n, 0, -1):
-            M, xk = self.n - k + 1, f"x{k}"
-            # the (coefficient, factor) pairs whose products sum to the
-            # coefficient of x_k^a, by a
-            slots = {a: [(c, one)] for (a,), c in p.split((xk,)).items()}
-            for a in range(max(slots, default=0), M - 1, -1):
-                c = sum_of_products(slots.pop(a, ()), ring)
-                if c:
-                    for j, t in self._tails[k - 1]:
-                        slots.setdefault(a - M + j, []).append((c, t))
-            p = sum_of_products(
-                [(c, t * SparsePoly.monomial(ring, (xk,), (a,)))
-                 for a, pairs in slots.items() for c, t in pairs], ring)
+            _, p = divide_monic(p, f"x{k}", self.n - k + 1, self._tails[k - 1])
         return p
 
     def equal_in_ring(self, p: SparsePoly, q: SparsePoly) -> bool:

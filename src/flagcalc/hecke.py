@@ -9,6 +9,8 @@ z(i) < z(i+1) and a factor b at a descent.  Equality is a map comparison.
 
 from __future__ import annotations
 
+from .divdiff import OperatorContext
+from .families import beta_poly, oplus
 from .perms import (Permutation, all_permutations, identity,
                     lex_smallest_reduced_word, transposition)
 from .rings import SparsePoly, beta_ring, sum_of_products
@@ -17,7 +19,6 @@ __all__ = [
     "HeckeElement",
     "hecke_one",
     "h_factor",
-    "oplus",
     "build_H",
     "build_Htilde",
     "build_Hxy",
@@ -27,11 +28,6 @@ __all__ = [
 ]
 
 _RING = beta_ring()
-
-
-def oplus(a: SparsePoly, b: SparsePoly) -> SparsePoly:
-    """a + b + beta*a*b, the multiplicative formal sum."""
-    return a + b + SparsePoly.var(_RING, "b") * a * b
 
 
 class HeckeElement:
@@ -180,7 +176,6 @@ def coefficient(e: HeckeElement, w: Permutation) -> SparsePoly:
 # -- verification suite -------------------------------------------------------
 
 def _phi_coefficientwise(e: HeckeElement, i: int) -> HeckeElement:
-    from .divdiff import OperatorContext
     ctx = OperatorContext(e.n)
     return HeckeElement.from_dict(
         e.n, {w: ctx.phi_beta(i, c) for w, c in e.coeffs})
@@ -189,8 +184,6 @@ def _phi_coefficientwise(e: HeckeElement, i: int) -> HeckeElement:
 def verify_identities(n: int) -> list:
     """Check the defining and structural identities of the algebra at
     rank n; returns a list of {"name": ..., "ok": bool} certificates."""
-    from .families import beta_poly
-
     results = []
 
     def record(name, ok):

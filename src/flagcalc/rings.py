@@ -50,6 +50,7 @@ __all__ = [
     "SparsePoly",
     "sum_of_products",
     "divided_difference",
+    "divide_monic",
     "divide_by_difference",
     "TruncatedSeries",
     "series_reciprocal",
@@ -125,7 +126,8 @@ def _var_key(name: str, _cache: dict = {}) -> tuple:
             raise ValueError(f"bad variable name {name!r}")
         stem, idx = m.group(1), m.group(2)
         cat = _CATEGORY.get(stem, 10)
-        key = _cache[name] = (cat, stem, int(idx) if idx else 0)
+        # the name last, so that x and x0 (or x1 and x01) do not tie
+        key = _cache[name] = (cat, stem, int(idx) if idx else 0, name)
     return key
 
 
@@ -622,32 +624,30 @@ class SparsePoly:
 
 def sum_of_products(pairs, ring: CoefficientRing,
                     bound: int | None = None) -> SparsePoly:
-    """The sum of a * b over the pairs (a, b) of polynomials over ring,
-    accumulated in one dict, guard-checked and cleaned once.  With a
-    bound, it is the sum truncated at that geometric degree, and no pair
-    of terms above the bound is formed: an exponent overflow raises
+    """The sum of a * b over the pairs (a, b) of polynomials over ring, a
+    sequence, accumulated in one dict, guard-checked and cleaned once.
+    With a bound, it is the sum truncated at that geometric degree, and no
+    pair of terms above the bound is formed: an exponent overflow raises
     ExponentOverflowError in a kept term, never in a pair above it.  A
-    pair with the constant 1 forms no term pairs: as the whole sum within
+    pair with the constant 1 forms no term pairs: as the only pair, within
     the bound, it gives its other factor itself."""
     limit = 2 * _FIELD if bound is None else bound  # above any degree sum
     acc: dict = {}
     get = acc.get
-    shared = None  # the factor of a unit pair that is the sum so far
     for a, b in pairs:
         if (a.ring is not ring and a.ring != ring
                 or b.ring is not ring and b.ring != ring):
             raise RingMismatchError(f"{a.ring.kind}, {b.ring.kind}")
-        if shared is not None:
-            acc.update(shared._terms)
-            shared = None
         small, big = a._terms, b._terms
         if len(small) > len(big) or big == _UNIT:
             small, big = big, small
         if small == _UNIT:  # no term pairs: big's terms within the bound
             if bound is not None and any(m & _FIELD > bound for m in big):
                 big = {m: c for m, c in big.items() if m & _FIELD <= bound}
-            elif not acc:
-                shared = b if b._terms is big else a
+            elif len(pairs) == 1:
+                return b if b._terms is big else a
+            if not acc:
+                acc.update(big)
                 continue
             for m, c in big.items():
                 acc[m] = get(m, 0) + c
@@ -665,8 +665,6 @@ def sum_of_products(pairs, ring: CoefficientRing,
                 for m2, c2 in level.items():
                     m = m1 + m2
                     acc[m] = get(m, 0) + c1 * c2
-    if shared is not None:
-        return shared
     _check_guard(acc)
     return SparsePoly._new(ring, _clean(acc, ring.rational))
 
@@ -700,24 +698,39 @@ def divided_difference(parts, va: str, vb: str) -> SparsePoly:
     return SparsePoly._new(ring, _clean(out, ring.rational))
 
 
-def divide_by_difference(p: SparsePoly, va: str, vb: str) -> SparsePoly:
-    """Exact division of p by (va - vb); raises DivisionError otherwise.
-
-    Synthetic division with va as the main variable: writing
-    p = sum_a P_a va^a, the quotient sum_a q_a va^a satisfies
-    q_{a-1} = P_a + vb q_a, read off from the top coefficient downwards,
-    and P_0 + vb q_0 must vanish."""
+def divide_monic(p: SparsePoly, v: str, M: int, tail) -> tuple:
+    """p divided by v^M - sum_j T_j v^j, tail the (j, T_j) with j < M and
+    T_j free of v: the quotient as (a, q_a) pairs, q_a the coefficient of
+    v^a, and the remainder, of v-degree below M.  From the top power of v
+    down, the coefficient c of each v^a with a >= M, one sum_of_products
+    of the pairs that reach it, is q_(a-M) and sends (c, T_j) to v^(a-M+j)."""
     ring = p.ring
-    parts = p.split((va,))
-    carry = zero = SparsePoly.zero(ring)
+    one = SparsePoly.const(ring, 1)
+    slots = {a: [(c, one)] for (a,), c in p.split((v,)).items()}
     quotient = []
-    for a in range(max(parts, default=(0,))[0], 0, -1):
-        level = parts.get((a,), zero) + carry
-        quotient.append((level, SparsePoly.monomial(ring, (va,), (a - 1,))))
-        carry = level * SparsePoly.var(ring, vb)
-    if parts.get((0,), zero) + carry:
+    for a in range(max(slots, default=0), M - 1, -1):
+        c = sum_of_products(slots.pop(a, ()), ring)
+        if c:
+            quotient.append((a - M, c))
+            for j, t in tail:
+                slots.setdefault(a - M + j, []).append((c, t))
+    remainder = sum_of_products(
+        [(c, t * SparsePoly.monomial(ring, (v,), (a,)))
+         for a, pairs in slots.items() for c, t in pairs], ring)
+    return quotient, remainder
+
+
+def divide_by_difference(p: SparsePoly, va: str, vb: str) -> SparsePoly:
+    """Exact division of p by (va - vb), divide_monic with M = 1 and
+    tail vb; raises DivisionError unless the remainder is 0."""
+    ring = p.ring
+    quotient, remainder = divide_monic(
+        p, va, 1, [(0, SparsePoly.var(ring, vb))])
+    if remainder:
         raise DivisionError(f"not divisible by ({va} - {vb})")
-    return sum_of_products(quotient, ring)
+    return sum_of_products(
+        [(c, SparsePoly.monomial(ring, (va,), (a,))) for a, c in quotient],
+        ring)
 
 
 # -- truncated power series --------------------------------------------------

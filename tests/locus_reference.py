@@ -18,8 +18,7 @@ symmetric polynomials, and the tests hold it to
 from itertools import combinations
 
 from flagcalc.divdiff import OperatorContext
-from flagcalc.families import cell_product, h_top
-from flagcalc.hecke import oplus
+from flagcalc.families import cell_product, h_top, oplus
 from flagcalc.memo import TermMemo
 from flagcalc.perms import lex_smallest_reduced_word, longest_element
 from flagcalc.porteous import elementary_symmetric

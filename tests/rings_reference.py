@@ -37,7 +37,7 @@ def _var_key(name: str, _cache: dict = {}) -> tuple:
             raise ValueError(f"bad variable name {name!r}")
         stem, idx = m.group(1), m.group(2)
         cat = _CATEGORY.get(stem, 10)
-        key = _cache[name] = (cat, stem, int(idx) if idx else 0)
+        key = _cache[name] = (cat, stem, int(idx) if idx else 0, name)
     return key
 
 

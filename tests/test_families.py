@@ -14,9 +14,9 @@ from flagcalc.families import (
     double_grothendieck,
     double_schubert,
     h_top,
+    oplus,
 )
 from flagcalc.fgl import make_additive, make_multiplicative, make_universal_rational
-from flagcalc.hecke import oplus
 from flagcalc.perms import (
     Permutation,
     all_permutations,

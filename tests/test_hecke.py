@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hecke_reference as ref
-from flagcalc.families import beta_poly, h_top
+from flagcalc.families import beta_poly, h_top, oplus
 from flagcalc.hecke import (
     HeckeElement,
     alternative_product,
@@ -18,7 +18,6 @@ from flagcalc.hecke import (
     h_factor,
     hecke_generator,
     hecke_one,
-    oplus,
     verify_identities,
 )
 from flagcalc.perms import Permutation, all_permutations, identity

@@ -1,8 +1,8 @@
 """The packed-monomial layout is private to flagcalc.rings: no other
 module of the package may name its helpers or a polynomial's packed
 terms, nor the column decoder and sort keys that printing uses.  Other
-modules use SparsePoly.split, SparsePoly.monomial, sum_of_products and
-divided_difference instead.
+modules use SparsePoly.split, SparsePoly.monomial, sum_of_products,
+divided_difference and divide_monic instead.
 
 Every callable that ``bench/trace_layers.py`` wraps still exists where
 ``Tracer.install`` looks it up, so a rename cannot silently drop a layer
@@ -13,7 +13,11 @@ the images are a permutation by construction: in perms, families and
 hecke, never in the command line or on parsed input.
 
 Importing the command line loads the standard library alone: every CLI
-call and every benchmark set-up starts a fresh interpreter."""
+call and every benchmark set-up starts a fresh interpreter.
+
+Modules import only at their top and only downward: no function body
+imports, and families, which h_top and beta_poly live in, imports
+nothing from hecke, the oracle that checks them."""
 
 import ast
 import importlib
@@ -159,3 +163,47 @@ def test_no_file_imports_click():
     files = [*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]
     assert len(files) > 20
     assert [f.name for f in files if imports.search(f.read_text())] == []
+
+
+def _local_imports(module: str, text: str) -> list:
+    """The import statements inside a function body, each once."""
+    found = {node for fn in ast.walk(ast.parse(text))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return [f"{module}:{node.lineno}: {ast.get_source_segment(text, node)}"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_local_import_guard_flags_planted_imports():
+    planted = ("from .rings import SparsePoly\n"
+               "def double_schubert(w):\n"
+               "    from .rings import ZZ\n"
+               "    return ZZ\n"
+               "class E:\n"
+               "    def phi(self):\n"
+               "        import flagcalc.divdiff\n")
+    assert _local_imports("families.py", planted) == [
+        "families.py:3: from .rings import ZZ",
+        "families.py:7: import flagcalc.divdiff"]
+    nested = "def f():\n    def g():\n        import sys\n"
+    assert _local_imports("m.py", nested) == ["m.py:3: import sys"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.name for p in PACKAGE.glob("*.py")))
+def test_imports_stay_at_the_top(module):
+    found = _local_imports(module, (PACKAGE / module).read_text())
+    assert not found, "\n".join(found)
+
+
+def test_families_does_not_import_hecke():
+    imported = []
+    for node in ast.walk(ast.parse((PACKAGE / "families.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{alias.name}"
+                         for alias in node.names]
+    assert "rings.ZZ" in imported
+    assert not [name for name in imported if "hecke" in name.split(".")]

@@ -7,6 +7,8 @@ each against a reference kept here or in tests/:
   and with a bound against that sum truncated, also for pairs with the
   constant 1, which it shares or copies;
 * ``divided_difference`` on several parts against the reference kernel;
+* ``divide_monic`` against the division identity in reference
+  arithmetic, and ``divide_by_difference`` on exact and inexact inputs;
 * both, on inputs that cancel, storing no zero coefficient;
 * ``FlagRingPresentation.reduce`` against the packed worklist in
   flagring_reference;
@@ -19,6 +21,8 @@ Hypothesis runs derandomised, so every run draws the same examples."""
 from fractions import Fraction
 from functools import reduce
 from operator import mul
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +38,14 @@ from flagcalc.rings import (
     MAX_EXP,
     QQ,
     ZZ,
+    DivisionError,
     ExponentOverflowError,
     RingMismatchError,
     SparsePoly,
     TruncatedSeries,
     beta_ring,
+    divide_by_difference,
+    divide_monic,
     divided_difference,
     lazard_rational,
     sum_of_products,
@@ -56,7 +63,7 @@ def _names(ring) -> list:
     if ring.kind == "BetaRing":
         return NAMES + ["b"]
     if ring.kind == "LazardRational":
-        return NAMES + ["m1", "m2"]
+        return NAMES + [f"m{k}" for k in range(1, ring.K + 1)]
     return NAMES
 
 
@@ -308,6 +315,59 @@ def test_divided_difference_of_parts_matches_reference(kind, data):
         ref.RefPoly(ring, dict(total.terms.items())), i)
     got = divided_difference(parts, f"x{i}", f"x{i + 1}")
     assert dict(got.terms.items()) == expected.terms
+
+
+# -- division by a polynomial monic in one variable ---------------------------
+
+DIVISION_RINGS = {"ZZ": ZZ, "QQ": QQ, "Zb": beta_ring(),
+                  "Qm": lazard_rational(3)}
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(DIVISION_RINGS))
+@fixed
+@given(data=st.data())
+def test_divide_monic_matches_the_division_identity(kind, M, data):
+    """p = q (x1^M - sum_j T_j x1^j) + r in reference arithmetic, with r
+    of x1-degree below M, for random tails T_j free of x1."""
+    ring = DIVISION_RINGS[kind]
+    names = _names(ring)
+    p = SparsePoly(ring, data.draw(raw_polys(ring, names, max_exp=M + 2),
+                                   label="p"))
+    rest = [v for v in names if v != "x1"]
+    tail = [(j, SparsePoly(ring, data.draw(
+        raw_polys(ring, rest, max_terms=3, max_exp=2), label=f"T{j}")))
+        for j in range(M)]
+    quotient, remainder = divide_monic(p, "x1", M, tail)
+
+    def as_ref(q):
+        return ref.RefPoly(ring, dict(q.terms.items()))
+
+    x1 = ref.RefPoly.var(ring, "x1")
+    divisor = x1 ** M
+    for j, t in tail:
+        divisor = divisor - as_ref(t) * x1 ** j
+    q = ref.RefPoly.zero(ring)
+    for a, c in quotient:
+        q = q + as_ref(c) * x1 ** a
+    assert (q * divisor + as_ref(remainder)).terms == as_ref(p).terms
+    assert all(a < M for (a,) in remainder.split(("x1",)))
+
+
+@pytest.mark.parametrize("kind", sorted(DIVISION_RINGS))
+@fixed
+@given(data=st.data())
+def test_divide_by_difference_is_exact_or_raises(kind, data):
+    """(va - vb) q divided by (va - vb) is q; (va - vb) q + 1 is not
+    divisible, and the error names the difference."""
+    ring = DIVISION_RINGS[kind]
+    q = SparsePoly(ring, data.draw(raw_polys(ring, _names(ring)), label="q"))
+    for va, vb in [("x1", "x2"), ("x2", "y1")]:
+        d = SparsePoly.var(ring, va) - SparsePoly.var(ring, vb)
+        assert divide_by_difference(d * q, va, vb) == q
+        message = re.escape(f"not divisible by ({va} - {vb})")
+        with pytest.raises(DivisionError, match=f"^{message}$"):
+            divide_by_difference(d * q + 1, va, vb)
 
 
 def _stores_no_zero(p: SparsePoly) -> bool:

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flagcalc
 from flagcalc.rings import (
     DivisionError,
     QQ,
@@ -276,6 +281,23 @@ class TestCanonicalOutput:
         obj = p.to_json_obj()
         assert obj["vars"] == ["x1", "b"]
         assert {"exponents": [1, 0], "coeff": "1"} in obj["terms"]
+
+    @pytest.mark.parametrize("fmt", ["text", "latex", "json"])
+    def test_order_does_not_depend_on_first_sight(self, fmt):
+        # x and x0, and y1 and y01, read alike as stem and index; each
+        # order of the terms registers the names of a pair in another
+        # order in a fresh process, and the output is the same
+        path = os.pathsep.join(filter(None, [
+            str(Path(flagcalc.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]))
+
+        def reduce(text):
+            return subprocess.run(
+                [sys.executable, "-m", "flagcalc.cli", "flagring", "reduce",
+                 "--n", "1", "--trivial", "--input", text, "--format", fmt],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONPATH": path}).stdout
+        assert reduce("x0 y01 + x y1") == reduce("x y1 + x0 y01")
 
     def test_latex_beta(self, ring):
         p = V(ring, "b") * V(ring, "x1", 2)
