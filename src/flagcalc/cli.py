@@ -25,7 +25,9 @@ from .fgl import (
 from .flagring import FlagRingPresentation
 from .perms import Permutation
 from .porteous import RankTriple, SymmetryError, thom_porteous
-from .rings import DivisionError, SparsePoly, beta_ring
+from .rings import (MAX_EXP, DivisionError, ExponentOverflowError,
+                    RingMismatchError, SparsePoly, beta_ring,
+                    is_coefficient_var)
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")
 _WORD_SPLIT = re.compile(r"\s*,\s*|\s+")
@@ -41,38 +43,46 @@ def parse_poly(text: str, ring) -> SparsePoly:
     text = text.replace("*", " ").strip()
     if not text:
         raise UsageError("empty polynomial")
-    out = SparsePoly.zero(ring)
-    for chunk in _TERM_SPLIT.split(text):
+    terms: dict = {}
+    for chunk in _TERM_SPLIT.split(text):    # one sign at most, in front
         chunk = chunk.strip()
         if not chunk:
             continue
-        sign = 1
-        while chunk and chunk[0] in "+-":
-            if chunk[0] == "-":
-                sign = -sign
-            chunk = chunk[1:].strip()
-        term = SparsePoly.const(ring, sign)
-        pos = 0
-        matched = False
+        c = -1 if chunk[0] == "-" else 1
+        chunk = chunk.lstrip("+-").strip()
+        exps, degree, pos = {}, 0, 0    # checked factor by factor, in order
         for m in _FACTOR.finditer(chunk):
             if chunk[pos:m.start()].strip():
                 raise UsageError(f"cannot parse {chunk!r}")
             pos = m.end()
-            matched = True
             if m.group(3):
                 try:
-                    c = Fraction(m.group(3))
+                    f = Fraction(m.group(3))
                 except ZeroDivisionError:
                     raise UsageError(
                         f"zero denominator in {chunk!r}") from None
-                term = term * SparsePoly(ring, {(): c})
-            else:
-                term = term * SparsePoly.var(
-                    ring, m.group(1), int(m.group(2) or 1))
-        if not matched or chunk[pos:].strip():
+                if f.denominator != 1 and not ring.rational:
+                    raise ValueError(
+                        f"non-integer coefficient {f} over {ring.kind}")
+                c *= f
+                continue
+            v, e = m.group(1), int(m.group(2) or 1)
+            if not ring.allows_generator(v):
+                raise RingMismatchError(f"generator {v!r} not in {ring.kind}")
+            if e > MAX_EXP:
+                raise ExponentOverflowError(
+                    f"{v}^{e}: exponent above {MAX_EXP}")
+            if c:    # a zero term overflows no more
+                exps[v] = exps.get(v, 0) + e
+                degree += 0 if is_coefficient_var(v) else e
+                if exps[v] > MAX_EXP or degree > MAX_EXP:
+                    raise ExponentOverflowError(
+                        f"an exponent exceeds {MAX_EXP}")
+        if not pos or chunk[pos:].strip():
             raise UsageError(f"cannot parse {chunk!r}")
-        out = out + term
-    return out
+        mono = tuple(exps.items())
+        terms[mono] = terms.get(mono, 0) + c
+    return SparsePoly(ring, terms)
 
 
 def emit(poly: SparsePoly, fmt: str):
@@ -82,15 +92,16 @@ def emit(poly: SparsePoly, fmt: str):
         print(poly.to_latex() if fmt == "latex" else poly.to_text())
 
 
-def _make_law(law: str, trunc: int, loggen: int | None):
-    """The law truncated at trunc; K = loggen, by default trunc."""
+def _make_law(law: str, trunc: int):
+    """The law truncated at trunc.  The universal law has K = trunc log
+    generators: m_k first appears in degree k + 1, so no more can show."""
     if law == "additive":
         return make_additive(trunc)
     if law == "multiplicative":
         ring = beta_ring()
         return make_multiplicative(SparsePoly.var(ring, "b"), trunc, ring)
     if law == "universal":
-        return make_universal_rational(loggen or trunc, trunc)
+        return make_universal_rational(trunc, trunc)
     raise UsageError(f"unknown law {law!r}")
 
 
@@ -123,8 +134,6 @@ class _Parser(argparse.ArgumentParser):
 def family(args):
     """Compute a member of one of the named polynomial families."""
     w = Permutation.from_one_line(args.perm)
-    if args.n is not None:
-        w = w.embed(args.n)
     build = {"beta": families.beta_poly, "schubert": families.double_schubert,
              "grothendieck": families.double_grothendieck}[args.theory]
     emit(build(w), args.format)
@@ -133,7 +142,7 @@ def family(args):
 def bott_samelson(args):
     """Push-forward class for a word over a formal group law."""
     D = args.trunc or args.n * (args.n - 1) // 2 + 2
-    fgl = _make_law(args.law, D, args.loggen)
+    fgl = _make_law(args.law, D)
     emit(families.bott_samelson_class(fgl, _parse_word(args.word), args.n),
          args.format)
 
@@ -159,26 +168,20 @@ def verify(args):
 
 def braid(args):
     """Test the braid relation on sample polynomials; report a witness."""
-    if args.law == "beta":
-        ctx = OperatorContext(args.n)
-        mode = "beta"
-        ring = beta_ring()
-    else:
-        fgl = _make_law(args.law, args.trunc, args.loggen)
-        ctx = OperatorContext(args.n, fgl=fgl)
-        mode = "fgl"
-        ring = fgl.ring
+    fgl = None if args.law == "beta" else _make_law(args.law, args.trunc)
+    ring = beta_ring() if fgl is None else fgl.ring
     rng = random.Random(args.seed)
-    samples = [SparsePoly.var(ring, "x1", 2) * SparsePoly.var(ring, "x2")]
+    samples = [SparsePoly(ring, {(("x1", 2), ("x2", 1)): 1})]
     for _ in range(5):
-        p = SparsePoly.zero(ring)
+        terms: dict = {}
         for _ in range(4):
-            term = SparsePoly(ring, {(): rng.randint(-3, 3)})
-            for k in range(1, args.n + 1):
-                term = term * SparsePoly.var(ring, f"x{k}", rng.randint(0, 2))
-            p = p + term
-        samples.append(p)
-    report = braid_check(ctx, args.i, samples, mode)
+            c = rng.randint(-3, 3)
+            mono = tuple((f"x{k}", rng.randint(0, 2))
+                         for k in range(1, args.n + 1))
+            terms[mono] = terms.get(mono, 0) + c
+        samples.append(SparsePoly(ring, terms))
+    report = braid_check(OperatorContext(args.n, fgl=fgl), args.i, samples,
+                         "beta" if fgl is None else "fgl")
     out = {"holds": report["holds"]}
     if not report["holds"]:
         out["witness"] = report["witness"].to_text()
@@ -197,7 +200,7 @@ def flagring_reduce(args):
 
 def chern_tensor(args):
     """Chern polynomial and top Chern class of Hom(E, F) from roots."""
-    fgl = _make_law(args.law, args.trunc, args.loggen)
+    fgl = _make_law(args.law, args.trunc)
     xs = [SparsePoly.var(fgl.ring, f"x{i}") for i in range(1, args.f + 1)]
     ys = [SparsePoly.var(fgl.ring, f"y{j}") for j in range(1, args.e + 1)]
     chern, top = chern_tensor_dual(fgl, xs, ys)
@@ -231,8 +234,6 @@ def _parser() -> argparse.ArgumentParser:
                           "default": "beta"}),
             ("--perm", {"required": True,
                         "help": 'one-line notation, e.g. "3 1 2"'}),
-            ("--n", {"type": int, "help":
-                     "ambient rank (defaults to the permutation size)"}),
             fmt)
     command(commands, "bott-samelson", bott_samelson,
             ("--law", {"choices": laws, "default": "universal"}),
@@ -241,8 +242,6 @@ def _parser() -> argparse.ArgumentParser:
             ("--n", {"type": positive, "required": True}),
             ("--trunc", {"type": positive,
                          "help": "truncation bound D (default n(n-1)/2 + 2)"}),
-            ("--loggen", {"type": positive, "help":
-                          "number K of log generators (universal law)"}),
             fmt)
     command(commands, "porteous", porteous,
             ("--e", {"type": int, "required": True}),
@@ -259,9 +258,9 @@ def _parser() -> argparse.ArgumentParser:
             ("--n", {"type": int, "default": 3}),
             ("--i", {"type": int, "default": 1}),
             ("--trunc", {"type": positive, "default": 4}),
-            ("--loggen", {"type": positive}),
-            ("--seed", {"type": int, "default": 0,
-                        "help": "seed for the randomised sample polynomials"}))
+            ("--seed", {"type": int, "default": 0, "help":
+                        "seed for the random samples, tried after the "
+                        "fixed sample x1^2 x2"}))
     flagring_group = commands.add_parser(
         "flagring", help="The flag-bundle quotient ring.")
     command(flagring_group.add_subparsers(metavar="COMMAND", required=True),
@@ -278,7 +277,6 @@ def _parser() -> argparse.ArgumentParser:
             ("--f", {"type": rank, "required": True,
                      "help": "rank of F (x-roots)"}),
             ("--trunc", {"type": positive, "default": 4}),
-            ("--loggen", {"type": positive}),
             fmt)
     return parser
 

@@ -1,13 +1,17 @@
 import json
+import random
 import sys
 
 import pytest
 
+import parse_reference
 from conftest import invoke
+from flagcalc import cli
 from flagcalc.cli import UsageError, main, parse_poly
 from flagcalc.families import double_grothendieck, double_schubert
+from flagcalc.fgl import make_universal_rational
 from flagcalc.perms import Permutation
-from flagcalc.rings import QQ, SparsePoly, beta_ring
+from flagcalc.rings import QQ, ZZ, SparsePoly, beta_ring, lazard_rational
 
 
 class TestParsePoly:
@@ -33,6 +37,94 @@ class TestParsePoly:
             parse_poly("x1 + (x2)", beta_ring())
 
 
+def _outcome(parse, text, ring):
+    """The polynomial parse reads from text, or its error's class and
+    message."""
+    try:
+        return parse(text, ring)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# the rings of the differential test, each with its generators
+PARSE_RINGS = {"ZZ": (ZZ, []), "QQ": (QQ, []), "Zb": (beta_ring(), ["b"]),
+               "Qm": (lazard_rational(3), ["m1", "m2", "m3"])}
+NUMBERS = ["0", "1", "2", "3", "12", "3/2", "4/2", "0/3", "1/3", "1/0"]
+EXPONENTS = ["", "", "", "^0", "^1", "^2", "^3", "^20000", "^32767",
+             "^40000"]
+
+
+def _random_text(rng: random.Random, generators: list) -> str:
+    """Up to five terms of one to four factors: signs, numbers anywhere in
+    a term, fractions, repeated variables and repeated or cancelling
+    terms, and now and then a foreign generator, a huge exponent or a
+    stray character."""
+    names = ["x1", "x2", "x3", "y1", "t"] + generators
+    terms = []
+    for _ in range(rng.randint(1, 5)):
+        if terms and rng.random() < 0.3:
+            factors = rng.choice(terms)[:]
+            rng.shuffle(factors)
+        else:
+            factors = []
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.25:
+                    factors.append(rng.choice(NUMBERS))
+                elif rng.random() < 0.03:
+                    factors.append(rng.choice(["b", "m1", "m4"]))
+                else:
+                    big = rng.random() < 0.08
+                    factors.append(rng.choice(names) + rng.choice(
+                        EXPONENTS[7:] if big else EXPONENTS[:7]))
+        terms.append(factors)
+    text = rng.choice(["", "-", "+", "- "])
+    for k, factors in enumerate(terms):
+        if k:
+            text += rng.choice([" + ", " - ", "+", "-", " -"])
+        text += rng.choice([" ", "*", " * "]).join(factors)
+    if rng.random() < 0.05:
+        at = rng.randint(0, len(text))
+        text = text[:at] + rng.choice(["(", ")", "^", "/", "+ -"]) + text[at:]
+    return text
+
+
+class TestParsePolyDifferential:
+    """parse_poly against the factor-by-factor parse it replaced: equal
+    polynomials for the texts that parse accepts, the same error class
+    and message for the rest."""
+
+    @pytest.mark.parametrize("name", list(PARSE_RINGS))
+    def test_random_texts(self, name):
+        ring, generators = PARSE_RINGS[name]
+        rng = random.Random(name)
+        accepted = 0
+        for _ in range(450):
+            text = _random_text(rng, generators)
+            want = _outcome(parse_reference.parse_poly, text, ring)
+            assert _outcome(parse_poly, text, ring) == want, text
+            accepted += isinstance(want, SparsePoly)
+        assert accepted >= 150
+
+    @pytest.mark.parametrize("text", [
+        "3/2 2 x1", "1/0 x1", "m1", "x1^40000", "x1^20000 x1^20000",
+        "x1^20000 y1^20000", "(x1)", "x1 +", "", "--x1", "x1 m1 3/2",
+        "3/2 m1", "x1^20000 x1^20000 m1"])
+    @pytest.mark.parametrize("name", ["ZZ", "Zb"])
+    def test_bad_texts(self, name, text):
+        ring = PARSE_RINGS[name][0]
+        want = _outcome(parse_reference.parse_poly, text, ring)
+        assert not isinstance(want, SparsePoly)
+        assert _outcome(parse_poly, text, ring) == want
+
+    @pytest.mark.parametrize("text", [
+        "0 x1^20000 x1^20000", "x1^20000 0 x1^20000", "3/2 2 x1",
+        "x1 x2 - x2 x1 + 1", "x1^0 b^0"])
+    def test_edge_texts(self, text):
+        ring = beta_ring() if "b" in text else QQ
+        want = _outcome(parse_reference.parse_poly, text, ring)
+        assert _outcome(parse_poly, text, ring) == want
+
+
 class TestFamilyCommand:
     def test_schubert_simple(self, capsys):
         res = invoke(capsys, "family", "--theory", "schubert",
@@ -52,14 +144,14 @@ class TestFamilyCommand:
 
     def test_embedding_flag(self, capsys):
         res = invoke(capsys, "family", "--theory", "schubert",
-                     "--perm", "2 1", "--n", "3")
+                     "--perm", "2 1 3")
         assert res.output.strip() == \
             double_schubert(Permutation((2, 1, 3))).to_text()
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_fixed_tail_does_not_change_the_output(self, capsys, fmt):
         small = invoke(capsys, "family", "--perm", "2 1", "--format", fmt)
-        big = invoke(capsys, "family", "--perm", "2 1", "--n", "9",
+        big = invoke(capsys, "family", "--perm", "2 1 3 4 5 6 7 8 9",
                      "--format", fmt)
         assert big == small and small.exit_code == 0
 
@@ -188,7 +280,7 @@ class TestErrors:
         ("family", "--perm", "2 1", "--format", "xml"),
         ("family",),
         ("schubert", "--perm", "2 1"),
-        ("family", "--perm", "2 1", "--n", "abc"),
+        ("bott-samelson", "--n", "abc"),
     ], ids=["repeated-image", "empty-perm", "rank-above-min", "word-index",
             "word-empty-index", "word-trailing-comma",
             "braid-n2", "zero-denominator", "flagring-n0", "hecke-n0",
@@ -211,17 +303,15 @@ class TestHelp:
     # each command's options, in the order its --help lists them
     OPTIONS = {
         (): [],
-        ("family",): ["--theory", "--perm", "--n", "--format"],
-        ("bott-samelson",): ["--law", "--word", "--n", "--trunc", "--loggen",
-                             "--format"],
+        ("family",): ["--theory", "--perm", "--format"],
+        ("bott-samelson",): ["--law", "--word", "--n", "--trunc", "--format"],
         ("porteous",): ["--e", "--f", "--r", "--theory", "--format"],
         ("hecke",): [],
         ("hecke", "verify"): ["--n"],
-        ("braid",): ["--law", "--n", "--i", "--trunc", "--loggen", "--seed"],
+        ("braid",): ["--law", "--n", "--i", "--trunc", "--seed"],
         ("flagring",): [],
         ("flagring", "reduce"): ["--n", "--trivial", "--input", "--format"],
-        ("chern-tensor",): ["--law", "--e", "--f", "--trunc", "--loggen",
-                            "--format"],
+        ("chern-tensor",): ["--law", "--e", "--f", "--trunc", "--format"],
     }
 
     @pytest.mark.parametrize("command", list(OPTIONS),
@@ -236,3 +326,88 @@ class TestHelp:
         subcommands = {c[len(command)] for c in self.OPTIONS
                        if len(c) == len(command) + 1 and c[:-1] == command}
         assert all(name in words for name in subcommands)
+
+
+def _options(parser, command=()):
+    """(command, option) for every option of every command of parser."""
+    for action in parser._actions:
+        if action.choices and hasattr(action, "add_parser"):
+            for name, sub in action.choices.items():
+                yield from _options(sub, command + (name,))
+        elif action.option_strings and action.dest != "help":
+            yield command, action.option_strings[0]
+
+
+class TestEveryOptionChangesAnOutput:
+    """An option that no value of changes the output is a knob to drop.
+    Each entry is two command lines that differ only in that option."""
+
+    BS = ("bott-samelson", "--word", "1", "--n", "2")
+    BRAID = ("braid", "--law", "multiplicative", "--trunc", "3")
+    FLAG = ("flagring", "reduce", "--n", "2", "--input", "x1^2 + x2")
+    CT = ("chern-tensor", "--e", "1", "--f", "1")
+    PAIRS = {
+        ("family", "--theory"): (("family", "--perm", "2 1"),
+                                 ("--theory", "schubert")),
+        ("family", "--perm"): (("family", "--perm", "2 1"),
+                               ("--perm", "3 1 2")),
+        ("family", "--format"): (("family", "--perm", "2 1"),
+                                 ("--format", "json")),
+        ("bott-samelson", "--law"): (BS, ("--law", "additive")),
+        ("bott-samelson", "--word"): (BS, ("--word", "")),
+        ("bott-samelson", "--n"): (BS, ("--n", "3")),
+        ("bott-samelson", "--trunc"): (BS, ("--trunc", "2")),
+        ("bott-samelson", "--format"): (BS, ("--format", "latex")),
+        ("porteous", "--e"): (("porteous", "--e", "1", "--f", "1", "--r",
+                               "0"), ("--e", "2")),
+        ("porteous", "--f"): (("porteous", "--e", "1", "--f", "1", "--r",
+                               "0"), ("--f", "2")),
+        ("porteous", "--r"): (("porteous", "--e", "2", "--f", "2", "--r",
+                               "0"), ("--r", "1")),
+        ("porteous", "--theory"): (("porteous", "--e", "1", "--f", "1",
+                                    "--r", "0"), ("--theory", "k0")),
+        ("porteous", "--format"): (("porteous", "--e", "1", "--f", "1",
+                                    "--r", "0"), ("--format", "json")),
+        ("hecke verify", "--n"): (("hecke", "verify", "--n", "2"),
+                                  ("--n", "3")),
+        ("braid", "--law"): (BRAID, ("--law", "universal")),
+        ("braid", "--n"): (BRAID, ("--n", "4")),
+        ("braid", "--i"): (BRAID + ("--n", "4"), ("--i", "2")),
+        ("braid", "--trunc"): (BRAID, ("--trunc", "4")),
+        ("braid", "--seed"): (BRAID, ("--seed", "1")),
+        ("flagring reduce", "--n"): (FLAG, ("--n", "3")),
+        ("flagring reduce", "--trivial"): (FLAG, ("--trivial",)),
+        ("flagring reduce", "--input"): (FLAG, ("--input", "x1 x2")),
+        ("flagring reduce", "--format"): (FLAG, ("--format", "json")),
+        ("chern-tensor", "--law"): (CT, ("--law", "additive")),
+        ("chern-tensor", "--e"): (CT, ("--e", "2")),
+        ("chern-tensor", "--f"): (CT, ("--f", "2")),
+        ("chern-tensor", "--trunc"): (CT, ("--trunc", "2")),
+        ("chern-tensor", "--format"): (CT, ("--format", "json")),
+    }
+
+    def test_every_option_has_an_entry(self):
+        options = {(" ".join(c), o) for c, o in _options(cli._parser())}
+        assert options == set(self.PAIRS)
+
+    @pytest.mark.parametrize("key", list(PAIRS), ids=" ".join)
+    def test_option_changes_stdout(self, capsys, key):
+        base, change = self.PAIRS[key]
+        # the option's last occurrence wins, so the lines differ in it alone
+        first = invoke(capsys, *base)
+        second = invoke(capsys, *base, *change)
+        assert first.exit_code == second.exit_code == 0
+        assert first.output != second.output
+
+
+class TestUniversalLawGenerators:
+    """m_k first appears in degree k + 1, so the universal law truncated
+    at D reads the same with any K >= D log generators: the command line
+    builds it with K = D."""
+
+    @pytest.mark.parametrize("D", range(2, 7))
+    def test_extra_generators_change_nothing(self, D):
+        def text(K):
+            law = make_universal_rational(K, D)
+            return law.F.body.to_text(), law.chi.body.to_text()
+        assert text(D) == text(D + 1) == text(D + 3)

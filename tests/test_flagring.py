@@ -119,3 +119,24 @@ class TestHighPowers:
             assert exps.get("x1", 0) <= 1 and exps.get("x2", 0) == 0
         half = pres.reduce(SparsePoly.var(ring, "x1", 750))
         assert pres.reduce(half * half) == big
+
+
+class TestXDegreeBound:
+    """reduce refuses an x-degree above MAX_X_DEGREE.  It reads the
+    geometric degree first, which counts every x and so bounds the
+    x-degree, and splits by x_1..x_n only when that degree is above the
+    bound."""
+
+    def test_x_power_above_the_bound_is_refused(self):
+        ring = beta_ring()
+        pres = FlagRingPresentation.symbolic(2, ring)
+        with pytest.raises(ValueError, match="x-degree 1501 exceeds 1500"):
+            pres.reduce(SparsePoly.var(ring, "x1", 1501))
+
+    def test_other_variables_do_not_count(self):
+        ring = beta_ring()
+        pres = FlagRingPresentation.symbolic(2, ring)
+        y = SparsePoly.var(ring, "y1", 2000)
+        got = pres.reduce(y * SparsePoly.var(ring, "x1", 3))
+        assert got == y * pres.reduce(SparsePoly.var(ring, "x1", 3))
+        assert not got.is_zero()
