@@ -15,7 +15,6 @@ from .fgl import FormalGroupLaw
 from .memo import TermMemo
 from .rings import (
     SparsePoly,
-    TruncatedSeries,
     divide_by_difference,
     divided_difference,
     series_reciprocal,
@@ -101,7 +100,7 @@ class OperatorContext:
             else:
                 denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
                 g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
-                ginv = series_reciprocal(TruncatedSeries(g, fgl.D - 1)).body
+                ginv = series_reciprocal(g, fgl.D - 1)
             _GINV_MEMO.put(key, ginv)
         return ginv
 

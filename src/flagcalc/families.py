@@ -38,12 +38,14 @@ def oplus(a: SparsePoly, b: SparsePoly) -> SparsePoly:
 
 
 def cell_product(ring, cells, factor, bound=None) -> SparsePoly:
-    """prod factor(x_i, y_j) over the cells (i, j); with a bound, no
-    partial product has a term above it."""
-    out = SparsePoly.const(ring, 1)
-    for i, j in cells:
+    """prod factor(x_i, y_j) over the cells (i, j), a sequence.  Every factor
+    has no constant term, so with a bound the product of the first k of m
+    cells needs, and keeps, no term above bound - (m - k)."""
+    out, m = SparsePoly.const(ring, 1), len(cells)
+    for k, (i, j) in enumerate(cells, start=1):
         f = factor(SparsePoly.var(ring, f"x{i}"), SparsePoly.var(ring, f"y{j}"))
-        out = sum_of_products([(out, f)], ring, bound)
+        out = sum_of_products([(out, f)], ring,
+                              None if bound is None else bound - (m - k))
     return out
 
 

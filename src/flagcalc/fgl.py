@@ -30,14 +30,14 @@ __all__ = [
 
 
 class FormalGroupLaw:
-    """F in u, v and chi in u, truncated at D.  A law equals only itself,
-    so a memo keyed on it hashes no series."""
+    """F in u, v and chi in u as series truncated at D, over F's ring.  A
+    law equals only itself, so a memo keyed on it hashes no series."""
 
     __slots__ = ("ring", "F", "chi", "D")
 
-    def __init__(self, ring: CoefficientRing, F: TruncatedSeries,
-                 chi: TruncatedSeries, D: int):
-        self.ring, self.F, self.chi, self.D = ring, F, chi, D
+    def __init__(self, F: SparsePoly, chi: SparsePoly, D: int):
+        self.ring, self.D = F.ring, D
+        self.F, self.chi = TruncatedSeries(F, D), TruncatedSeries(chi, D)
 
     def sum_series(self, a: SparsePoly, b: SparsePoly) -> SparsePoly:
         """F(a, b) truncated at D; a, b must have zero constant term."""
@@ -50,11 +50,8 @@ class FormalGroupLaw:
 
 def make_additive(D: int, ring: CoefficientRing | None = None
                   ) -> FormalGroupLaw:
-    ring = ring or beta_ring()
-    u = SparsePoly.var(ring, "u")
-    v = SparsePoly.var(ring, "v")
-    return FormalGroupLaw(ring, TruncatedSeries(u + v, D),
-                          TruncatedSeries(-u, D), D)
+    """F(u, v) = u + v and chi(u) = -u: the multiplicative law at b = 0."""
+    return make_multiplicative(0, D, ring)
 
 
 def make_multiplicative(b, D: int, ring: CoefficientRing | None = None
@@ -66,10 +63,8 @@ def make_multiplicative(b, D: int, ring: CoefficientRing | None = None
         b = SparsePoly.const(ring, b)
     u = SparsePoly.var(ring, "u")
     v = SparsePoly.var(ring, "v")
-    F = TruncatedSeries(u + v - b * u * v, D)
-    recip = series_reciprocal(TruncatedSeries(1 - b * u, D)).body
-    chi = TruncatedSeries(sum_of_products([(recip, -u)], ring, D), D)
-    return FormalGroupLaw(ring, F, chi, D)
+    chi = sum_of_products([(series_reciprocal(1 - b * u, D), -u)], ring, D)
+    return FormalGroupLaw(u + v - b * u * v, chi, D)
 
 
 def make_universal_rational(K: int, D: int) -> FormalGroupLaw:
@@ -81,15 +76,11 @@ def make_universal_rational(K: int, D: int) -> FormalGroupLaw:
     log = t
     for k in range(1, K + 1):
         log = log + SparsePoly.var(ring, f"m{k}") * t ** (k + 1)
-    log_s = TruncatedSeries(log, D)
-    exp_s = compositional_inverse(log_s)
-    u = SparsePoly.var(ring, "u")
-    v = SparsePoly.var(ring, "v")
-    log_u = log_s.substitute_into({"t": u}).body
-    log_v = log_s.substitute_into({"t": v}).body
-    F = exp_s.substitute_into({"t": log_u + log_v})
-    chi = exp_s.substitute_into({"t": -log_u})
-    return FormalGroupLaw(ring, F, chi, D)
+    exp = compositional_inverse(log, D)
+    log_u = log.substitute({"t": SparsePoly.var(ring, "u")}, bound=D)
+    log_v = log.substitute({"t": SparsePoly.var(ring, "v")}, bound=D)
+    return FormalGroupLaw(exp.substitute({"t": log_u + log_v}, bound=D),
+                          exp.substitute({"t": -log_u}, bound=D), D)
 
 
 def chern_tensor_dual(fgl: FormalGroupLaw, x_roots: list, y_roots: list
@@ -102,9 +93,10 @@ def chern_tensor_dual(fgl: FormalGroupLaw, x_roots: list, y_roots: list
     symmetric functions e_k of the factors."""
     ring = fgl.ring
     es = [SparsePoly.const(ring, 1)]
+    chi_ys = [fgl.inverse_series(yj) for yj in y_roots]
     for xi in x_roots:
-        for yj in y_roots:
-            factor = fgl.sum_series(xi, fgl.inverse_series(yj))
+        for chi_yj in chi_ys:
+            factor = fgl.sum_series(xi, chi_yj)
             es.append(SparsePoly.zero(ring))
             for k in range(len(es) - 1, 0, -1):
                 es[k] += sum_of_products([(factor, es[k - 1])], ring, fgl.D)

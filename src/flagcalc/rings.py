@@ -766,47 +766,47 @@ class TruncatedSeries:
             self.body.substitute(assignment, bound=self.bound), self.bound)
 
 
-def series_reciprocal(s: TruncatedSeries) -> TruncatedSeries:
-    """Multiplicative inverse modulo degree > bound.
+def series_reciprocal(p: SparsePoly, bound: int) -> SparsePoly:
+    """Multiplicative inverse of p modulo degree > bound.
 
     Requires the degree-0 part to be a unit constant: +-1 over Integers
     and BetaRing, any nonzero rational otherwise."""
-    ring = s.body.ring
-    c0 = s.body.constant_term()
+    ring, p = p.ring, p.truncate(bound)
+    c0 = p.constant_term()
     c = c0.coeff(())
     if c == 0 or c0 != c:
         raise ValueError("constant term is not a unit constant")
     if not ring.rational and c not in (1, -1):
         raise ValueError(f"{c} is not a unit over {ring.kind}")
     cinv = Fraction(1, c) if ring.rational else c  # c = +-1 otherwise
-    # s = c(1 - r) with r of positive degree: invert via the geometric series
+    # p = c(1 - r) with r of positive degree: invert via the geometric series
     one = SparsePoly.const(ring, 1)
-    r = one - s.body * cinv
+    r = one - p * cinv
     acc = power = one
-    for _ in range(s.bound):
-        power = sum_of_products([(power, r)], ring, s.bound)
+    for _ in range(bound):
+        power = sum_of_products([(power, r)], ring, bound)
         if not power:
             break
         acc = acc + power
-    return TruncatedSeries(acc * cinv, s.bound)
+    return acc * cinv
 
 
-def compositional_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Inverse under composition of a series t + O(t^2) in t alone.
+def compositional_inverse(p: SparsePoly, bound: int) -> SparsePoly:
+    """Compositional inverse of t + O(t^2) in t alone, modulo degree > bound.
 
-    Fixed-point iteration g <- g - (s(g) - t), not Newton iteration:
+    Fixed-point iteration g <- g - (p(g) - t), not Newton iteration:
     each pass gains one order of accuracy, so bound passes suffice."""
-    ring = s.body.ring
-    if {v for v in s.body.variables() if not is_coefficient_var(v)} - {"t"}:
+    ring, p = p.ring, p.truncate(bound)
+    if {v for v in p.variables() if not is_coefficient_var(v)} - {"t"}:
         raise ValueError("series involves variables besides t")
-    if s.body.coeff((("t", 1),)) != 1:
+    if p.coeff((("t", 1),)) != 1:
         raise ValueError("linear coefficient must be 1")
-    if not s.body.constant_term().is_zero():
+    if not p.constant_term().is_zero():
         raise ValueError("nonzero constant term")
     t = g = SparsePoly.var(ring, "t")
-    for _ in range(s.bound):
-        err = s.substitute_into({"t": g}).body - t
+    for _ in range(bound):
+        err = p.substitute({"t": g}, bound=bound) - t
         if err.is_zero():
             break
         g = g - err
-    return TruncatedSeries(g, s.bound)
+    return g

@@ -4,6 +4,7 @@ import pytest
 import sympy
 
 from flagcalc.fgl import (
+    FormalGroupLaw,
     chern_tensor_dual,
     make_additive,
     make_multiplicative,
@@ -28,7 +29,37 @@ def test_law_is_hashed_without_its_series(monkeypatch):
     assert law != make_universal_rational(6, 6)
 
 
+@pytest.mark.parametrize("D", [1, 2, 5])
+@pytest.mark.parametrize("build", [
+    make_additive,
+    lambda D: make_multiplicative(V(beta_ring(), "b"), D),
+    lambda D: make_universal_rational(D + 1, D),
+], ids=["additive", "multiplicative", "universal"])
+def test_law_has_one_bound_and_one_ring(build, D):
+    law = build(D)
+    assert law.D == law.F.bound == law.chi.bound == D
+    assert law.ring == law.F.body.ring == law.chi.body.ring
+
+
+def test_law_truncates_its_polynomials():
+    ring = beta_ring()
+    u, v, b = V(ring, "u"), V(ring, "v"), V(ring, "b")
+    law = FormalGroupLaw(u + v - b * u * v, -u - b * u ** 2, 1)
+    assert (law.ring, law.F.body, law.chi.body) == (ring, u + v, -u)
+
+
 class TestAdditive:
+    @pytest.mark.parametrize("ring", [beta_ring(), ZZ, QQ],
+                             ids=["Zb", "ZZ", "QQ"])
+    def test_is_the_multiplicative_law_at_zero(self, ring):
+        u, v = V(ring, "u"), V(ring, "v")
+        for D in range(1, 10):
+            add, mult = make_additive(D, ring), make_multiplicative(0, D, ring)
+            assert add.ring == mult.ring == ring
+            for law in (add, mult):
+                assert law.F.body.to_text() == (u + v).to_text()
+                assert law.chi.body.to_text() == (-u).to_text()
+
     def test_sum(self):
         fgl = make_additive(4)
         r = fgl.ring

@@ -2,11 +2,14 @@
 element.  Products are held to the length-based rule in hecke_reference;
 Hypothesis runs derandomised, so every run draws the same examples."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hecke_reference as ref
+from flagcalc import hecke
 from flagcalc.families import beta_poly, h_top, oplus
 from flagcalc.hecke import (
     HeckeElement,
@@ -238,3 +241,52 @@ class TestVerification:
     def test_certificate_names_unique(self):
         names = [r["name"] for r in verify_identities(2)]
         assert len(names) == len(set(names))
+
+
+# -- H(x, y) at a point -------------------------------------------------------
+
+def _word(build, n: int, monkeypatch) -> list:
+    """The (i, c) pairs that build(n) chains, in order, with nothing
+    multiplied: each _chain call records its pairs and returns its start."""
+    pairs = []
+    monkeypatch.setattr(hecke, "_chain",
+                        lambda e, factors: pairs.extend(factors) or e)
+    build(n)
+    return pairs
+
+
+def _at_point(word: list, n: int, seed: int) -> tuple:
+    """The point drawn from the seed, and the word's product there."""
+    rng = random.Random(seed)
+    point = {v: rng.randrange(ref.P) for v in
+             ["b", *(f"{s}{k}" for s in "xy" for k in range(1, n))]}
+    values = [(i, ref.evaluate(c, point)) for i, c in word]
+    return point, ref.chain_at_point(n, values, point["b"])
+
+
+class TestAtAPoint:
+    """H(x, y) at one seeded point of (Z/P)^m, P = 2^61 - 1.  These are
+    randomised identity checks: two different polynomials of total degree
+    at most d agree at a uniformly random point with probability at most
+    d / P (Schwartz-Zippel).  The seeds are fixed, so every run draws the
+    same point."""
+
+    def test_family_of_S5(self, monkeypatch):
+        """build_Hxy(5)'s word has 20 factors, each of degree at most 2
+        with the b of a descent, and beta_poly has total degree at most 30
+        on S_5, b counted: a false pass has probability at most
+        120 * 40 / P < 3e-15."""
+        point, H = _at_point(_word(build_Hxy, 5, monkeypatch), 5, seed=5)
+        for w in all_permutations(5):
+            assert H.get(w.images, 0) == ref.evaluate(beta_poly(w), point), w
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_Hxy_word_equals_alternative_word(self, n, monkeypatch):
+        """build_Hxy chains n(n-1) factors of degree 1 and
+        alternative_product n(n-1)/2 of degree 3, with a b per descent, so
+        every coefficient has degree at most 2n(n-1): a false pass has
+        probability at most n! * 2n(n-1) / P, below 2e-13 at n = 7."""
+        hxy = _word(build_Hxy, n, monkeypatch)
+        alt = _word(alternative_product, n, monkeypatch)
+        assert (len(hxy), len(alt)) == (n * (n - 1), n * (n - 1) // 2)
+        assert _at_point(hxy, n, seed=n)[1] == _at_point(alt, n, seed=n)[1]

@@ -15,6 +15,10 @@ hecke, never in the command line or on parsed input.
 Importing the command line loads the standard library alone: every CLI
 call and every benchmark set-up starts a fresh interpreter.
 
+A ``TruncatedSeries`` is built only in rings and in
+``FormalGroupLaw.__init__``: the law holds its F and chi as series, and
+every other caller passes a polynomial and a bound.
+
 Modules import only at their top and only downward: no function body
 imports, and families, which h_top and beta_poly live in, imports
 nothing from hecke, the oracle that checks them."""
@@ -115,6 +119,40 @@ def test_parsed_permutations_are_checked():
     body = ast.get_source_segment(text, parse)
     assert "return Permutation(images)" in body
     assert not TRUSTED.search(body)
+
+
+SERIES = re.compile(r"\bTruncatedSeries\(")
+
+
+def _series_builds(module: str, text: str) -> list:
+    """The lines that build a series outside FormalGroupLaw.__init__."""
+    allowed = {k for cls in ast.walk(ast.parse(text))
+               if isinstance(cls, ast.ClassDef)
+               and cls.name == "FormalGroupLaw"
+               for fn in cls.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+               for k in range(fn.lineno, fn.end_lineno + 1)}
+    return [f"{module}:{k}: {line.strip()}"
+            for k, line in enumerate(text.splitlines(), start=1)
+            if SERIES.search(line) and k not in allowed]
+
+
+def test_series_guard_flags_a_planted_build():
+    planted = ("class FormalGroupLaw:\n"
+               "    def __init__(self, F, chi, D):\n"
+               "        self.F = TruncatedSeries(F, D)\n"
+               "def make_additive(D):\n"
+               "    return rings.TruncatedSeries(u + v, D)\n")
+    assert _series_builds("fgl.py", planted) == [
+        "fgl.py:5: return rings.TruncatedSeries(u + v, D)"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_law_builds_a_series(module):
+    text = (PACKAGE / module).read_text()
+    builds = _series_builds(module, text)
+    assert not builds, "\n".join(builds)
+    assert bool(SERIES.search(text)) is (module == "fgl.py")
 
 
 def _trace_layers():
