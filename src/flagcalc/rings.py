@@ -35,6 +35,7 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, islice, product, repeat
+from math import comb
 from operator import add, neg, or_, sub
 
 __all__ = [
@@ -794,19 +795,28 @@ def series_reciprocal(p: SparsePoly, bound: int) -> SparsePoly:
 def compositional_inverse(p: SparsePoly, bound: int) -> SparsePoly:
     """Compositional inverse of t + O(t^2) in t alone, modulo degree > bound.
 
-    Fixed-point iteration g <- g - (p(g) - t), not Newton iteration:
-    each pass gains one order of accuracy, so bound passes suffice."""
+    Lagrange inversion: with p = t (1 + M), the t^n coefficient of the
+    inverse is (1/n) sum_j (-1)^j C(n-1+j, j) [t^(n-1)] M^j, so one chain
+    of bounded powers M^j, j < bound, gives every coefficient.  The
+    division by n is exact over Z and Z[b]; a remainder raises."""
     ring, p = p.ring, p.truncate(bound)
     if {v for v in p.variables() if not is_coefficient_var(v)} - {"t"}:
         raise ValueError("series involves variables besides t")
-    if p.coeff((("t", 1),)) != 1:
+    if p.homogeneous_part(1) != SparsePoly.var(ring, "t"):
         raise ValueError("linear coefficient must be 1")
     if not p.constant_term().is_zero():
         raise ValueError("nonzero constant term")
-    t = g = SparsePoly.var(ring, "t")
-    for _ in range(bound):
-        err = p.substitute({"t": g}, bound=bound) - t
-        if err.is_zero():
-            break
-        g = g - err
-    return g
+    t = _slot("t")[1]  # only t counts, so a key's degree is its power of t
+    M = SparsePoly._new(ring, {m - t: c for m, c in p._terms.items() if m != t})
+    acc, power, j = {}, SparsePoly.const(ring, 1), 0
+    while power:  # M^j starts in degree j, so M^bound is 0
+        for m, c in power._terms.items():
+            c *= (-1) ** j * comb((m & _FIELD) + j, j)
+            acc[m + t] = acc.get(m + t, 0) + c
+        power, j = sum_of_products([(power, M)], ring, bound - 1), j + 1
+    for m, c in acc.items():
+        q, r = divmod(c, m & _FIELD)
+        if r and not ring.rational:
+            raise DivisionError(f"{c} is not divisible by {m & _FIELD}")
+        acc[m] = Fraction(c, m & _FIELD) if r else q
+    return SparsePoly._new(ring, _clean(acc, ring.rational))

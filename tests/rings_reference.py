@@ -9,7 +9,9 @@ divide_by_difference and divided_difference are the old synthetic
 division and closed-form partial_i kernel on these tuples.
 series_substitute is the old series substitution engine with its own
 power cache, and solve_chi the old fixed-point solution of
-F(u, chi(u)) = 0 built on it.
+F(u, chi(u)) = 0 built on it.  compositional_inverse is the old
+fixed-point inverse of a SparsePoly series, which flagcalc.rings replaced
+with Lagrange inversion.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from flagcalc.rings import CoefficientRing, DivisionError, RingMismatchError
+from flagcalc.rings import (
+    CoefficientRing, DivisionError, RingMismatchError, SparsePoly)
 
 _VAR_RE = re.compile(r"([a-zA-Z]+)(\d*)")
 
@@ -528,3 +531,24 @@ def solve_chi(F: RefPoly, D: int) -> RefPoly:
             break
         chi = (chi - err).truncate(D)
     return chi
+
+
+def compositional_inverse(p: SparsePoly, bound: int) -> SparsePoly:
+    """Compositional inverse of t + O(t^2) in t alone, modulo degree > bound.
+
+    Fixed-point iteration g <- g - (p(g) - t), not Newton iteration:
+    each pass gains one order of accuracy, so bound passes suffice."""
+    ring, p = p.ring, p.truncate(bound)
+    if {v for v in p.variables() if not is_coefficient_var(v)} - {"t"}:
+        raise ValueError("series involves variables besides t")
+    if p.coeff((("t", 1),)) != 1:
+        raise ValueError("linear coefficient must be 1")
+    if not p.constant_term().is_zero():
+        raise ValueError("nonzero constant term")
+    t = g = SparsePoly.var(ring, "t")
+    for _ in range(bound):
+        err = p.substitute({"t": g}, bound=bound) - t
+        if err.is_zero():
+            break
+        g = g - err
+    return g

@@ -10,7 +10,11 @@ from flagcalc.fgl import (
     make_multiplicative,
     make_universal_rational,
 )
-from flagcalc.rings import QQ, SparsePoly, ZZ, beta_ring
+from flagcalc.rings import (
+    QQ, SparsePoly, ZZ, beta_ring, compositional_inverse)
+
+import flagcalc.fgl as fgl_module
+import rings_reference as ref
 
 
 def V(ring, name, e=1):
@@ -189,6 +193,45 @@ class TestUniversal:
         mult = make_multiplicative(1, 4, QQ)
         u, v = V(QQ, "u"), V(QQ, "v")
         assert got == mult.sum_series(u, v)
+
+
+class TestUniversalAtSixteen:
+    """The law at D = K = 16, built in well under a second."""
+
+    @pytest.fixture(scope="class")
+    def law(self):
+        return make_universal_rational(16, 16)
+
+    def test_exp_and_log_are_inverse(self, law):
+        t = V(law.ring, "t")
+        log = t + sum(V(law.ring, f"m{k}") * t ** (k + 1)
+                      for k in range(1, 17))
+        exp = compositional_inverse(log, 16)
+        assert exp.substitute({"t": log}, bound=16) == t
+        assert log.substitute({"t": exp}, bound=16) == t
+
+    def test_inverse_cancels(self, law):
+        u = V(law.ring, "u")
+        assert law.sum_series(u, law.inverse_series(u)).is_zero()
+
+    def test_zero_is_the_unit(self, law):
+        assert law.F.body.substitute({"v": 0}) == V(law.ring, "u")
+
+    def test_symmetric(self, law):
+        u, v = V(law.ring, "u"), V(law.ring, "v")
+        assert law.F.body.substitute({"u": v, "v": u}) == law.F.body
+
+
+@pytest.mark.parametrize("D", range(1, 10))
+def test_universal_law_text_matches_fixed_point_inverse(monkeypatch, D):
+    """F and chi print the same text when the law's exp is the old
+    fixed-point inverse kept in rings_reference."""
+    law = make_universal_rational(D, D)
+    monkeypatch.setattr(fgl_module, "compositional_inverse",
+                        ref.compositional_inverse)
+    old = make_universal_rational(D, D)
+    assert law.F.body.to_text() == old.F.body.to_text()
+    assert law.chi.body.to_text() == old.chi.body.to_text()
 
 
 class TestChernTensorDual:

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -24,6 +25,7 @@ from flagcalc.rings import (
     sum_of_products,
 )
 
+import rings_reference as ref
 from conftest import random_poly
 
 
@@ -188,6 +190,97 @@ class TestCompositionalInverse:
     def test_bad_linear_coefficient(self):
         with pytest.raises(ValueError):
             compositional_inverse(2 * V(QQ, "t"), 3)
+
+
+def _tail(ring, rng, top):
+    """t plus seeded random coefficients on t^2..t^top: integers over Z,
+    integers and multiples of b^1..b^3 over Z[b], fractions over Q."""
+    t, p = V(ring, "t"), V(ring, "t")
+    for e in range(2, top + 1):
+        if ring == QQ:
+            c = SparsePoly.const(ring, Fraction(rng.randint(-5, 5),
+                                                rng.randint(1, 6)))
+        else:
+            c = SparsePoly.const(ring, rng.randint(-3, 3))
+            if ring != ZZ:
+                c += rng.randint(-2, 2) * V(ring, "b", rng.randint(1, 3))
+        p += c * t ** e
+    return p
+
+
+class TestLagrangeInversion:
+    """Lagrange inversion against the fixed-point iteration it replaced
+    (rings_reference.compositional_inverse), on seeded random series."""
+
+    @pytest.mark.parametrize("K", range(1, 7))
+    def test_matches_fixed_point_over_lazard(self, K):
+        ring, rng = lazard_rational(K), random.Random(2900 + K)
+        t = V(ring, "t")
+        for bound in range(1, 10):  # K < bound from bound = K + 2 on
+            p = t
+            for k in range(1, K + 1):
+                c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+                p += (c * V(ring, f"m{k}") + rng.randint(-2, 2)) * t ** (k + 1)
+            assert compositional_inverse(p, bound) == \
+                ref.compositional_inverse(p, bound)
+
+    @pytest.mark.parametrize("ring", [ZZ, beta_ring(), QQ],
+                             ids=["ZZ", "Zb", "QQ"])
+    def test_matches_fixed_point_with_random_tails(self, ring):
+        rng = random.Random(2929)
+        for _ in range(12):
+            p = _tail(ring, rng, rng.randint(2, 9))
+            for bound in range(1, 10):
+                got = compositional_inverse(p, bound)
+                assert got == ref.compositional_inverse(p, bound)
+                if not ring.rational:
+                    assert all(type(c) is int for c in got.terms.values())
+
+    @pytest.mark.parametrize("ring", [ZZ, beta_ring(), lazard_rational(2)],
+                             ids=["ZZ", "Zb", "Qm"])
+    def test_bound_one_is_t(self, ring):
+        t = V(ring, "t")
+        assert compositional_inverse(t + 3 * t ** 2 - t ** 5, 1) == t
+
+    @pytest.mark.parametrize("bound", [0, -1, -5])
+    def test_bound_below_one_raises(self, bound):
+        t = V(QQ, "t")
+        with pytest.raises(ValueError, match="linear coefficient must be 1"):
+            compositional_inverse(t + t ** 2, bound)
+
+    def test_variables_besides_t_raise(self):
+        t, x1 = V(QQ, "t"), V(QQ, "x1")
+        with pytest.raises(ValueError, match="variables besides t"):
+            compositional_inverse(t + x1 * t, 3)
+
+    @pytest.mark.parametrize("ring", [ZZ, beta_ring()], ids=["ZZ", "Zb"])
+    def test_nonzero_constant_term_raises(self, ring):
+        t = V(ring, "t")
+        for const in [SparsePoly.const(ring, 1)] + (
+                [V(ring, "b")] if ring != ZZ else []):
+            with pytest.raises(ValueError, match="nonzero constant term"):
+                compositional_inverse(const + t + t ** 2, 3)
+
+    def test_generator_in_degree_one_raises(self):
+        # t (1 + b) has no polynomial inverse: its linear part is not t
+        t, b = V(beta_ring(), "t"), V(beta_ring(), "b")
+        with pytest.raises(ValueError, match="linear coefficient must be 1"):
+            compositional_inverse(t + b * t + t ** 2, 4)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("ring", [ZZ, beta_ring()], ids=["ZZ", "Zb"])
+    def test_one_monomial_tail(self, ring, k):
+        # the inverse of t + t^k is sum_j (-1)^j C(kj, j) / ((k-1)j + 1)
+        # t^((k-1)j + 1), the Fuss-Catalan numbers with alternating signs
+        t, bound = V(ring, "t"), 13
+        want = SparsePoly.zero(ring)
+        for j in range(bound):
+            if (k - 1) * j + 1 <= bound:
+                c = (-1) ** j * math.comb(k * j, j) // ((k - 1) * j + 1)
+                want += c * t ** ((k - 1) * j + 1)
+        got = compositional_inverse(t + t ** k, bound)
+        assert got == want
+        assert all(type(c) is int for c in got.terms.values())
 
 
 class TestSubstitute:
