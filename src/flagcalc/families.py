@@ -66,29 +66,6 @@ def beta_poly_via_word(w: Permutation, word: tuple) -> SparsePoly:
     return ctx.compose_word(word, h_top(n), ctx.phi_beta)
 
 
-def _resume(memo: TermMemo, key, walk, start, op) -> SparsePoly:
-    """memo's value at key.  On a miss, walk() gives a word and the keys of
-    its prefixes: keys[k] names the value after the first k letters, so
-    keys[0] names start()'s and keys[-1] is key.  The walk resumes at the
-    longest memoised prefix, applies op(i, p) for each further letter i
-    and memoises every prefix it passes."""
-    p = memo.get(key)
-    if p is not None:
-        return p
-    word, keys = walk()
-    k = len(word)
-    while p is None and k > 0:
-        k -= 1
-        p = memo.get(keys[k])
-    if p is None:
-        p = start()
-        memo.put(keys[0], p)
-    for k in range(k, len(word)):
-        p = op(word[k], p)
-        memo.put(keys[k + 1], p)
-    return p
-
-
 def _stable(w: Permutation) -> Permutation:
     """w with its fixed tail k+1, ..., n dropped: w in the smallest S_k."""
     k = w.n
@@ -115,8 +92,8 @@ def beta_poly(w: Permutation) -> SparsePoly:
         word = lex_smallest_reduced_word(w0.compose(w))
         return word, [*map(_stable, accumulate(
             word, Permutation.right_multiply, initial=w0))]
-    return _resume(_FAMILY_MEMO, w, walk, lambda: h_top(n),
-                   OperatorContext(n).phi_beta)
+    return _FAMILY_MEMO.resume(w, walk, lambda: h_top(n),
+                               OperatorContext(n).phi_beta)
 
 
 def double_schubert(w: Permutation) -> SparsePoly:
@@ -153,7 +130,7 @@ def bott_samelson_class(fgl: FormalGroupLaw, word: tuple, n: int
     for i in word:
         if not 1 <= i <= n - 1:
             raise ValueError(f"index {i} out of range for n={n}")
-    keys = [(fgl, n, word[:k]) for k in range(len(word) + 1)]
-    return _resume(_BS_MEMO, keys[-1], lambda: (word, keys),
-                   lambda: bott_samelson_initial(fgl, n),
-                   OperatorContext(n, fgl=fgl).A_op)
+    return _BS_MEMO.resume(
+        (fgl, n, word),
+        lambda: (word, [(fgl, n, word[:k]) for k in range(len(word) + 1)]),
+        lambda: bott_samelson_initial(fgl, n), OperatorContext(n, fgl=fgl).A_op)

@@ -5,7 +5,8 @@ denominator units of the generalised operators, the push-forward classes,
 the connective K-theory body of each degeneracy locus, the products of
 elementary symmetric polynomials) is a ``TermMemo``: a map whose size is
 measured in stored polynomial terms, evicted least-recently-used first,
-with hit and miss counts for inspection.
+with hit and miss counts for inspection.  ``TermMemo.resume`` is the one
+walk that resumes a chain of values memoised by prefix.
 """
 
 from __future__ import annotations
@@ -51,6 +52,28 @@ class TermMemo:
         while self.terms > MAX_TERMS:
             _, evicted = self._entries.popitem(last=False)
             self.terms -= len(evicted.terms)
+
+    def resume(self, key, walk, start, op):
+        """The value at key.  On a miss, walk() gives a word and the keys of
+        its prefixes: keys[k] names the value after the first k letters, so
+        keys[0] names start()'s and keys[-1] is key.  The walk resumes at the
+        longest stored prefix, applies op(letter, p) for each further letter
+        and stores every prefix it passes."""
+        p = self.get(key)
+        if p is not None:
+            return p
+        word, keys = walk()
+        k = len(word)
+        while p is None and k > 0:
+            k -= 1
+            p = self.get(keys[k])
+        if p is None:
+            p = start()
+            self.put(keys[0], p)
+        for k in range(k, len(word)):
+            p = op(word[k], p)
+            self.put(keys[k + 1], p)
+        return p
 
     def clear(self) -> None:
         self._entries.clear()

@@ -10,7 +10,7 @@ y-side).
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .divdiff import OperatorContext
 from .memo import TermMemo
@@ -118,19 +118,18 @@ def _blocks(t: RankTriple):
 
 
 def _e_product(ring, block: list, exps: tuple) -> SparsePoly:
-    """prod_j e_j(block)^exps[j-1], memoised by ring, block and exps, each
-    built from the memoised product with one factor fewer, e_1 first."""
-    p, done = SparsePoly.const(ring, 1), [0] * len(exps)
-    for j, a in enumerate(exps):
-        for k in range(1, a + 1):
-            done[j] = k
-            key = (ring, tuple(block), tuple(done))
-            q = _ELEMENTARY_MEMO.get(key)
-            if q is None:
-                q = p * elementary_symmetric(ring, j + 1, block)
-                _ELEMENTARY_MEMO.put(key, q)
-            p = q
-    return p
+    """prod_j e_j(block)^exps[j-1], memoised by ring, block and exps along
+    the word of its factors: e_1 exps[0] times, then e_2 exps[1] times, ..."""
+    block = tuple(block)
+
+    def walk():
+        word = [j for j, a in enumerate(exps, start=1) for _ in range(a)]
+        return word, [(ring, block, done) for done in accumulate(
+            word, lambda e, j: e[:j - 1] + (e[j - 1] + 1,) + e[j:],
+            initial=(0,) * len(exps))]
+    return _ELEMENTARY_MEMO.resume(
+        (ring, block, exps), walk, lambda: SparsePoly.const(ring, 1),
+        lambda j, p: p * elementary_symmetric(ring, j, block))
 
 
 def _symmetric(parts: dict) -> bool:

@@ -2,11 +2,18 @@
 subtract and divide the numerator by (x_i - x_{i+1}) with synthetic
 division.  flagcalc.divdiff applies the same operators with one
 closed-form kernel and degree-bounded products; the property tests hold
-it to these."""
+it to these.  ``kappa`` is the closed form of a formal group law's braid
+defect, built without the operators, which the tests compare with the
+defect of flagcalc's A_i."""
 
 from fractions import Fraction
 
-from flagcalc.rings import SparsePoly, divide_by_difference
+from flagcalc.rings import (
+    SparsePoly,
+    divide_by_difference,
+    series_reciprocal,
+    sum_of_products,
+)
 
 
 def swap(i, p):
@@ -70,3 +77,37 @@ def A_op(fgl, D, i, p):
     r = (p * ginv).truncate(D + 1)
     out = divide_by_difference(r - swap(i, r), f"x{i}", f"x{i + 1}")
     return out.truncate(D)
+
+
+def kappa(fgl, a, b, bound):
+    """The braid defect coefficient of the formal Demazure operators,
+    kappa(a, b) = 1/(x_{a+b} x_b) - 1/(x_{a+b} x_{-a}) - 1/(x_a x_b),
+    modulo degree > bound (Hoffnung, Malagon-Lopez, Savage & Zainoulline,
+    Selecta Math. 20, 2014).  A root e_i - e_j is the pair (i, j), a + b
+    is a root, and x_(i, j) = F(x_i, chi(x_j)) = (x_i - x_j) u_(i, j) with
+    u a unit.  kappa is N / (x_{a+b} x_b x_{-a} x_a) with
+    N = x_{-a} x_a - x_b x_a - x_{a+b} x_{-a}: N through degree bound + 4
+    divided by the four differences, which is exact on each homogeneous
+    part, times the reciprocal of the product of the four units.  The
+    law's x_(i, j) is exact through its D, so bound is at most D - 4."""
+    (i, j), (k, l) = a, b
+    minus_a, a_plus_b = (j, i), (i, l) if j == k else (k, j)
+    ring, top = fgl.ring, bound + 4
+    if top > fgl.D:
+        raise ValueError(f"bound {bound} needs a law exact through {top}")
+
+    def var(s):
+        return SparsePoly.var(ring, f"x{s}")
+    x = {(s, t): fgl.sum_series(var(s), fgl.inverse_series(var(t)))
+         for s, t in (a, b, minus_a, a_plus_b)}
+
+    def mul(p, q, d):
+        return sum_of_products([(p, q)], ring, d)
+    num = (mul(x[minus_a], x[a], top) - mul(x[b], x[a], top)
+           - mul(x[a_plus_b], x[minus_a], top))
+    units = SparsePoly.const(ring, 1)
+    for (s, t), x_root in x.items():
+        num = divide_by_difference(num, f"x{s}", f"x{t}")
+        units = mul(units, divide_by_difference(x_root, f"x{s}", f"x{t}"),
+                    bound)
+    return mul(num, series_reciprocal(units, bound), bound)

@@ -16,9 +16,11 @@ from flagcalc.rings import (
     beta_ring,
     divide_by_difference,
     series_reciprocal,
+    sum_of_products,
 )
 
 from conftest import random_poly
+from divdiff_reference import kappa
 
 
 def V(ring, name, e=1):
@@ -131,6 +133,76 @@ class TestBraid:
         assert not res["holds"]
         assert res["witness"] is not None and not res["witness"].is_zero()
         assert res["input"] in sams
+
+
+class TestBraidDefect:
+    """The universal law's A_i miss the braid relation by a closed form:
+    with alpha = e_i - e_(i+1) and beta = e_(i+1) - e_(i+2),
+    A_i A_(i+1) A_i p - A_(i+1) A_i A_(i+1) p
+        = kappa(beta, alpha) A_(i+1) p - kappa(alpha, beta) A_i p,
+    kappa multiplying on the left.
+
+    At the law's bound D, kappa is exact through D - 4, and A_i turns an
+    input exact through E, with no term below degree v, into an output
+    exact through min(E, D - 1 + v, D + 1) - 1.  So the two sides agree
+    through D - 4 on every input, and through D - 2 on an input with no
+    term below degree 3, where a step that cuts one degree too many
+    shows."""
+
+    @staticmethod
+    def _sample(ring, rng, n, order):
+        """A nonzero random polynomial in x_1..x_n with no term below
+        degree order."""
+        p = SparsePoly.zero(ring)
+        while not p:
+            p = random_poly(ring, rng, nvars=n, nterms=2, with_beta=False)
+            p -= p.truncate(order - 1)
+        return p
+
+    @staticmethod
+    def _kappas(fgl, i):
+        alpha, beta = (i, i + 1), (i + 1, i + 2)
+        return (kappa(fgl, alpha, beta, fgl.D - 4),
+                kappa(fgl, beta, alpha, fgl.D - 4))
+
+    @pytest.mark.parametrize("D", [8, 9])
+    def test_universal_defect_is_the_kappa_formula(self, D):
+        fgl = make_universal_rational(D, D)
+        kappas = {i: self._kappas(fgl, i) for i in (1, 2)}
+        rng, shown = random.Random(31 + D), {0: 0, 3: 0}
+        for n, i in ((3, 1), (4, 1), (4, 2)):
+            ctx = OperatorContext(n, fgl=fgl)
+            k_ab, k_ba = kappas[i]
+            for order, exact in ((0, D - 4), (3, D - 2)):
+                p = self._sample(fgl.ring, rng, n, order)
+                defect = (ctx.compose_word((i, i + 1, i), p, ctx.A_op)
+                          - ctx.compose_word((i + 1, i, i + 1), p, ctx.A_op))
+                formula = sum_of_products([(k_ba, ctx.A_op(i + 1, p)),
+                                           (-k_ab, ctx.A_op(i, p))],
+                                          fgl.ring, exact)
+                assert (defect - formula).truncate(exact).is_zero(), (n, i, p)
+                shown[order] += bool(defect.truncate(exact))
+        # the identity is seen on nonzero defects of both kinds of input
+        assert all(shown.values()), shown
+
+    def test_kappa_constant_term_is_minus_a12(self):
+        # a_12, the u v^2 coefficient of F, is 4 m1^2 - 3 m2
+        fgl = make_universal_rational(8, 8)
+        m1, m2 = V(fgl.ring, "m1"), V(fgl.ring, "m2")
+        a12 = fgl.F.body.split(["u", "v"])[(1, 2)]
+        assert a12 == 4 * m1 * m1 - 3 * m2
+        for k in self._kappas(fgl, 1):
+            assert k.constant_term() == -a12
+
+    @pytest.mark.parametrize("D", [8, 9])
+    def test_kappa_vanishes_for_the_braided_laws(self, ring, D):
+        for fgl in (make_additive(D, ring),
+                    make_multiplicative(V(ring, "b"), D, ring)):
+            assert [k.is_zero() for k in self._kappas(fgl, 1)] == [True, True]
+
+    def test_kappa_needs_four_degrees_of_the_law(self):
+        with pytest.raises(ValueError, match="exact through"):
+            kappa(make_additive(8), (1, 2), (2, 3), 5)
 
 
 class TestGeneralisedOperator:

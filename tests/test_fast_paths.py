@@ -295,3 +295,62 @@ class TestTermMemo:
         assert m.get("big") is None
         assert m.get("a") is not None
 
+    def _resume(self, m, word, calls):
+        """m.resume along word, keyed by prefix: start is the one-term y1
+        and op(i, p) multiplies by x_i, each call recorded."""
+        ring = beta_ring()
+
+        def start():
+            calls.append("start")
+            return SparsePoly.var(ring, "y1")
+
+        def op(i, p):
+            calls.append(i)
+            return p * SparsePoly.var(ring, f"x{i}")
+        return m.resume(
+            word, lambda: (word, [word[:k] for k in range(len(word) + 1)]),
+            start, op)
+
+    def _value(self, word):
+        ring = beta_ring()
+        p = SparsePoly.var(ring, "y1")
+        for i in word:
+            p = p * SparsePoly.var(ring, f"x{i}")
+        return p
+
+    def test_resume_cold_runs_start_once_and_stores_every_prefix(self):
+        m, calls = memo.TermMemo(), []
+        assert self._resume(m, (1, 2, 3), calls) == self._value((1, 2, 3))
+        assert calls == ["start", 1, 2, 3]
+        for k in range(4):
+            assert m.get((1, 2, 3)[:k]) == self._value((1, 2, 3)[:k])
+
+    def test_resume_starts_at_the_longest_stored_prefix(self):
+        m, calls = memo.TermMemo(), []
+        self._resume(m, (1, 2), calls)
+        calls.clear()
+        word = (1, 2, 3, 4)
+        assert self._resume(m, word, calls) == self._value(word)
+        assert calls == [3, 4]
+        calls.clear()
+        assert self._resume(m, (1, 3), calls) == self._value((1, 3))
+        assert calls == [3]
+
+    def test_resume_hit_never_walks(self):
+        m, calls = memo.TermMemo(), []
+        self._resume(m, (2, 1), calls)
+        calls.clear()
+
+        def walk():
+            raise AssertionError("walked on a hit")
+        assert m.resume((2, 1), walk, None, None) == self._value((2, 1))
+        assert (calls, m.hits) == ([], 1)
+
+    def test_resume_returns_but_does_not_store_an_oversized_value(
+            self, monkeypatch):
+        monkeypatch.setattr(memo, "MAX_TERMS", 5)
+        m, big = memo.TermMemo(), self._poly(6)
+        got = m.resume("big", lambda: ((), ["big"]), lambda: big, None)
+        assert got is big
+        assert m.get("big") is None and m.terms == 0
+
