@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -286,6 +287,10 @@ def main(argv=None):
     try:
         args = _parser().parse_args(argv)
         args.run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader is gone: drop what is buffered
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         sys.exit(2)

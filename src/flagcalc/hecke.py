@@ -24,6 +24,7 @@ __all__ = [
     "build_Hxy",
     "alternative_product",
     "coefficient",
+    "identity_words",
     "verify_identities",
 ]
 
@@ -181,6 +182,33 @@ def _phi_coefficientwise(e: HeckeElement, i: int) -> HeckeElement:
         e.n, {w: ctx.phi_beta(i, c) for w, c in e.coeffs})
 
 
+def identity_words(n: int) -> dict:
+    """The h-factor certificates of verify_identities by name, in its order,
+    each a list of (lhs, rhs) pairs of words whose products are equal."""
+    x = SparsePoly.var(_RING, "x1")
+    y = SparsePoly.var(_RING, "y1")
+    xy = oplus(x, y)
+    ys = {k: SparsePoly.var(_RING, f"y{k}") for k in range(1, n)}
+    words = {}
+    if n >= 2:
+        words["h_i(x) h_i(y) = h_i(x (+) y)"] = [([(1, x), (1, y)], [(1, xy)])]
+    if n >= 3:
+        words["Yang-Baxter for h-factors"] = [
+            ([(1, x), (2, xy), (1, y)], [(2, y), (1, xy), (2, x)])]
+    words["alpha commutation"] = [
+        (a + b, b + a) for i in range(1, n)
+        for a, b in ((_alpha(n, i, x), _alpha(n, i, y)),
+                     (_alpha(n, i, x), _alpha_tilde(n, i, y)))]
+    words["exchange identity"] = [
+        ([f for k in range(n - 1, i - 1, -1)
+          for f in _alpha_tilde(n, k, ys[k])] + _alpha(n, i, x),
+         [(k, oplus(x, ys[k])) for k in range(n - 1, i - 1, -1)]
+         + [f for k in range(n - 1, i, -1)
+            for f in _alpha_tilde(n, k, ys[k - 1])])
+        for i in range(1, n)]
+    return words
+
+
 def verify_identities(n: int) -> list:
     """Check the defining and structural identities of the algebra at
     rank n; returns a list of {"name": ..., "ok": bool} certificates."""
@@ -189,8 +217,6 @@ def verify_identities(n: int) -> list:
     def record(name, ok):
         results.append({"name": name, "ok": bool(ok)})
 
-    x = SparsePoly.var(_RING, "x1")
-    y = SparsePoly.var(_RING, "y1")
     b = SparsePoly.var(_RING, "b")
     one = hecke_one(n)
 
@@ -210,38 +236,8 @@ def verify_identities(n: int) -> list:
                              .mul_by_generator(i + 1))
     record("generator relations", ok)
 
-    # identities between words of h-factors
-    xy = oplus(x, y)
-    if n >= 2:
-        record("h_i(x) h_i(y) = h_i(x (+) y)",
-               _chain(one, [(1, x), (1, y)]) == _chain(one, [(1, xy)]))
-    if n >= 3:
-        record("Yang-Baxter for h-factors",
-               _chain(one, [(1, x), (2, xy), (1, y)])
-               == _chain(one, [(2, y), (1, xy), (2, x)]))
-
-    # commutation of the alpha blocks
-    ok = True
-    for i in range(1, n):
-        a_x = _alpha(n, i, x)
-        a_y = _alpha(n, i, y)
-        at_y = _alpha_tilde(n, i, y)
-        ok = ok and _chain(one, a_x + a_y) == _chain(one, a_y + a_x)
-        ok = ok and _chain(one, a_x + at_y) == _chain(one, at_y + a_x)
-    record("alpha commutation", ok)
-
-    # exchange identity for the mixed products
-    ys = {k: SparsePoly.var(_RING, f"y{k}") for k in range(1, n)}
-    ok = True
-    for i in range(1, n):
-        lhs = [f for k in range(n - 1, i - 1, -1)
-               for f in _alpha_tilde(n, k, ys[k])]
-        lhs += _alpha(n, i, x)
-        rhs = [(k, oplus(x, ys[k])) for k in range(n - 1, i - 1, -1)]
-        rhs += [f for k in range(n - 1, i, -1)
-                for f in _alpha_tilde(n, k, ys[k - 1])]
-        ok = ok and _chain(one, lhs) == _chain(one, rhs)
-    record("exchange identity", ok)
+    for name, pairs in identity_words(n).items():
+        record(name, all(_chain(one, a) == _chain(one, b) for a, b in pairs))
 
     H = build_Hxy(n)
     record("alternative product equals H(x, y)", H == alternative_product(n))

@@ -1,11 +1,15 @@
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import parse_reference
 from conftest import invoke
+import flagcalc
 from flagcalc import cli
 from flagcalc.cli import UsageError, main, parse_poly
 from flagcalc.families import double_grothendieck, double_schubert
@@ -297,6 +301,29 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [
+        ("porteous", "--e", "4", "--f", "4", "--r", "0", "--format", "json"),
+        ("flagring", "reduce", "--n", "3", "--input", "x1^4+b*x2^3",
+         "--format", "json"),
+    ], ids=["large-output", "small-output"])
+    def test_closed_pipe_exits_1_quietly(self, args):
+        """stdout is a pipe whose read end is closed before the command
+        starts, so the first write fails whatever the timing: inside
+        print for the 125 kB body, at the final flush for the 651-byte
+        reduction.  The command exits 1 and writes nothing to stderr."""
+        path = os.pathsep.join(filter(None, [
+            str(Path(flagcalc.__file__).parents[1]),
+            os.environ.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = subprocess.run(
+                [sys.executable, "-m", "flagcalc.cli", *args], stdout=write,
+                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+        finally:
+            os.close(write)
+        assert (res.returncode, res.stderr) == (1, b"")
 
 
 class TestHelp:

@@ -21,6 +21,7 @@ from flagcalc.hecke import (
     h_factor,
     hecke_generator,
     hecke_one,
+    identity_words,
     verify_identities,
 )
 from flagcalc.perms import Permutation, all_permutations, identity
@@ -242,6 +243,25 @@ class TestVerification:
         names = [r["name"] for r in verify_identities(2)]
         assert len(names) == len(set(names))
 
+    @pytest.mark.parametrize("n, words", [
+        (1, ["alpha commutation", "exchange identity"]),
+        (2, ["h_i(x) h_i(y) = h_i(x (+) y)", "alpha commutation",
+             "exchange identity"]),
+        (3, ["h_i(x) h_i(y) = h_i(x (+) y)", "Yang-Baxter for h-factors",
+             "alpha commutation", "exchange identity"])])
+    def test_certificate_names_and_order(self, n, words):
+        """The generator relations, then the certificates of identity_words
+        in its order, then the three on H(x, y); at n = 1 the two words
+        certificates have no pairs."""
+        assert list(identity_words(n)) == words
+        assert [r["name"] for r in verify_identities(n)] == [
+            "generator relations", *words,
+            "alternative product equals H(x, y)",
+            "divided-difference identity on H(x, y)",
+            "coefficients reproduce the recursive family"]
+        if n == 1:
+            assert not any(identity_words(n).values())
+
 
 # -- H(x, y) at a point -------------------------------------------------------
 
@@ -267,6 +287,13 @@ def _at_point(word: list, n: int, seed: int, extra=()) -> tuple:
 def _product_at(word: list, n: int, point: dict) -> dict:
     values = [(i, ref.evaluate(c, point)) for i, c in word]
     return ref.chain_at_point(n, values, point["b"])
+
+
+def _bruhat_le(w: tuple, v: tuple) -> bool:
+    """w <= v in Bruhat order, by the tableau criterion: for every k, the
+    sorted w(1..k) is at most the sorted v(1..k) entry by entry."""
+    return all(a <= c for k in range(1, len(w))
+               for a, c in zip(sorted(w[:k]), sorted(v[:k])))
 
 
 class TestAtAPoint:
@@ -325,3 +352,42 @@ class TestAtAPoint:
                 phi = ((1 + b * xj) * H.get(w, 0)
                        - (1 + b * xi) * swapped.get(w, 0)) * inverse
                 assert (phi - rhs.get(w, 0)) % ref.P == 0, (i, w)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_identity_words(self, n):
+        """The two words of every pair of identity_words(n) have the same
+        product at the point of seed 90 + n.  A word whose factors have
+        coefficients of degree d_1, ..., d_L, b counted, has coefficients
+        of degree at most the sum of the d_k + 1 (a b per descent): at most
+        70 over these words at n = 8.  A false pair differs in some
+        coefficient, so it passes with probability at most 70 / P < 4e-17."""
+        point = _at_point([], n, seed=90 + n)[0]
+        for name, pairs in identity_words(n).items():
+            for k, (lhs, rhs) in enumerate(pairs):
+                assert (_product_at(lhs, n, point)
+                        == _product_at(rhs, n, point)), (name, k)
+
+    def test_bruhat_vanishing_at_the_fixed_points_of_S4(self):
+        """Billey's formula (Billey, Duke Math. J. 96, 1999): at
+        y_j = chi(x_(p(j))), with chi(x) = -x / (1 + b x), h_w vanishes
+        exactly when w <= p^-1 fails in Bruhat order, for all 576 pairs of
+        p and w in S_4.  b and x_1..x_4 come from seed 4 over Z/P.  Where
+        the formula says h_w vanishes it vanishes identically, so the test
+        errs on one side only: a nonzero h_w may vanish at the point by
+        chance.  On S_4, h_w has degree at most 18, b counted, and at most
+        3 in each y_j, so times the cleared denominators
+        (1 + b x_(p(j)))^3 it is a polynomial of degree at most 36: a
+        false vanishing has probability at most 576 * 36 / P < 1e-14."""
+        rng = random.Random(4)
+        b = rng.randrange(ref.P)
+        x = {i: rng.randrange(ref.P) for i in range(1, 5)}
+        assert all((1 + b * xi) % ref.P for xi in x.values())
+        family = {w.images: beta_poly(w) for w in all_permutations(4)}
+        for p in all_permutations(4):
+            point = {"b": b, **{f"x{i}": xi for i, xi in x.items()}, **{
+                f"y{j}": -x[p(j)] * pow(1 + b * x[p(j)], -1, ref.P) % ref.P
+                for j in range(1, 5)}}
+            below = p.inverse().images
+            for w, h in family.items():
+                assert ((ref.evaluate(h, point) == 0)
+                        == (not _bruhat_le(w, below))), (p, w)
