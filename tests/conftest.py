@@ -3,7 +3,7 @@ from collections import namedtuple
 
 import pytest
 
-from flagcalc.cli import main
+from flagcalc.__main__ import main
 from flagcalc.rings import SparsePoly, beta_ring
 
 

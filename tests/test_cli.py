@@ -10,8 +10,8 @@ import pytest
 import parse_reference
 from conftest import invoke
 import flagcalc
-from flagcalc import cli
-from flagcalc.cli import UsageError, main, parse_poly
+from flagcalc.__main__ import _parser, main
+from flagcalc.cli import UsageError, parse_poly
 from flagcalc.families import double_grothendieck, double_schubert
 from flagcalc.fgl import make_universal_rational
 from flagcalc.perms import Permutation
@@ -319,7 +319,7 @@ class TestErrors:
         os.close(read)
         try:
             res = subprocess.run(
-                [sys.executable, "-m", "flagcalc.cli", *args], stdout=write,
+                [sys.executable, "-m", "flagcalc", *args], stdout=write,
                 stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
         finally:
             os.close(write)
@@ -414,7 +414,7 @@ class TestEveryOptionChangesAnOutput:
     }
 
     def test_every_option_has_an_entry(self):
-        options = {(" ".join(c), o) for c, o in _options(cli._parser())}
+        options = {(" ".join(c), o) for c, o in _options(_parser())}
         assert options == set(self.PAIRS)
 
     @pytest.mark.parametrize("key", list(PAIRS), ids=" ".join)

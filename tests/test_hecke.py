@@ -296,6 +296,19 @@ def _bruhat_le(w: tuple, v: tuple) -> bool:
                for a, c in zip(sorted(w[:k]), sorted(v[:k])))
 
 
+def _fixed_points(n: int, seed: int):
+    """Each p in S_n with its point over Z/P: b and x_1..x_n drawn from
+    the seed, and y_j = chi(x_(p(j))), with chi(x) = -x / (1 + b x)."""
+    rng = random.Random(seed)
+    b = rng.randrange(ref.P)
+    x = {i: rng.randrange(ref.P) for i in range(1, n + 1)}
+    assert all((1 + b * xi) % ref.P for xi in x.values())
+    for p in all_permutations(n):
+        yield p, {"b": b, **{f"x{i}": xi for i, xi in x.items()}, **{
+            f"y{j}": -x[p(j)] * pow(1 + b * x[p(j)], -1, ref.P) % ref.P
+            for j in x}}
+
+
 class TestAtAPoint:
     """H(x, y) at one seeded point of (Z/P)^m, P = 2^61 - 1.  These are
     randomised identity checks: two different polynomials of total degree
@@ -378,16 +391,25 @@ class TestAtAPoint:
         3 in each y_j, so times the cleared denominators
         (1 + b x_(p(j)))^3 it is a polynomial of degree at most 36: a
         false vanishing has probability at most 576 * 36 / P < 1e-14."""
-        rng = random.Random(4)
-        b = rng.randrange(ref.P)
-        x = {i: rng.randrange(ref.P) for i in range(1, 5)}
-        assert all((1 + b * xi) % ref.P for xi in x.values())
         family = {w.images: beta_poly(w) for w in all_permutations(4)}
-        for p in all_permutations(4):
-            point = {"b": b, **{f"x{i}": xi for i, xi in x.items()}, **{
-                f"y{j}": -x[p(j)] * pow(1 + b * x[p(j)], -1, ref.P) % ref.P
-                for j in range(1, 5)}}
+        for p, point in _fixed_points(4, seed=4):
             below = p.inverse().images
             for w, h in family.items():
                 assert ((ref.evaluate(h, point) == 0)
                         == (not _bruhat_le(w, below))), (p, w)
+
+    def test_bruhat_vanishing_at_the_fixed_points_of_S5(self, monkeypatch):
+        """Billey's formula as on S_4, for all 14,400 pairs of p and w in
+        S_5, on alternative_product(5)'s word at the point of each p; b
+        and x_1..x_5 come from seed 5.  The word has 10 factors
+        h_(i+j-1)(x_i (+) y_j) of degree 3, b counted, and a descent adds
+        a b, so every coefficient has degree at most 40, and at most 5 - j
+        in y_j; times the cleared denominators (1 + b x_(p(j)))^(5-j) it
+        is a polynomial of degree at most 60: a false vanishing has
+        probability at most 14,400 * 60 / P < 4e-13."""
+        word = _word(alternative_product, 5, monkeypatch)
+        for p, point in _fixed_points(5, seed=5):
+            H = _product_at(word, 5, point)
+            below = p.inverse().images
+            for w in all_permutations(5):
+                assert (w.images in H) == _bruhat_le(w.images, below), (p, w)

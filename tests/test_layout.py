@@ -12,8 +12,10 @@ The permutation constructor that skips validation is called only where
 the images are a permutation by construction: in perms, families and
 hecke, never in the command line or on parsed input.
 
-Importing the command line loads the standard library alone: every CLI
-call and every benchmark set-up starts a fresh interpreter.
+Importing the command's handlers and parser (flagcalc.cli) loads the
+standard library alone and not argparse, which only the front end
+(flagcalc.__main__) loads: every benchmark set-up and every script that
+uses the library starts a fresh interpreter.
 
 A ``TruncatedSeries`` is built only in rings and in
 ``FormalGroupLaw.__init__``: the law holds its F and chi as series, and
@@ -235,18 +237,31 @@ def test_traced_target_resolves(short, target):
         assert callable(getattr(module, target, None))
 
 
-def test_cli_import_loads_no_click_or_dataclasses():
-    # the modules that the import adds, so those the interpreter's site
-    # hook already loaded (such as typing) are not counted
-    code = ("import sys; before = set(sys.modules); import flagcalc.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+def _modules_added_by(module: str) -> set:
+    """The modules that importing module adds in a fresh interpreter, so
+    those the interpreter's site hook already loaded (such as typing) are
+    not counted."""
+    code = ("import sys; before = set(sys.modules); "
+            f"import {module}; print(*sorted(set(sys.modules) - before))")
     path = os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    added = set(subprocess.run(
+    return set(subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         check=True, env={**os.environ, "PYTHONPATH": path}).stdout.split())
+
+
+def test_cli_import_loads_no_click_or_dataclasses():
+    added = _modules_added_by("flagcalc.cli")
     assert "flagcalc.cli" in added
-    assert not added & {"click", "dataclasses", "inspect"}
+    assert not added & {"click", "dataclasses", "inspect", "argparse",
+                        "gettext"}
+
+
+def test_the_front_end_loads_argparse():
+    # so that flagcalc.cli's import leaving argparse out is no artefact of
+    # the site hook having loaded it already
+    assert {"flagcalc.__main__", "argparse"} <= _modules_added_by(
+        "flagcalc.__main__")
 
 
 def test_no_file_imports_click():

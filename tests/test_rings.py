@@ -379,7 +379,7 @@ class TestCanonicalOutput:
 
         def reduce(text):
             return subprocess.run(
-                [sys.executable, "-m", "flagcalc.cli", "flagring", "reduce",
+                [sys.executable, "-m", "flagcalc", "flagring", "reduce",
                  "--n", "1", "--trivial", "--input", text, "--format", fmt],
                 capture_output=True, text=True, check=True,
                 env={**os.environ, "PYTHONPATH": path}).stdout
