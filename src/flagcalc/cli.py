@@ -23,9 +23,9 @@ from .porteous import RankTriple, thom_porteous
 from .rings import (MAX_EXP, ExponentOverflowError, RingMismatchError,
                     SparsePoly, beta_ring, is_coefficient_var)
 
-_TERM_SPLIT = re.compile(r"(?=[+-])")
-_WORD_SPLIT = re.compile(r"\s*,\s*|\s+")
-_FACTOR = re.compile(r"([a-zA-Z]+\d*)(?:\^(\d+))?|(\d+(?:/\d+)?)")
+_TERM_SPLIT = r"(?=[+-])"  # these compile at first use, in re's cache
+_WORD_SPLIT = r"\s*,\s*|\s+"
+_FACTOR = r"([a-zA-Z]+\d*)(?:\^(\d+))?|(\d+(?:/\d+)?)"
 
 
 class UsageError(ValueError):
@@ -38,14 +38,14 @@ def parse_poly(text: str, ring) -> SparsePoly:
     if not text:
         raise UsageError("empty polynomial")
     terms: dict = {}
-    for chunk in _TERM_SPLIT.split(text):    # one sign at most, in front
+    for chunk in re.split(_TERM_SPLIT, text):    # one sign at most, in front
         chunk = chunk.strip()
         if not chunk:
             continue
         c = -1 if chunk[0] == "-" else 1
         chunk = chunk.lstrip("+-").strip()
         exps, degree, pos = {}, 0, 0    # checked factor by factor, in order
-        for m in _FACTOR.finditer(chunk):
+        for m in re.finditer(_FACTOR, chunk):
             if chunk[pos:m.start()].strip():
                 raise UsageError(f"cannot parse {chunk!r}")
             pos = m.end()
@@ -103,7 +103,7 @@ def _parse_word(text: str) -> tuple:
     """Indices separated by commas or spaces; none may be empty."""
     if not text.strip():
         return ()
-    tokens = _WORD_SPLIT.split(text.strip())
+    tokens = re.split(_WORD_SPLIT, text.strip())
     if "" in tokens:
         raise UsageError(f"empty index in word {text!r}")
     return tuple(map(int, tokens))

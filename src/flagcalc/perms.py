@@ -7,8 +7,8 @@ permutation and they are never canonicalised.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import permutations as _it_perms
+from operator import itemgetter
 
 __all__ = [
     "Permutation",
@@ -25,8 +25,9 @@ __all__ = [
 ]
 
 
-class Permutation(namedtuple("Permutation", "images")):
+class Permutation(tuple):
     __slots__ = ()
+    images = property(itemgetter(0))
 
     def __new__(cls, images: tuple):
         """images = (w(1), ..., w(n))."""
@@ -34,6 +35,9 @@ class Permutation(namedtuple("Permutation", "images")):
         if sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {images}")
         return tuple.__new__(cls, (images,))
+
+    def __getnewargs__(self):  # copy and pickle pass these to __new__
+        return tuple(self)
 
     @classmethod
     def _trusted(cls, images: tuple) -> "Permutation":

@@ -9,8 +9,8 @@ y-side).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import accumulate, combinations
+from operator import itemgetter
 
 from .divdiff import OperatorContext
 from .memo import TermMemo
@@ -38,8 +38,9 @@ class SymmetryError(ValueError):
     """Input is not symmetric in the declared variable blocks."""
 
 
-class RankTriple(namedtuple("RankTriple", "e f r")):
+class RankTriple(tuple):
     __slots__ = ()
+    e, f, r = map(property, map(itemgetter, range(3)))
 
     def __new__(cls, e: int, f: int, r: int):
         """e and f are the ranks of the source (y-side) and target (x-side)
@@ -50,6 +51,12 @@ class RankTriple(namedtuple("RankTriple", "e f r")):
         if e + f - r < 1:
             raise ValueError("empty triple")
         return t
+
+    def __repr__(self):
+        return f"RankTriple(e={self.e!r}, f={self.f!r}, r={self.r!r})"
+
+    def __getnewargs__(self):  # copy and pickle pass these to __new__
+        return tuple(self)
 
     @property
     def n(self) -> int:
@@ -72,12 +79,24 @@ class RankTriple(namedtuple("RankTriple", "e f r")):
         return (self.e - self.r) * (self.f - self.r)
 
 
-class DPoly(namedtuple("DPoly", "triple theory body slot_labels")):
+class DPoly(tuple):
     """A body in c_1..c_f (x-side) and d_1..d_e (y-side) for a triple;
     theory is Beta, CH, K0 or CK, and slot_labels label the c- and the
     d-slots."""
 
     __slots__ = ()
+    triple, theory, body, slot_labels = map(
+        property, map(itemgetter, range(4)))
+
+    def __new__(cls, triple, theory: str, body: SparsePoly, slot_labels):
+        return tuple.__new__(cls, (triple, theory, body, slot_labels))
+
+    def __repr__(self):
+        return (f"DPoly(triple={self.triple!r}, theory={self.theory!r}, "
+                f"body={self.body!r}, slot_labels={self.slot_labels!r})")
+
+    def __getnewargs__(self):  # copy and pickle pass these to __new__
+        return tuple(self)
 
 
 def specialize_nu(t: RankTriple, n_pad: int = 0) -> SparsePoly:

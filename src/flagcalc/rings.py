@@ -27,16 +27,13 @@ canonical term order only when a polynomial is rendered.
 
 from __future__ import annotations
 
-import re
 import sys
-from array import array
-from collections import namedtuple
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, islice, product, repeat
 from math import comb
-from operator import add, neg, or_, sub
+from operator import add, itemgetter, neg, or_, sub
 
 __all__ = [
     "CoefficientRing",
@@ -71,8 +68,9 @@ class ExponentOverflowError(ValueError):
     """An exponent or a geometric degree would exceed MAX_EXP."""
 
 
-class CoefficientRing(namedtuple("CoefficientRing", "kind K")):
+class CoefficientRing(tuple):
     __slots__ = ()
+    kind, K = map(property, map(itemgetter, range(2)))
 
     def __new__(cls, kind: str, K: int = 0):
         """kind is Integers, Rationals, BetaRing or LazardRational; K is
@@ -82,6 +80,12 @@ class CoefficientRing(namedtuple("CoefficientRing", "kind K")):
         if kind == "LazardRational" and K < 1:
             raise ValueError("LazardRational needs K >= 1")
         return tuple.__new__(cls, (kind, K))
+
+    def __repr__(self):
+        return f"CoefficientRing(kind={self.kind!r}, K={self.K!r})"
+
+    def __getnewargs__(self):  # copy and pickle pass these to __new__
+        return tuple(self)
 
     @property
     def rational(self) -> bool:
@@ -109,7 +113,7 @@ def lazard_rational(K: int) -> CoefficientRing:
 
 # -- variables ---------------------------------------------------------------
 
-_VAR_RE = re.compile(r"([a-zA-Z]+)(\d*)")
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # Ordering of the variable blocks used for the canonical term order:
 # x-block < y-block < series/auxiliary block < Chern symbols < generators.
@@ -122,10 +126,10 @@ _CATEGORY = {
 def _var_key(name: str, _cache: dict = {}) -> tuple:
     key = _cache.get(name)
     if key is None:
-        m = _VAR_RE.fullmatch(name)
-        if not m:
+        idx = name.lstrip(_LETTERS)
+        if idx == name or idx and not idx.isdecimal():
             raise ValueError(f"bad variable name {name!r}")
-        stem, idx = m.group(1), m.group(2)
+        stem = name[:len(name) - len(idx)]
         cat = _CATEGORY.get(stem, 10)
         # the name last, so that x and x0 (or x1 and x01) do not tie
         key = _cache[name] = (cat, stem, int(idx) if idx else 0, name)
@@ -188,19 +192,24 @@ def _encode(mono) -> int:
     return key
 
 
+def _fields(key: int) -> list:
+    """The fields of one packed key, up to its last nonzero one."""
+    return [key >> s & _FIELD for s in range(0, key.bit_length(), _BITS)]
+
+
 def _columns(keys) -> tuple:
     """The variables present in keys, in canonical order; the columns of
-    the geometric degree and of their exponents, in key order, all decoded
-    at once as one array of fields; and each column's OR, a bound on it."""
-    present = reduce(or_, keys, 0)
-    n = (present.bit_length() + _BITS - 1) // _BITS or 1
-    slots = [k for k in _CANON if k < n and present >> _BITS * k & _FIELD]
-    fields = array("H", b"".join(
-        map(int.to_bytes, keys, repeat(2 * n), repeat("little"))))
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return ([_NAMES[k] for k in slots], [fields[k::n] for k in [0] + slots],
-            [present >> _BITS * k & _FIELD for k in [0] + slots])
+    the geometric degree and of their exponents, in key order, as views of
+    the keys' native-order bytes; and each column's OR, a bound on it."""
+    present = _fields(reduce(or_, keys, 0)) or [0]
+    n = len(present)
+    slots = [k for k in _CANON if k < n and present[k]]
+    fields = memoryview(b"".join(map(
+        int.to_bytes, keys, repeat(2 * n), repeat(sys.byteorder)))).cast("H")
+    # a big-endian key holds field 0 in its last place
+    at = [k if sys.byteorder == "little" else n - 1 - k for k in [0] + slots]
+    return ([_NAMES[k] for k in slots], [fields[j::n] for j in at],
+            [present[k] for k in [0] + slots])
 
 
 # print sort keys: base-32 digits below " ", which no printed text has
@@ -353,7 +362,8 @@ class SparsePoly:
     # -- inspection ----------------------------------------------------------
 
     def variables(self) -> set:
-        return set(_columns((reduce(or_, self._terms, 0),))[0])
+        present = _fields(reduce(or_, self._terms, 0))
+        return {_NAMES[k] for k in range(1, len(present)) if present[k]}
 
     def degree(self) -> int:
         """Total degree in the geometric variables (-1 for the zero poly)."""
@@ -508,8 +518,7 @@ class SparsePoly:
             images = []
             for shift, unit, img in subs:
                 k, ic = next(iter(img._terms.items()), (0, 0))
-                top = max(_columns((k,))[2])
-                images.append((shift, unit, k, ic, top))
+                images.append((shift, unit, k, ic, max(_fields(k), default=0)))
             for m, c in self._terms.items():
                 key = m
                 for shift, unit, k, ic, top in images:
@@ -598,8 +607,8 @@ class SparsePoly:
 
     def to_latex(self) -> str:
         def label(v):
-            m = _VAR_RE.fullmatch(v)
-            stem, idx = m.group(1), m.group(2)
+            stem = _var_key(v)[1]
+            idx = v[len(stem):]
             stem = r"\beta" if stem == "b" else stem
             return f"{stem}_{{{idx}}}" if idx else stem
 

@@ -302,6 +302,14 @@ class TestErrors:
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_rank_error_prints_the_triple(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["porteous", "--e", "2", "--f", "2", "--r", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "invalid input: need 0 <= r <= min(e, f), "
+            "got RankTriple(e=2, f=2, r=3)\n")
+
     @pytest.mark.parametrize("args", [
         ("porteous", "--e", "4", "--f", "4", "--r", "0", "--format", "json"),
         ("flagring", "reduce", "--n", "3", "--input", "x1^4+b*x2^3",

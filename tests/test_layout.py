@@ -13,9 +13,10 @@ the images are a permutation by construction: in perms, families and
 hecke, never in the command line or on parsed input.
 
 Importing the command's handlers and parser (flagcalc.cli) loads the
-standard library alone and not argparse, which only the front end
-(flagcalc.__main__) loads: every benchmark set-up and every script that
-uses the library starts a fresh interpreter.
+standard library alone and neither argparse, which only the front end
+(flagcalc.__main__) loads, nor array; the package compiles no pattern
+and builds no namedtuple class while it is imported: every benchmark
+set-up and every script that uses the library starts a fresh interpreter.
 
 A ``TruncatedSeries`` is built only in rings and in
 ``FormalGroupLaw.__init__``: the law holds its F and chi as series, and
@@ -43,8 +44,8 @@ import flagcalc
 
 PACKAGE = Path(flagcalc.__file__).parent
 # the helpers by whole name, so a local such as c_slots is not a leak
-PRIVATE = re.compile(r"\b(_FIELD|_slot|_clean|_check_guard|_encode|_columns"
-                     r"|_keys|_KEY_UP|_KEY_DOWN|_DROP_KEYS)\b"
+PRIVATE = re.compile(r"\b(_FIELD|_slot|_clean|_check_guard|_encode|_fields"
+                     r"|_columns|_keys|_KEY_UP|_KEY_DOWN|_DROP_KEYS)\b"
                      r"|\._terms|\._new\(")
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "rings.py")
 
@@ -237,24 +238,70 @@ def test_traced_target_resolves(short, target):
         assert callable(getattr(module, target, None))
 
 
+def _fresh(code: str) -> str:
+    """What code prints in a fresh interpreter that imports the package
+    from where the tests found it."""
+    path = os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+
+
 def _modules_added_by(module: str) -> set:
     """The modules that importing module adds in a fresh interpreter, so
     those the interpreter's site hook already loaded (such as typing) are
     not counted."""
-    code = ("import sys; before = set(sys.modules); "
-            f"import {module}; print(*sorted(set(sys.modules) - before))")
-    path = os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    return set(subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        check=True, env={**os.environ, "PYTHONPATH": path}).stdout.split())
+    return set(_fresh(
+        "import sys; before = set(sys.modules); "
+        f"import {module}; print(*sorted(set(sys.modules) - before))").split())
 
 
 def test_cli_import_loads_no_click_or_dataclasses():
     added = _modules_added_by("flagcalc.cli")
     assert "flagcalc.cli" in added
     assert not added & {"click", "dataclasses", "inspect", "argparse",
-                        "gettext"}
+                        "gettext", "array"}
+
+
+# prints "<phase> <function> <calling module>" for each call to the two
+# builders: the first module on the stack outside re and collections
+SPY = """
+import collections, re, sys
+phase = "import"
+def spy(name, fn):
+    def wrapped(*args, **kwargs):
+        f = sys._getframe(1)
+        while f.f_globals.get("__name__", "").split(".")[0] in (
+                "re", "collections"):
+            f = f.f_back
+        print(phase, name, f.f_globals.get("__name__"))
+        return fn(*args, **kwargs)
+    return wrapped
+re._compile = spy("re._compile", re._compile)
+collections.namedtuple = spy("namedtuple", collections.namedtuple)
+import flagcalc.cli
+phase = "parse"
+flagcalc.cli.parse_poly("x1 - 2 y1^2", flagcalc.rings.ZZ)
+"""
+
+
+def _builder_calls() -> list:
+    """(phase, function, calling module) for each call that importing
+    flagcalc.cli, then parsing one polynomial, makes to re._compile or
+    collections.namedtuple in a fresh interpreter."""
+    return [tuple(line.split()) for line in _fresh(SPY).splitlines()]
+
+
+def test_cli_import_compiles_no_pattern_and_builds_no_namedtuple():
+    # a pattern compiles, and a namedtuple class is built, at its first use
+    # or never: the standard library's own calls (json's patterns) may stay
+    calls = _builder_calls()
+    assert [c for c in calls
+            if c[0] == "import" and c[2].startswith("flagcalc")] == []
+    # the spy sees the package's calls: parsing compiles the parser's
+    # patterns, so the import's clean record is no artefact of the spy
+    assert ("parse", "re._compile", "flagcalc.cli") in calls
 
 
 def test_the_front_end_loads_argparse():

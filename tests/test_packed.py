@@ -9,10 +9,11 @@ examples."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rings_reference as ref
+from flagcalc import rings
 from flagcalc.cli import parse_poly
 from flagcalc.divdiff import OperatorContext
 from flagcalc.families import bott_samelson_class
@@ -251,6 +252,46 @@ def wide_key_polys(draw, ring):
                             key=lambda p: ref._var_key(p[0])))
         terms[mono] = draw(coeffs)
     return terms
+
+
+# pieces of names that the reference's [a-zA-Z]+ then \d* reads in its
+# own way: decimal digits of other scripts (Arabic-Indic), letters outside
+# ASCII (e acute, the Kelvin sign), a digit that is not decimal (the
+# superscript 2), and long runs of digits
+NAME_PIECES = ["x", "b", "m", "Zy", "\u00e9", "\u212a", "1", "07", "\u0661",
+               "\u0663", "\u00b2", "a", "_", " "]
+NAMES = st.one_of(
+    st.lists(st.sampled_from(NAME_PIECES), max_size=4).map("".join),
+    st.builds(lambda stem, digit, k: stem + digit * k,
+              st.sampled_from(["", "x", "\u00e9", "1x"]),
+              st.sampled_from(["9", "\u0661"]), st.integers(20, 80)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(name=NAMES)
+@example("x\u0661")
+@example("\u00e91")
+@example("1x")
+@example("x1a")
+@example("")
+@example("x" + "7" * 60)
+def test_name_splitting_matches_reference(name):
+    """rings._var_key accepts and rejects the reference's names, with its
+    stem and index; to_latex's label prints the stem, then the rest."""
+    m = ref._VAR_RE.fullmatch(name)
+    if m is None:
+        with pytest.raises(ValueError, match="bad variable name"):
+            rings._var_key(name)
+    else:
+        key = rings._var_key(name)
+        assert key == ref._var_key(name)
+        assert (key[1], name[len(key[1]):]) == m.groups()
+
+
+@pytest.mark.parametrize("name", ["x\u0661", "xy\u0663\u0664",
+                                  "x" + "7" * 60, "Q12"], ids=ascii)
+def test_rendering_of_unusual_names_matches_reference(name):
+    assert_same(*both(ZZ, {((name, 2),): 1, ((name, 1),): -3}))
 
 
 def test_late_names_have_late_fields():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from flagcalc import porteous
 from flagcalc.divdiff import OperatorContext
+from flagcalc.perms import Permutation
 from flagcalc.porteous import (
     DPoly,
     RankTriple,
@@ -127,6 +130,21 @@ class TestRankTriple:
 
     def test_group_size(self):
         assert RankTriple(3, 2, 1).n == 4
+
+    def test_value_classes_print_copy_and_pickle(self):
+        t = RankTriple(1, 2, 0)
+        assert repr(t) == "RankTriple(e=1, f=2, r=0)"
+        assert (t.e, t.f, t.r) == t == (1, 2, 0) and hash(t) == hash((1, 2, 0))
+        dp = DPoly(RankTriple(1, 1, 0), "CK", SparsePoly.var(ZZ, "c1"),
+                   ("c_i(F)", "c_j(Edual)"))
+        assert repr(dp) == (
+            "DPoly(triple=RankTriple(e=1, f=1, r=0), theory='CK', "
+            "body=SparsePoly(c1), slot_labels=('c_i(F)', 'c_j(Edual)'))")
+        assert repr(beta_ring()) == "CoefficientRing(kind='BetaRing', K=0)"
+        for v in (t, dp, beta_ring(), Permutation((3, 1, 2))):
+            for twin in (copy.copy(v), copy.deepcopy(v),
+                         pickle.loads(pickle.dumps(v))):
+                assert type(twin) is type(v) and twin == v
 
     def test_codimension(self):
         t = RankTriple(3, 2, 1)
