@@ -3,9 +3,10 @@
 Every cache of polynomials in flagcalc (the h_w family, the inverse
 denominator units of the generalised operators, the push-forward classes,
 the connective K-theory body of each degeneracy locus, the products of
-elementary symmetric polynomials) is a ``TermMemo``: a map whose size is
-measured in stored polynomial terms, evicted least-recently-used first,
-with hit and miss counts for inspection.  ``TermMemo.resume`` is the one
+elementary symmetric polynomials and their tables of partition
+coefficients) is a ``TermMemo``: a map whose size is measured in stored
+polynomial terms or table rows, evicted least-recently-used first, with
+hit and miss counts for inspection.  ``TermMemo.resume`` is the one
 walk that resumes a chain of values memoised by prefix.
 """
 
@@ -21,10 +22,12 @@ MAX_TERMS = 200_000
 
 
 class TermMemo:
-    """LRU map from hashable keys to SparsePoly values, bounded by the total
-    number of terms stored.  A value larger than the bound is not kept."""
+    """LRU map from hashable keys to values, bounded by the total size
+    stored: size(value) counts a SparsePoly's terms, and a memo of tables
+    passes len.  A value larger than the bound is not kept."""
 
-    def __init__(self):
+    def __init__(self, size=lambda value: len(value.terms)):
+        self._size = size
         self._entries: OrderedDict = OrderedDict()
         self.terms = 0
         self.hits = 0
@@ -41,17 +44,17 @@ class TermMemo:
         return value
 
     def put(self, key, value) -> None:
-        size = len(value.terms)
+        size = self._size(value)
         if size > MAX_TERMS:
             return
         old = self._entries.pop(key, None)
         if old is not None:
-            self.terms -= len(old.terms)
+            self.terms -= self._size(old)
         self._entries[key] = value
         self.terms += size
         while self.terms > MAX_TERMS:
             _, evicted = self._entries.popitem(last=False)
-            self.terms -= len(evicted.terms)
+            self.terms -= self._size(evicted)
 
     def resume(self, key, walk, start, op):
         """The value at key.  On a miss, walk() gives a word and the keys of

@@ -32,6 +32,8 @@ __all__ = [
 # the CK body of each triple's locus, from which every theory is derived
 _CK_MEMO = TermMemo()
 _ELEMENTARY_MEMO = TermMemo()
+# each product's (partition, coefficient) pairs, sized by their number
+_PARTITION_MEMO = TermMemo(size=len)
 
 
 class SymmetryError(ValueError):
@@ -173,6 +175,18 @@ def _is_partition(a: tuple) -> bool:
     return all(x >= y for x, y in zip(a, a[1:]))
 
 
+def _partitions(ring, block: list, exps: tuple) -> list:
+    """The (mu, c) of _e_product(ring, block, exps).split(block), mu a
+    partition."""
+    key = (ring, tuple(block), exps)
+    table = _PARTITION_MEMO.get(key)
+    if table is None:
+        parts = _e_product(ring, block, exps).split(block)
+        table = [(mu, c) for mu, c in parts.items() if _is_partition(mu)]
+        _PARTITION_MEMO.put(key, table)
+    return table
+
+
 def _reduce_block(p: SparsePoly, prefix: str, block: list) -> SparsePoly:
     """Rewrite p in the slots, the elementary symmetric functions e_j of
     ``block``; raise SymmetryError unless p is symmetric in the block.
@@ -192,11 +206,10 @@ def _reduce_block(p: SparsePoly, prefix: str, block: list) -> SparsePoly:
         coeff = lams[lam]
         exps = tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
         pairs.append((coeff, SparsePoly.monomial(p.ring, slots, exps)))
-        for mu, c in _e_product(p.ring, block, exps).split(block).items():
-            if _is_partition(mu):
-                rest = lams.pop(mu, 0) - coeff * c
-                if rest:
-                    lams[mu] = rest
+        for mu, c in _partitions(p.ring, block, exps):
+            rest = lams.pop(mu, 0) - coeff * c
+            if rest:
+                lams[mu] = rest
     return sum_of_products(pairs, p.ring)
 
 

@@ -235,13 +235,12 @@ def _keys(digits, top, col) -> "list | dict":
 
 def _clean(terms: dict, rational: bool) -> dict:
     """Drop zero coefficients; over Q store integral fractions as ints.
-    Over Z and Z[b] it may return terms itself, which the caller owns."""
-    if rational:
+    It may return terms itself, which the caller owns."""
+    values = terms.values()
+    if rational and Fraction in set(map(type, values)):
         return {m: c.numerator if type(c) is Fraction and c.denominator == 1
                 else c for m, c in terms.items() if c}
-    if 0 not in terms.values():
-        return terms
-    return {m: c for m, c in terms.items() if c}
+    return {m: c for m, c in terms.items() if c} if 0 in values else terms
 
 
 def _output_order(names, degree, cols, values) -> list:
@@ -320,6 +319,9 @@ class SparsePoly:
     @property
     def terms(self) -> _Terms:
         return _Terms(self._terms)
+
+    def __reduce__(self):  # by name: packed keys are this process's fields
+        return SparsePoly, (self.ring, dict(self.terms.items()))
 
     # -- constructors --------------------------------------------------------
 
@@ -590,15 +592,15 @@ class SparsePoly:
                     powers += [" " + power(s, e) for e in range(2, t + 1)]
                 word = list(map(add, keys, powers))
             words.append(map(word.__getitem__, col))
-        signs = {c: " +" if c == 1 else " -" if c == -1
-                 else " + " + magnitude(c) if c > 0 else " - " + magnitude(-c)
-                 for c in set(self._terms.values())}
-        signed = dict(zip(map("".join, zip(*words)),
-                          map(signs.__getitem__, self._terms.values())))
-        order = sorted(signed)
+        sign = {c: " +" if c == 1 else " -" if c == -1
+                else " + " + magnitude(c) if c > 0 else " - " + magnitude(-c)
+                for c in set(self._terms.values())}
+        signs = list(map(sign.__getitem__, self._terms.values()))
+        texts = list(map("".join, zip(*words)))
+        order = sorted(range(len(texts)), key=texts.__getitem__)
         if self._terms.get(0) in (1, -1):  # a constant 1 or -1 sorts first
-            signed[order[0]] += " " + magnitude(1)
-        text = "".join(map(add, map(signed.__getitem__, order), order))
+            signs[order[0]] += " " + magnitude(1)
+        text = "".join([signs[i] + texts[i] for i in order])
         text = text.translate(_DROP_KEYS)
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
@@ -713,20 +715,30 @@ def divide_monic(p: SparsePoly, v: str, M: int, tail) -> tuple:
     T_j free of v: the quotient as (a, q_a) pairs, q_a the coefficient of
     v^a, and the remainder, of v-degree below M.  From the top power of v
     down, the coefficient c of each v^a with a >= M, one sum_of_products
-    of the pairs that reach it, is q_(a-M) and sends (c, T_j) to v^(a-M+j)."""
-    ring = p.ring
+    of the pairs that reach it, is q_(a-M) and sends (c, T_j) to v^(a-M+j).
+    The terms of p below v^M go into the remainder as they are."""
+    ring, (shift, unit) = p.ring, _slot(v)
+    low, high = {}, {}  # high: a >= M -> the terms of v^a, v^a divided out
+    for m, c in p._terms.items():
+        a = m >> shift & _FIELD
+        if a < M:
+            low[m] = c
+        else:
+            high.setdefault(a, {})[m - a * unit] = c
+    if not high:
+        return [], p
     one = SparsePoly.const(ring, 1)
-    slots = {a: [(c, one)] for (a,), c in p.split((v,)).items()}
+    slots = {a: [(SparsePoly._new(ring, t), one)] for a, t in high.items()}
     quotient = []
-    for a in range(max(slots, default=0), M - 1, -1):
+    for a in range(max(slots), M - 1, -1):
         c = sum_of_products(slots.pop(a, ()), ring)
         if c:
             quotient.append((a - M, c))
             for j, t in tail:
                 slots.setdefault(a - M + j, []).append((c, t))
-    remainder = sum_of_products(
-        [(c, t * SparsePoly.monomial(ring, (v,), (a,)))
-         for a, pairs in slots.items() for c, t in pairs], ring)
+    remainder = sum_of_products([(SparsePoly._new(ring, low), one)] + [
+        (c, t * SparsePoly.monomial(ring, (v,), (a,)))
+        for a, pairs in slots.items() for c, t in pairs], ring)
     return quotient, remainder
 
 

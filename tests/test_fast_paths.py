@@ -295,6 +295,17 @@ class TestTermMemo:
         assert m.get("big") is None
         assert m.get("a") is not None
 
+    def test_a_table_memo_counts_rows(self, monkeypatch):
+        monkeypatch.setattr(memo, "MAX_TERMS", 5)
+        m = memo.TermMemo(size=len)
+        m.put("a", [1, 2])
+        m.put("b", [3, 4, 5])
+        assert m.terms == 5
+        m.put("c", [6])
+        assert m.get("a") is None and m.get("b") == [3, 4, 5]
+        m.put("big", list(range(6)))
+        assert m.get("big") is None and m.terms == 4
+
     def _resume(self, m, word, calls):
         """m.resume along word, keyed by prefix: start is the one-term y1
         and op(i, p) multiplies by x_i, each call recorded."""

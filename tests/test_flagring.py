@@ -1,11 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from flagcalc.flagring import FlagRingPresentation
 from flagcalc.porteous import elementary_symmetric
-from flagcalc.rings import SparsePoly, ZZ, beta_ring
+from flagcalc.rings import SparsePoly, ZZ, beta_ring, lazard_rational
 
 from conftest import random_poly
 
@@ -58,10 +59,18 @@ class TestSymbolicBundle:
             e = elementary_symmetric(ZZ, i, [f"x{k}" for k in range(1, n + 1)])
             assert pres.reduce(e) == V(f"c{i}")
 
-    def test_reduction_fixes_normal_forms(self):
-        pres = FlagRingPresentation.symbolic(3, ZZ)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("ring, coeff", [
+        (ZZ, {(): 1}),
+        (beta_ring(), {(): 2, (("b", 1),): 1}),
+        (lazard_rational(2), {(("c1", 1),): Fraction(1, 3), (("m2", 1),): -1}),
+    ], ids=["ZZ", "Zb", "Qm"])
+    def test_reduction_fixes_normal_forms(self, ring, coeff, n):
+        # times a coefficient in the ring's generators and c_1, a normal
+        # form still: no step of the elimination has anything to divide
+        pres = FlagRingPresentation.symbolic(n, ring)
         for mono in pres.normal_form_monomials():
-            p = SparsePoly(ZZ, {mono: 1})
+            p = SparsePoly(ring, {mono + m: c for m, c in coeff.items()})
             assert pres.reduce(p) == p
 
     def test_output_is_in_normal_form(self):

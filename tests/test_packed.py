@@ -6,6 +6,8 @@ results must agree term for term and render to the same text, JSON and
 LaTeX.  Hypothesis runs derandomised, so every run draws the same
 examples."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rings_reference as ref
+from test_layout import _fresh
 from flagcalc import rings
 from flagcalc.cli import parse_poly
 from flagcalc.divdiff import OperatorContext
@@ -298,6 +301,41 @@ def test_late_names_have_late_fields():
     from flagcalc import rings
     assert rings._SLOTS["y29"] < rings._SLOTS["x29"]
     assert rings._SLOTS["d17"] < rings._SLOTS["c17"]
+
+
+# built alike in the interpreter that pickles and the one that loads: a
+# polynomial over each ring and a Hecke element
+_VALUES = """
+from fractions import Fraction
+from flagcalc.hecke import h_factor
+from flagcalc.rings import QQ, ZZ, SparsePoly, beta_ring, lazard_rational
+Zb = beta_ring()
+values = [
+    SparsePoly(ZZ, {(("x1", 1),): 1, (("y1", 1),): 2}),
+    SparsePoly(QQ, {(("x2", 2), ("t", 1)): Fraction(1, 3), (): -1}),
+    SparsePoly(Zb, {(("y2", 1), ("b", 1)): 3, (("x1", 1),): 1}),
+    SparsePoly(lazard_rational(2), {(("x3", 1), ("m2", 1)): Fraction(-1, 2)}),
+    h_factor(3, 2, SparsePoly(Zb, {(("x2", 1),): 1, (("y1", 1),): -1}))]
+"""
+
+
+def test_pickle_writes_names_not_fields(tmp_path):
+    """A pickle loads as the same values in an interpreter that registered
+    the variable names, and so numbered the fields, in another order."""
+    path = str(tmp_path / "values.pickle")
+    _fresh(_VALUES + f"import pickle\npickle.dump(values, open({path!r}, 'wb'))")
+    assert _fresh(
+        "from flagcalc.rings import SparsePoly, ZZ\n"
+        "SparsePoly.monomial(ZZ, ['z7', 'm2', 'y2', 't', 'x3', 'b', 'y1',"
+        " 'x2', 'x1'], [1] * 9)\n"
+        f"import pickle\nloaded = pickle.load(open({path!r}, 'rb'))\n"
+        + _VALUES + "print(loaded == values)") == "True\n"
+    here: dict = {}
+    exec(_VALUES, here)
+    for v in here["values"]:
+        for twin in (copy.copy(v), copy.deepcopy(v),
+                     pickle.loads(pickle.dumps(v))):
+            assert twin == v
 
 
 @pytest.mark.parametrize("kind", sorted(WIDE_RINGS))

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcalc import porteous
+from flagcalc import memo, porteous
 from flagcalc.divdiff import OperatorContext
 from flagcalc.perms import Permutation
 from flagcalc.porteous import (
@@ -285,6 +285,30 @@ class TestElementaryRewrite:
             SparsePoly.const(ZZ, 1)
         assert elementary_symmetric(ZZ, 2, ["x1", "x2"]) == \
             V(ZZ, "x1") * V(ZZ, "x2")
+
+
+class TestPartitionTables:
+    """The partition coefficients of each product of elementary symmetric
+    polynomials are memoised by ring, block and exponents: tables warmed
+    over Z[b] serve no rewrite over Z, and no table skips the symmetry
+    check."""
+
+    @pytest.mark.parametrize("t", TRIPLES_3, ids=str)
+    def test_warm_tables_keep_the_ring_and_the_check(self, t):
+        porteous._PARTITION_MEMO.clear()
+        to_elementary(specialize_nu(t), t)  # warm over Z[b]
+        dp = thom_porteous(t, "ch")
+        p = from_elementary_by_substitution(dp)
+        assert p.ring == ZZ and symmetric_by_swaps(p, t)
+        got = to_elementary(p, t)
+        assert got.body == dp.body
+        assert from_elementary_by_substitution(got) == p
+        for v in ["x1"] * (t.f > 1) + ["y1"] * (t.e > 1):
+            bad = p + V(ZZ, v)
+            assert not symmetric_by_swaps(bad, t)
+            with pytest.raises(SymmetryError):
+                to_elementary(bad, t)
+        assert 0 < porteous._PARTITION_MEMO.terms <= memo.MAX_TERMS
 
 
 class TestTheories:

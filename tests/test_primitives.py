@@ -352,6 +352,11 @@ def test_divide_monic_matches_the_division_identity(kind, M, data):
         q = q + as_ref(c) * x1 ** a
     assert (q * divisor + as_ref(remainder)).terms == as_ref(p).terms
     assert all(a < M for (a,) in remainder.split(("x1",)))
+    # nothing to divide: every term below x1^M, or no term at all
+    low = SparsePoly(ring, data.draw(raw_polys(ring, names, max_exp=M - 1),
+                                     label="low"))
+    for below in (low, SparsePoly.zero(ring)):
+        assert divide_monic(below, "x1", M, tail) == ([], below)
 
 
 @pytest.mark.parametrize("kind", sorted(DIVISION_RINGS))
@@ -399,6 +404,27 @@ def test_cancelled_terms_are_not_stored(kind, data):
     got = divided_difference([symmetric, r], "x1", "x2")
     assert _stores_no_zero(got)
     assert got == divided_difference([r], "x1", "x2")
+
+
+@pytest.mark.parametrize("kind", ["QQ", "Qm"])
+def test_rational_products_store_integral_values_as_ints(kind):
+    """Over Q, an accumulator that mixes ints and Fractions stores an
+    integral Fraction as an int and drops a term that cancels to 0."""
+    ring = RINGS[kind]
+    x1, x2 = SparsePoly.var(ring, "x1"), SparsePoly.var(ring, "x2")
+    half = SparsePoly.const(ring, Fraction(1, 2))
+    g = "m1" if kind == "Qm" else "x3"
+    pairs = [(x1, x2), (half * x1, x2), (half * x1, x2),  # 1 + 1/2 + 1/2
+             (half * x1, x1), (half * x1, x1), (-x1, x1),  # 1/2 + 1/2 - 1
+             (half, x2), (SparsePoly.var(ring, g), x2)]
+    want = {(("x1", 1), ("x2", 1)): 2, (("x2", 1),): Fraction(1, 2),
+            (("x2", 1), (g, 1)): 1}
+    for bound in (None, 5):
+        got = dict(sum_of_products(pairs, ring, bound).terms.items())
+        assert got == want
+        assert type(got[(("x1", 1), ("x2", 1))]) is int
+    # a monomial times a polynomial: 1/2 x2 times 2
+    assert all(type(c) is int for c in ((x1 + half) * x2 * 2).terms.values())
 
 
 # -- flag-ring normal forms ---------------------------------------------------
