@@ -128,7 +128,8 @@ def braid_check(ctx: OperatorContext, i: int, samples, mode: str = "beta"
     Returns {"holds": bool, "witness": poly-or-None, "input": sample-or-None}
     with the difference of the two sides as witness on first failure.
     mode names the operator: "beta", "partial", "pi" or "fgl" (A_i)."""
-    ctx._check_index(i + 1)
+    if not 1 <= i <= ctx.n - 2:
+        raise ValueError(f"braid index {i} out of range for n={ctx.n}")
     op = {"beta": ctx.phi_beta, "partial": ctx.partial, "pi": ctx.pi_op,
           "fgl": ctx.A_op}.get(mode)
     if op is None:

@@ -23,11 +23,10 @@ MAX_TERMS = 200_000
 
 class TermMemo:
     """LRU map from hashable keys to values, bounded by the total size
-    stored: size(value) counts a SparsePoly's terms, and a memo of tables
-    passes len.  A value larger than the bound is not kept."""
+    stored: len(value), a SparsePoly's terms or a table's rows.  A value
+    larger than the bound is not kept."""
 
-    def __init__(self, size=lambda value: len(value.terms)):
-        self._size = size
+    def __init__(self):
         self._entries: OrderedDict = OrderedDict()
         self.terms = 0
         self.hits = 0
@@ -44,17 +43,17 @@ class TermMemo:
         return value
 
     def put(self, key, value) -> None:
-        size = self._size(value)
+        size = len(value)
         if size > MAX_TERMS:
             return
         old = self._entries.pop(key, None)
         if old is not None:
-            self.terms -= self._size(old)
+            self.terms -= len(old)
         self._entries[key] = value
         self.terms += size
         while self.terms > MAX_TERMS:
             _, evicted = self._entries.popitem(last=False)
-            self.terms -= self._size(evicted)
+            self.terms -= len(evicted)
 
     def resume(self, key, walk, start, op):
         """The value at key.  On a miss, walk() gives a word and the keys of

@@ -33,7 +33,7 @@ __all__ = [
 _CK_MEMO = TermMemo()
 _ELEMENTARY_MEMO = TermMemo()
 # each product's (partition, coefficient) pairs, sized by their number
-_PARTITION_MEMO = TermMemo(size=len)
+_PARTITION_MEMO = TermMemo()
 
 
 class SymmetryError(ValueError):

@@ -28,7 +28,6 @@ canonical term order only when a polynomial is rendered.
 from __future__ import annotations
 
 import sys
-from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, islice, product, repeat
@@ -261,31 +260,6 @@ def _coeff_str(c) -> str:
     return str(c)
 
 
-class _Terms(Mapping):
-    """The terms of a SparsePoly as a map from monomials, tuples of
-    (name, exponent) pairs in canonical variable order, to coefficients;
-    monomials are decoded on access."""
-
-    __slots__ = ("_packed",)
-
-    def __init__(self, packed: dict):
-        self._packed = packed
-
-    def __len__(self):
-        return len(self._packed)
-
-    def __iter__(self):
-        names, cols, _ = _columns(self._packed)
-        for _, *exps in zip(*cols):
-            yield tuple(compress(zip(names, exps), exps))
-
-    def __getitem__(self, mono):
-        return self._packed[_encode(mono)]
-
-    def items(self):
-        return list(zip(self, self._packed.values()))
-
-
 class SparsePoly:
     """Immutable exact multivariate polynomial over a ``CoefficientRing``."""
 
@@ -307,6 +281,10 @@ class SparsePoly:
             key = _encode(mono)
             packed[key] = packed.get(key, 0) + c
         self._terms = _clean(packed, ring.rational)
+        for name in sorted(self.variables()):
+            if not ring.allows_generator(name):
+                raise RingMismatchError(
+                    f"generator {name!r} not in {ring.kind}")
 
     @classmethod
     def _new(cls, ring: CoefficientRing, terms: dict) -> "SparsePoly":
@@ -317,11 +295,19 @@ class SparsePoly:
         return p
 
     @property
-    def terms(self) -> _Terms:
-        return _Terms(self._terms)
+    def terms(self) -> dict:
+        """A new dict from monomials, tuples of (name, exponent) pairs in
+        canonical variable order, to coefficients."""
+        names, cols, _ = _columns(self._terms)
+        return {tuple(compress(zip(names, exps), exps)): c
+                for (_, *exps), c in zip(zip(*cols), self._terms.values())}
+
+    def __len__(self) -> int:
+        """The number of terms; a polynomial is true when it has any."""
+        return len(self._terms)
 
     def __reduce__(self):  # by name: packed keys are this process's fields
-        return SparsePoly, (self.ring, dict(self.terms.items()))
+        return SparsePoly, (self.ring, self.terms)
 
     # -- constructors --------------------------------------------------------
 
@@ -345,9 +331,6 @@ class SparsePoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

@@ -270,6 +270,8 @@ class TestErrors:
         ("bott-samelson", "--word", "1,,2", "--n", "3"),
         ("bott-samelson", "--word", "1,2,", "--n", "3"),
         ("braid", "--n", "2"),
+        ("braid", "--n", "3", "--i", "2"),
+        ("braid", "--n", "3", "--i", "-1"),
         ("flagring", "reduce", "--n", "2", "--input", "1/0 x1"),
         ("flagring", "reduce", "--n", "0", "--input", "x1"),
         ("hecke", "verify", "--n", "0"),
@@ -287,7 +289,8 @@ class TestErrors:
         ("bott-samelson", "--n", "abc"),
     ], ids=["repeated-image", "empty-perm", "rank-above-min", "word-index",
             "word-empty-index", "word-trailing-comma",
-            "braid-n2", "zero-denominator", "flagring-n0", "hecke-n0",
+            "braid-n2", "braid-i-past-n", "braid-i-negative",
+            "zero-denominator", "flagring-n0", "hecke-n0",
             "exponent-limit", "x-degree-bound", "bott-samelson-n0",
             "bott-samelson-n-negative", "bott-samelson-trunc0",
             "bott-samelson-trunc-negative", "chern-tensor-e-negative",
@@ -309,6 +312,14 @@ class TestErrors:
         assert capsys.readouterr().err == (
             "invalid input: need 0 <= r <= min(e, f), "
             "got RankTriple(e=2, f=2, r=3)\n")
+
+    @pytest.mark.parametrize("i", ["2", "-1"])
+    def test_braid_index_error_names_the_given_i(self, capsys, i):
+        with pytest.raises(SystemExit) as exc:
+            main(["braid", "--n", "3", "--i", i])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: braid index {i} out of range for n=3\n")
 
     @pytest.mark.parametrize("args", [
         ("porteous", "--e", "4", "--f", "4", "--r", "0", "--format", "json"),

@@ -297,7 +297,7 @@ class TestTermMemo:
 
     def test_a_table_memo_counts_rows(self, monkeypatch):
         monkeypatch.setattr(memo, "MAX_TERMS", 5)
-        m = memo.TermMemo(size=len)
+        m = memo.TermMemo()
         m.put("a", [1, 2])
         m.put("b", [3, 4, 5])
         assert m.terms == 5

@@ -72,8 +72,8 @@ def both(ring, raw):
 
 def assert_same(p: SparsePoly, r: ref.RefPoly):
     assert p.ring == r.ring
-    assert dict(p.terms.items()) == r.terms
-    assert len(p.terms) == len(r.terms)
+    assert p.terms == r.terms
+    assert len(p) == len(p.terms) == len(r.terms)
     assert p.to_text() == r.to_text()
     assert p.to_json_obj() == r.to_json_obj()
     assert p.to_latex() == r.to_latex()
@@ -95,6 +95,20 @@ def test_arithmetic_matches_reference(kind, data):
     n = data.draw(st.integers(0, 3), label="n")
     assert_same(p ** n, rp ** n)
     assert (p == q) == (rp == rq)
+
+
+@pytest.mark.parametrize("kind", sorted(RINGS))
+@fixed
+@given(data=st.data())
+def test_terms_is_a_new_plain_dict(kind, data):
+    ring = RINGS[kind]
+    p, rp = both(ring, data.draw(raw_polys(ring), label="p"))
+    terms = p.terms
+    assert type(terms) is dict and terms == rp.terms
+    assert len(p) == len(terms)
+    terms[(("x1", 9),)] = 1
+    terms.pop((), None)
+    assert p.terms == rp.terms and p.terms is not p.terms
 
 
 @pytest.mark.parametrize("kind", sorted(RINGS))

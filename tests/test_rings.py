@@ -71,6 +71,14 @@ class TestArith:
         with pytest.raises(RingMismatchError):
             V(ZZ, "b")
 
+    @pytest.mark.parametrize("target, name", [
+        (ZZ, "b"), (lazard_rational(2), "m3")],
+        ids=["b-over-Z", "m3-over-Qm2"])
+    def test_terms_name_no_generator_the_ring_lacks(self, target, name):
+        with pytest.raises(RingMismatchError,
+                           match=f"generator '{name}' not in {target.kind}"):
+            SparsePoly(target, {(("x1", 1), (name, 1)): 1})
+
     def test_substitute_keeps_no_generator_the_target_lacks(self):
         Zb = beta_ring()
         p = V(Zb, "b") * V(Zb, "x1")
