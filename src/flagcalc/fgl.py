@@ -16,7 +16,6 @@ from .rings import (
     beta_ring,
     compositional_inverse,
     lazard_rational,
-    series_reciprocal,
     sum_of_products,
 )
 
@@ -57,14 +56,21 @@ def make_additive(D: int, ring: CoefficientRing | None = None
 def make_multiplicative(b, D: int, ring: CoefficientRing | None = None
                         ) -> FormalGroupLaw:
     """F(u, v) = u + v - b u v with parameter b (a polynomial or constant)
-    and its inverse chi(u) = -u / (1 - b u)."""
+    and its inverse chi(u) = -u / (1 - b u) = -sum_k b^k u^(k+1)."""
     ring = ring or beta_ring()
     if not isinstance(b, SparsePoly):
         b = SparsePoly.const(ring, b)
     u = SparsePoly.var(ring, "u")
     v = SparsePoly.var(ring, "v")
-    chi = sum_of_products([(series_reciprocal(1 - b * u, D), -u)], ring, D)
-    return FormalGroupLaw(u + v - b * u * v, chi, D)
+    F = u + v - b * u * v
+    if D < 0:
+        raise ValueError(f"negative truncation degree {D}")
+    powers = [SparsePoly.const(ring, -1)]  # -b^k; at D = 0, -u is above D
+    for _ in range(1, D):
+        powers.append(powers[-1] * b)
+    chi = sum_of_products([(c, SparsePoly.var(ring, "u", k + 1))
+                           for k, c in enumerate(powers)], ring, D)
+    return FormalGroupLaw(F, chi, D)
 
 
 def make_universal_rational(K: int, D: int) -> FormalGroupLaw:
@@ -73,9 +79,9 @@ def make_universal_rational(K: int, D: int) -> FormalGroupLaw:
         raise ValueError(f"need K >= D log generators (K={K}, D={D})")
     ring = lazard_rational(K)
     t = SparsePoly.var(ring, "t")
-    log = t
-    for k in range(1, K + 1):
-        log = log + SparsePoly.var(ring, f"m{k}") * t ** (k + 1)
+    log = t + sum_of_products([
+        (SparsePoly.var(ring, f"m{k}"), SparsePoly.var(ring, "t", k + 1))
+        for k in range(1, K + 1)], ring)
     exp = compositional_inverse(log, D)
     log_u = log.substitute({"t": SparsePoly.var(ring, "u")}, bound=D)
     log_v = log.substitute({"t": SparsePoly.var(ring, "v")}, bound=D)

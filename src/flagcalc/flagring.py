@@ -17,9 +17,6 @@ back an x_j with j >= k, so the result has a_k <= n - k for every k.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations_with_replacement, product
-
 from .rings import (CoefficientRing, RingMismatchError, SparsePoly,
                     divide_monic, sum_of_products)
 
@@ -28,12 +25,6 @@ __all__ = ["FlagRingPresentation", "MAX_X_DEGREE"]
 # The largest total x-degree reduce accepts: the work grows like a power of
 # the degree (x1^1500 takes about 0.5 s at n = 2), and past it would run on.
 MAX_X_DEGREE = 1500
-
-
-def _complete_homogeneous(ring, m: int, names: list) -> SparsePoly:
-    """h_m(names): sum of all monomials of total degree m."""
-    combos = combinations_with_replacement(names, m)
-    return SparsePoly(ring, {tuple(Counter(c).items()): 1 for c in combos})
 
 
 class FlagRingPresentation:
@@ -47,13 +38,16 @@ class FlagRingPresentation:
         # (-1)^i c_i for i = 0..n
         signed = [(-1) ** i * c for i, c in enumerate(
             (SparsePoly.const(ring, 1),) + tuple(base_chern))]
+        # hs[m] = h_m(x_1..x_k), extended to x_k by the recursion
+        # h_m(.., x_k) = h_m(..) + x_k h_(m-1)(.., x_k); G_k needs m <= M
+        hs = [SparsePoly.const(ring, 1)] + [SparsePoly.zero(ring)] * n
         tails = []
-        for k in range(1, self.n + 1):
-            M = self.n - k + 1
-            names = [f"x{j}" for j in range(1, k + 1)]
-            hs = [_complete_homogeneous(ring, M - i, names)
-                  for i in range(M + 1)]
-            g = sum_of_products(list(zip(signed, hs)), ring)
+        for k in range(1, n + 1):
+            M = n - k + 1
+            x = SparsePoly.var(ring, f"x{k}")
+            for m in range(1, M + 1):
+                hs[m] = hs[m] + x * hs[m - 1]
+            g = sum_of_products(list(zip(signed, hs[M::-1])), ring)
             tail = SparsePoly.var(ring, f"x{k}", M) - g
             tails.append(tuple((j, t) for (j,), t in
                                tail.split((f"x{k}",)).items()))
@@ -88,9 +82,3 @@ class FlagRingPresentation:
 
     def equal_in_ring(self, p: SparsePoly, q: SparsePoly) -> bool:
         return self.reduce(p - q).is_zero()
-
-    def normal_form_monomials(self) -> list:
-        """All x-monomials with a_k <= n - k; there are n! of them."""
-        ranges = [range(self.n - k + 1) for k in range(1, self.n + 1)]
-        return [tuple((f"x{k}", e) for k, e in enumerate(exps, start=1) if e)
-                for exps in product(*ranges)]

@@ -19,7 +19,6 @@ __all__ = [
     "HeckeElement",
     "hecke_one",
     "h_factor",
-    "build_H",
     "build_Htilde",
     "build_Hxy",
     "alternative_product",
@@ -139,11 +138,6 @@ def _H_word(n: int) -> list:
     """The word alpha_1(x_1) ... alpha_{n-1}(x_{n-1}) of H(x)."""
     return [f for i in range(1, n)
             for f in _alpha(n, i, SparsePoly.var(_RING, f"x{i}"))]
-
-
-def build_H(n: int) -> HeckeElement:
-    """H(x) = alpha_1(x_1) ... alpha_{n-1}(x_{n-1})."""
-    return _chain(hecke_one(n), _H_word(n))
 
 
 def build_Htilde(n: int) -> HeckeElement:

@@ -77,9 +77,6 @@ class RankTriple(tuple):
         return Permutation(tuple(range(self.e + 1, self.n + 1))
                            + tuple(range(1, self.e + 1)))
 
-    def expected_codim(self) -> int:
-        return (self.e - self.r) * (self.f - self.r)
-
 
 class DPoly(tuple):
     """A body in c_1..c_f (x-side) and d_1..d_e (y-side) for a triple;

@@ -170,6 +170,14 @@ def _slot(name: str) -> tuple:
     return slot
 
 
+def _check_generators(ring: CoefficientRing, names) -> None:
+    """Raise RingMismatchError naming the first of names (in sorted order)
+    that is a generator ring lacks."""
+    for name in sorted(names):
+        if not ring.allows_generator(name):
+            raise RingMismatchError(f"generator {name!r} not in {ring.kind}")
+
+
 def _check_guard(keys) -> None:
     """Raise unless every packed monomial in keys has its guard bits clear.
     Exact when each key is the sum of two valid ones."""
@@ -281,10 +289,7 @@ class SparsePoly:
             key = _encode(mono)
             packed[key] = packed.get(key, 0) + c
         self._terms = _clean(packed, ring.rational)
-        for name in sorted(self.variables()):
-            if not ring.allows_generator(name):
-                raise RingMismatchError(
-                    f"generator {name!r} not in {ring.kind}")
+        _check_generators(ring, self.variables())
 
     @classmethod
     def _new(cls, ring: CoefficientRing, terms: dict) -> "SparsePoly":
@@ -544,9 +549,8 @@ class SparsePoly:
         if self.ring.rational and not target.rational:
             # from Q: integral coefficients become ints, others raise
             out = SparsePoly(target, out.terms)
-        if target != self.ring and not all(
-                map(target.allows_generator, out.variables())):
-            raise RingMismatchError(f"a generator is not in {target.kind}")
+        if target != self.ring:
+            _check_generators(target, out.variables())
         return out
 
     # -- canonical output ----------------------------------------------------

@@ -5,20 +5,26 @@ in turn with ``sum_of_products``.  It reads the packed keys of
 flagcalc.rings directly; the property tests hold the library to it."""
 
 import heapq
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import lcm
 
 from flagcalc.rings import SparsePoly, _FIELD, _check_guard, _clean, _slot
 
 
 def _complete_homogeneous(ring, m: int, names: list) -> SparsePoly:
-    """h_m(names) via the recursion on the last variable."""
-    table = [SparsePoly.const(ring, 1)] + [SparsePoly.zero(ring)] * m
-    for v in names:
-        x = SparsePoly.var(ring, v)
-        for d in range(1, m + 1):
-            table[d] = table[d] + x * table[d - 1]
-    return table[m]
+    """h_m(names): one monomial per multiset of m names, where
+    flagcalc.flagring builds h_m by the recursion on the last variable."""
+    combos = combinations_with_replacement(names, m)
+    return SparsePoly(ring, {tuple(Counter(c).items()): 1 for c in combos})
+
+
+def normal_form_monomials(n: int) -> list:
+    """All x-monomials with a_k <= n - k; there are n! of them."""
+    ranges = [range(n - k + 1) for k in range(1, n + 1)]
+    return [tuple((f"x{k}", e) for k, e in enumerate(exps, start=1) if e)
+            for exps in product(*ranges)]
 
 
 def _order_key(alpha: tuple) -> tuple:

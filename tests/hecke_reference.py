@@ -12,7 +12,7 @@ word of h-factors is one pass per factor over them: ``chain_at_point``
 uses neither ``HeckeElement`` nor ``SparsePoly``, and ``evaluate`` gives
 each polynomial's value there."""
 
-from flagcalc.hecke import HeckeElement
+from flagcalc.hecke import HeckeElement, h_factor, hecke_one
 from flagcalc.perms import all_reduced_words
 from flagcalc.rings import SparsePoly, beta_ring
 
@@ -43,6 +43,17 @@ def mul(a: HeckeElement, other: HeckeElement) -> HeckeElement:
         for w, c in term.coeffs:
             out[w] = out.get(w, SparsePoly.zero(_RING)) + c
     return HeckeElement.from_dict(a.n, out)
+
+
+def build_H(n: int) -> HeckeElement:
+    """H(x) = alpha_1(x_1) ... alpha_{n-1}(x_{n-1}), alpha_i(x) the word
+    h_{n-1}(x) ... h_i(x), one h-factor per product."""
+    e = hecke_one(n)
+    for i in range(1, n):
+        x = SparsePoly.var(_RING, f"x{i}")
+        for j in range(n - 1, i - 1, -1):
+            e = e * h_factor(n, j, x)
+    return e
 
 
 def evaluate(p: SparsePoly, point: dict) -> int:

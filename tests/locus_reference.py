@@ -58,6 +58,11 @@ def walk_from_dominant(t):
     return ctx.compose_word(word, start, ctx.phi_beta)
 
 
+def expected_codim(t) -> int:
+    """(e - r)(f - r), the codimension of the locus of triple t."""
+    return (t.e - t.r) * (t.f - t.r)
+
+
 def is_dominant(w) -> bool:
     """132-avoiding: no positions i < j < k with w(i) < w(k) < w(j)."""
     return not any(a < c < b for a, b, c in combinations(w.images, 3))

@@ -11,7 +11,8 @@ from flagcalc.fgl import (
     make_universal_rational,
 )
 from flagcalc.rings import (
-    QQ, SparsePoly, ZZ, beta_ring, compositional_inverse)
+    QQ, SparsePoly, ZZ, beta_ring, compositional_inverse, lazard_rational,
+    series_reciprocal)
 
 import flagcalc.fgl as fgl_module
 import rings_reference as ref
@@ -104,6 +105,24 @@ class TestMultiplicative:
         fgl = make_multiplicative(-1, 4, ZZ)
         x1, y1 = V(ZZ, "x1"), V(ZZ, "y1")
         assert fgl.sum_series(x1, y1) == x1 + y1 + x1 * y1
+
+    @pytest.mark.parametrize("D", range(10))
+    @pytest.mark.parametrize("ring, b", [
+        (beta_ring(), "b"), (beta_ring(), 2), (beta_ring(), 0), (ZZ, -1)],
+        ids=["Zb-b", "Zb-2", "Zb-0", "ZZ-minus-1"])
+    def test_inverse_is_the_geometric_series(self, ring, b, D):
+        """chi(u) = -u / (1 - b u), by series_reciprocal, at D = 0 the
+        zero series."""
+        b = V(ring, b) if b == "b" else SparsePoly.const(ring, b)
+        u = V(ring, "u")
+        want = (-u * series_reciprocal(1 - b * u, D)).truncate(D)
+        chi = make_multiplicative(b, D, ring).chi.body
+        assert chi == want and chi.to_text() == want.to_text()
+
+    def test_negative_bound_rejected(self):
+        ring = beta_ring()
+        with pytest.raises(ValueError):
+            make_multiplicative(V(ring, "b"), -1, ring)
 
 
 class TestUniversal:
@@ -232,6 +251,29 @@ def test_universal_law_text_matches_fixed_point_inverse(monkeypatch, D):
     old = make_universal_rational(D, D)
     assert law.F.body.to_text() == old.F.body.to_text()
     assert law.chi.body.to_text() == old.chi.body.to_text()
+
+
+def _universal_by_log_loop(D: int) -> tuple:
+    """F and chi of the universal law at K = D, its log summed one
+    m_k t^(k+1) at a time."""
+    ring = lazard_rational(D)
+    t = V(ring, "t")
+    log = t
+    for k in range(1, D + 1):
+        log = log + V(ring, f"m{k}") * t ** (k + 1)
+    exp = compositional_inverse(log, D)
+    log_u = log.substitute({"t": V(ring, "u")}, bound=D)
+    log_v = log.substitute({"t": V(ring, "v")}, bound=D)
+    return (exp.substitute({"t": log_u + log_v}, bound=D),
+            exp.substitute({"t": -log_u}, bound=D))
+
+
+@pytest.mark.parametrize("D", range(1, 10))
+def test_universal_law_matches_the_log_loop(D):
+    law = make_universal_rational(D, D)
+    F, chi = _universal_by_log_loop(D)
+    assert law.F.body == F and law.F.body.to_text() == F.to_text()
+    assert law.chi.body == chi and law.chi.body.to_text() == chi.to_text()
 
 
 class TestChernTensorDual:

@@ -23,6 +23,7 @@ from flagcalc.porteous import (
 )
 from flagcalc.rings import SparsePoly, ZZ, beta_ring
 from locus_reference import (
+    expected_codim,
     from_elementary_by_substitution,
     is_dominant,
     symmetric_by_swaps,
@@ -148,7 +149,7 @@ class TestRankTriple:
 
     def test_codimension(self):
         t = RankTriple(3, 2, 1)
-        assert t.expected_codim() == 2
+        assert expected_codim(t) == 2
         assert t.permutation().length() == 2
 
 
@@ -403,7 +404,7 @@ class TestTheories:
                     w += int(name[1:]) * e
                 elif name == "b":
                     w -= e
-            assert w == t.expected_codim(), mono
+            assert w == expected_codim(t), mono
 
 
 class TestDeterminantOracle:

@@ -11,7 +11,8 @@ each against a reference kept here or in tests/:
   arithmetic, and ``divide_by_difference`` on exact and inexact inputs;
 * both, on inputs that cancel, storing no zero coefficient;
 * ``FlagRingPresentation.reduce`` against the packed worklist in
-  flagring_reference;
+  flagring_reference, and its tails against the reference's, whose
+  complete homogeneous polynomials enumerate multisets;
 * ``all_reduced_words`` against the recursive search;
 * ``chern_tensor_dual`` against the product of the factors 1 + f t;
 * the value classes, equal and hashed alike when built twice.
@@ -466,6 +467,22 @@ def test_reduce_matches_reference(kind, n, symbolic, data):
     expected = ReferencePresentation(n, cold.base_chern, ring).reduce(p)
     assert cold.reduce(p) == expected
     assert cold.reduce(expected) == expected
+
+
+@pytest.mark.parametrize("symbolic", [True, False],
+                         ids=["symbolic", "trivial"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", sorted(FLAG_RINGS))
+def test_tails_match_reference(kind, n, symbolic):
+    """Each tail_k = x_k^M - G_k, power by power of x_k."""
+    ring = FLAG_RINGS[kind]
+    pres = _presentation(n, ring, symbolic)
+    want = ReferencePresentation(n, pres.base_chern, ring)
+    for k, (tail, terms) in enumerate(zip(pres._tails, want.tails), start=1):
+        whole = SparsePoly._new(ring, {want._x_key(exps) + rest: c
+                                       for exps, rest, c in terms})
+        assert dict(tail) == {
+            j: t for (j,), t in whole.split((f"x{k}",)).items()}
 
 
 def test_presentation_sets_only_declared_fields():

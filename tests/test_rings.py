@@ -88,6 +88,19 @@ class TestArith:
         assert p.substitute({"x1": 0}, ring=ZZ).is_zero()
         assert p.substitute({"b": 3}, ring=ZZ) == 3 * V(ZZ, "x1")
 
+    @pytest.mark.parametrize("source, name, target", [
+        (beta_ring(), "b", ZZ), (lazard_rational(1), "m1", QQ),
+        (lazard_rational(1), "m1", ZZ)],
+        ids=["Zb-to-Z", "Qm-to-Q", "Qm-to-Z"])
+    def test_substitute_names_the_generator_the_target_lacks(
+            self, source, name, target):
+        # Q[m] -> Z fails in the constructor, the other two in substitute's
+        # own check; all three read as the constructor words it
+        p = V(source, name) * V(source, "x1")
+        with pytest.raises(RingMismatchError,
+                           match=f"^generator '{name}' not in {target.kind}$"):
+            p.substitute({"x1": 2}, ring=target)
+
     def test_allows_generator(self):
         # b only over Z[b]; m1..mK only over Q[m1..mK]; m<digits> nowhere
         # else; any other name (m, mx, x1) is a variable in every ring
