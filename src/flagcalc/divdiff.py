@@ -1,5 +1,5 @@
-"""Divided-difference operators: sigma_i, phi_i, their specialisations and
-the generalised operators attached to a formal group law.
+"""Divided-difference operators: phi_i, its specialisations and the
+generalised operators attached to a formal group law.
 
 Every operator is partial_i(q p) for a fixed q: phi_i, partial_i and pi_i
 take q = 1 + beta x_{i+1}, and A_i takes q = 1/g, the inverse of the unit
@@ -47,12 +47,6 @@ class OperatorContext:
             raise ValueError(f"index {i} out of range for n={self.n}")
 
     # -- elementary operators ------------------------------------------------
-
-    def swap(self, i: int, p: SparsePoly) -> SparsePoly:
-        self._check_index(i)
-        xi = SparsePoly.var(p.ring, f"x{i}")
-        xi1 = SparsePoly.var(p.ring, f"x{i + 1}")
-        return p.substitute({f"x{i}": xi1, f"x{i + 1}": xi})
 
     def _phi_with_beta(self, i: int, p: SparsePoly, beta) -> SparsePoly:
         """partial_i((1 + beta x_{i+1}) p).
@@ -127,11 +121,10 @@ def braid_check(ctx: OperatorContext, i: int, samples, mode: str = "beta"
 
     Returns {"holds": bool, "witness": poly-or-None, "input": sample-or-None}
     with the difference of the two sides as witness on first failure.
-    mode names the operator: "beta", "partial", "pi" or "fgl" (A_i)."""
+    mode names the operator: "beta" (phi_i) or "fgl" (A_i)."""
     if not 1 <= i <= ctx.n - 2:
         raise ValueError(f"braid index {i} out of range for n={ctx.n}")
-    op = {"beta": ctx.phi_beta, "partial": ctx.partial, "pi": ctx.pi_op,
-          "fgl": ctx.A_op}.get(mode)
+    op = {"beta": ctx.phi_beta, "fgl": ctx.A_op}.get(mode)
     if op is None:
         raise ValueError(f"unknown mode {mode!r}")
     for p in samples:

@@ -69,9 +69,9 @@ def beta_poly_via_word(w: Permutation, word: tuple) -> SparsePoly:
 def _stable(w: Permutation) -> Permutation:
     """w with its fixed tail k+1, ..., n dropped: w in the smallest S_k."""
     k = w.n
-    while k > 1 and w.images[k - 1] == k:
+    while k > 1 and w[k - 1] == k:
         k -= 1
-    return w if k == w.n else Permutation._trusted(w.images[:k])
+    return w if k == w.n else Permutation._trusted(w[:k])
 
 
 def beta_poly(w: Permutation) -> SparsePoly:

@@ -75,6 +75,8 @@ def make_multiplicative(b, D: int, ring: CoefficientRing | None = None
 
 def make_universal_rational(K: int, D: int) -> FormalGroupLaw:
     """The universal law in its rational log model over Q[m1..mK]."""
+    if D < 0:
+        raise ValueError(f"negative truncation degree {D}")
     if K < D:
         raise ValueError(f"need K >= D log generators (K={K}, D={D})")
     ring = lazard_rational(K)

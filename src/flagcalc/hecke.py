@@ -48,7 +48,7 @@ class HeckeElement:
     def from_dict(n: int, d: dict) -> "HeckeElement":
         items = tuple(sorted(
             ((w, c) for w, c in d.items() if not c.is_zero()),
-            key=lambda wc: wc[0].images))
+            key=lambda wc: wc[0]))
         return HeckeElement(n, items)
 
     def as_dict(self) -> dict:
@@ -84,7 +84,7 @@ class HeckeElement:
             word = lex_smallest_reduced_word(w)
             scaled = [cw]  # scaled[k] = c_w b^k
             for z, cz in self.coeffs:
-                im, k = list(z.images), 0
+                im, k = list(z), 0
                 for i in word:
                     if im[i - 1] < im[i]:
                         im[i - 1], im[i] = im[i], im[i - 1]

@@ -1,6 +1,6 @@
 """Symmetric-group combinatorics: permutations, words, reduced words.
 
-Permutations are value objects in one-line notation (1-based images).
+A permutation is the tuple of its images w(1), ..., w(n): one-line notation.
 Words are plain tuples of indices in {1, ..., n-1}; many words map to one
 permutation and they are never canonicalised.
 """
@@ -8,7 +8,6 @@ permutation and they are never canonicalised.
 from __future__ import annotations
 
 from itertools import permutations as _it_perms
-from operator import itemgetter
 
 __all__ = [
     "Permutation",
@@ -27,63 +26,59 @@ __all__ = [
 
 class Permutation(tuple):
     __slots__ = ()
-    images = property(itemgetter(0))
 
-    def __new__(cls, images: tuple):
-        """images = (w(1), ..., w(n))."""
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {images}")
-        return tuple.__new__(cls, (images,))
-
-    def __getnewargs__(self):  # copy and pickle pass these to __new__
-        return tuple(self)
+    def __new__(cls, images):
+        """images = w(1), ..., w(n), any iterable."""
+        self = tuple.__new__(cls, images)
+        n = len(self)
+        if sorted(self) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {tuple(self)}")
+        return self
 
     @classmethod
-    def _trusted(cls, images: tuple) -> "Permutation":
+    def _trusted(cls, images) -> "Permutation":
         """images known to be a permutation: no check."""
-        return tuple.__new__(cls, (images,))
+        return tuple.__new__(cls, images)
 
     @property
     def n(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __call__(self, i: int) -> int:
-        return self.images[i - 1]
+        return self[i - 1]
 
     def length(self) -> int:
         """Number of inversions."""
-        im = self.images
-        return sum(1 for i in range(len(im)) for j in range(i + 1, len(im))
-                   if im[i] > im[j])
+        n = len(self)
+        return sum(1 for i in range(n) for j in range(i + 1, n)
+                   if self[i] > self[j])
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
+        for i, v in enumerate(self, start=1):
             inv[v - 1] = i
-        return self._trusted(tuple(inv))
+        return self._trusted(inv)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self o other: i -> self(other(i))."""
         if self.n != other.n:
             raise ValueError("sizes differ")
-        return self._trusted(tuple(map(self, other.images)))
+        return self._trusted(map(self, other))
 
     def right_multiply(self, i: int) -> "Permutation":
         """self * s_i (swap values in positions i, i+1)."""
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"index {i} out of range for S_{self.n}")
-        im = list(self.images)
+        im = list(self)
         im[i - 1], im[i] = im[i], im[i - 1]
-        return self._trusted(tuple(im))
+        return self._trusted(im)
 
     def right_descents(self) -> list:
-        return [i for i in range(1, self.n)
-                if self.images[i - 1] > self.images[i]]
+        return [i for i in range(1, self.n) if self[i - 1] > self[i]]
 
     def diagram(self) -> tuple:
         """Rothe diagram, row by row: cells (i, j), j < w(i), i < w^-1(j)."""
-        inv = self.inverse().images
+        inv = self.inverse()
         return tuple((i, j) for i in range(1, self.n + 1)
                      for j in range(1, self(i)) if inv[j - 1] > i)
 
@@ -91,10 +86,10 @@ class Permutation(tuple):
         """View inside S_n for n >= self.n, fixing the new points."""
         if n < self.n:
             raise ValueError("cannot shrink")
-        return self._trusted(self.images + tuple(range(self.n + 1, n + 1)))
+        return self._trusted(self + tuple(range(self.n + 1, n + 1)))
 
     def one_line(self) -> str:
-        return " ".join(str(v) for v in self.images)
+        return " ".join(str(v) for v in self)
 
     @staticmethod
     def from_one_line(text: str) -> "Permutation":
@@ -153,7 +148,7 @@ def lex_smallest_reduced_word(w: Permutation) -> tuple:
     """Bubble-sort w^-1, always swapping its leftmost descent i, the
     smallest left descent of what is left of w; a swap at i can only make
     a new descent at i - 1, so step back one place after each."""
-    inv, word, i = list(w.inverse().images), [], 1
+    inv, word, i = list(w.inverse()), [], 1
     while i < len(inv):
         if inv[i - 1] > inv[i]:
             inv[i - 1], inv[i] = inv[i], inv[i - 1]
@@ -182,7 +177,7 @@ def nu_triple(t: tuple) -> Permutation:
     images = list(range(1, u + 1))
     images += list(range(s + 1, s + tt - u + 1))
     images += list(range(u + 1, s + 1))
-    return Permutation(tuple(images))
+    return Permutation(images)
 
 
 def rank_function(w: Permutation):

@@ -74,8 +74,8 @@ class RankTriple(tuple):
         x e rectangle.  The triple's permutation lies r(f - r) steps below
         it in the right weak order: its inverted value pairs are u's whose
         smaller value is above r."""
-        return Permutation(tuple(range(self.e + 1, self.n + 1))
-                           + tuple(range(1, self.e + 1)))
+        return Permutation([*range(self.e + 1, self.n + 1),
+                            *range(1, self.e + 1)])
 
 
 class DPoly(tuple):

@@ -94,7 +94,9 @@ class CoefficientRing(tuple):
         if name == "b":
             return self.kind == "BetaRing"
         if name[:1] == "m" and name[1:].isdecimal():
-            return self.kind == "LazardRational" and 1 <= int(name[1:]) <= self.K
+            k = int(name[1:])
+            return (self.kind == "LazardRational" and name == f"m{k}"
+                    and 1 <= k <= self.K)
         return True
 
 
@@ -807,16 +809,18 @@ def compositional_inverse(p: SparsePoly, bound: int) -> SparsePoly:
     inverse is (1/n) sum_j (-1)^j C(n-1+j, j) [t^(n-1)] M^j, so one chain
     of bounded powers M^j, j < bound, gives every coefficient.  The
     division by n is exact over Z and Z[b]; a remainder raises."""
-    ring, p = p.ring, p.truncate(bound)
+    ring = p.ring
     if {v for v in p.variables() if not is_coefficient_var(v)} - {"t"}:
         raise ValueError("series involves variables besides t")
     if p.homogeneous_part(1) != SparsePoly.var(ring, "t"):
         raise ValueError("linear coefficient must be 1")
     if not p.constant_term().is_zero():
         raise ValueError("nonzero constant term")
+    p = p.truncate(bound)
     t = _slot("t")[1]  # only t counts, so a key's degree is its power of t
     M = SparsePoly._new(ring, {m - t: c for m, c in p._terms.items() if m != t})
-    acc, power, j = {}, SparsePoly.const(ring, 1), 0
+    # M^0 = 1 gives the t term, which is above a bound of 0
+    acc, power, j = {}, SparsePoly.const(ring, 1 if bound > 0 else 0), 0
     while power:  # M^j starts in degree j, so M^bound is 0
         for m, c in power._terms.items():
             c *= (-1) ** j * comb((m & _FIELD) + j, j)

@@ -65,7 +65,7 @@ def expected_codim(t) -> int:
 
 def is_dominant(w) -> bool:
     """132-avoiding: no positions i < j < k with w(i) < w(k) < w(j)."""
-    return not any(a < c < b for a, b, c in combinations(w.images, 3))
+    return not any(a < c < b for a, b, c in combinations(w, 3))
 
 
 def symmetric_by_swaps(p, t) -> bool:

@@ -20,7 +20,7 @@ from flagcalc.rings import (
 )
 
 from conftest import random_poly
-from divdiff_reference import kappa
+from divdiff_reference import kappa, swap
 
 
 def V(ring, name, e=1):
@@ -55,7 +55,7 @@ class TestPartial:
             f = random_poly(ring, rng)
             g = random_poly(ring, rng)
             lhs = ctx.partial(1, f * g)
-            rhs = ctx.partial(1, f) * g + ctx.swap(1, f) * ctx.partial(1, g)
+            rhs = ctx.partial(1, f) * g + swap(1, f) * ctx.partial(1, g)
             assert lhs == rhs
 
 
@@ -99,16 +99,20 @@ class TestPi:
 
 
 class TestBraid:
-    @pytest.mark.parametrize("mode", ["partial", "beta", "pi"])
-    def test_holds(self, ring, mode):
+    def test_holds(self, ring):
         ctx = OperatorContext(3)
-        res = braid_check(ctx, 1, samples(ring, 6), mode)
+        res = braid_check(ctx, 1, samples(ring, 6), "beta")
         assert res["holds"] and res["witness"] is None
+        for op in (ctx.partial, ctx.pi_op):
+            for p in samples(ring, 6):
+                assert (ctx.compose_word((1, 2, 1), p, op)
+                        == ctx.compose_word((2, 1, 2), p, op))
 
-    def test_unknown_mode_raises(self, ring):
+    @pytest.mark.parametrize("mode", ["phi", "partial"])
+    def test_unknown_mode_raises(self, ring, mode):
         ctx = OperatorContext(3)
         with pytest.raises(ValueError, match="unknown mode"):
-            braid_check(ctx, 1, samples(ring, 6), "phi")
+            braid_check(ctx, 1, samples(ring, 6), mode)
 
     def test_commutation_far_apart(self, ring):
         ctx = OperatorContext(4)

@@ -46,6 +46,19 @@ def test_law_has_one_bound_and_one_ring(build, D):
     assert law.ring == law.F.body.ring == law.chi.body.ring
 
 
+@pytest.mark.parametrize("build", [
+    make_additive,
+    lambda D: make_multiplicative(V(beta_ring(), "b"), D),
+    lambda D: make_universal_rational(2, D),
+], ids=["additive", "multiplicative", "universal"])
+def test_law_bounds_at_zero_and_below(build):
+    """At D = 0 every law is F = chi = 0; D < 0 names the bound."""
+    law = build(0)
+    assert law.D == 0 and law.F.body.is_zero() and law.chi.body.is_zero()
+    with pytest.raises(ValueError, match="^negative truncation degree -1$"):
+        build(-1)
+
+
 def test_law_truncates_its_polynomials():
     ring = beta_ring()
     u, v, b = V(ring, "u"), V(ring, "v"), V(ring, "b")

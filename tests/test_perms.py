@@ -1,9 +1,12 @@
+import copy
+import pickle
 from itertools import product
 from math import factorial
 
 import pytest
 
-from flagcalc.families import _stable
+from flagcalc import families
+from flagcalc.families import _stable, beta_poly
 from flagcalc.hecke import build_Hxy
 from flagcalc.perms import (
     Permutation,
@@ -17,6 +20,7 @@ from flagcalc.perms import (
     nu_triple,
     rank_function,
 )
+from flagcalc.memo import TermMemo
 
 
 class TestLength:
@@ -46,7 +50,7 @@ class TestLongestElement:
         (1, (1,)), (2, (2, 1)), (3, (3, 2, 1)),
     ])
     def test_values(self, n, expected):
-        assert longest_element(n).images == expected
+        assert longest_element(n) == expected
 
 
 class TestWords:
@@ -159,7 +163,7 @@ class TestValueSemantics:
 
 def _checked(w):
     """w, built again with validation; equal to w with the same type."""
-    again = Permutation(w.images)
+    again = Permutation(tuple(w))
     assert type(w) is Permutation and w == again and hash(w) == hash(again)
     return again
 
@@ -182,7 +186,7 @@ class TestTrustedConstruction:
             for i in range(1, n):
                 _checked(w.right_multiply(i))
             for v in perms[::7]:
-                assert _checked(w.compose(v)).images == tuple(
+                assert _checked(w.compose(v)) == tuple(
                     w(v(i)) for i in range(1, n + 1))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -200,3 +204,51 @@ class TestTrustedConstruction:
     def test_parsed_input_is_checked(self, text):
         with pytest.raises(ValueError, match="not a permutation"):
             Permutation.from_one_line(text)
+
+
+# w0 in S_4, built from four kinds of iterable of the same images
+W0 = (4, 3, 2, 1)
+BUILDS = {
+    "list": lambda: Permutation(list(W0)),
+    "range": lambda: Permutation(range(4, 0, -1)),
+    "generator": lambda: Permutation(v for v in W0),
+    "tuple": lambda: Permutation(W0),
+}
+
+
+class TestTupleOfImages:
+    """A permutation is the tuple of its images, whatever iterable gave
+    them."""
+
+    def test_equal_and_hash_alike(self):
+        built = [make() for make in BUILDS.values()]
+        for w in built:
+            assert type(w) is Permutation
+            assert w == built[0] == W0 and hash(w) == hash(W0)
+            assert len(w) == w.n == 4 and tuple(w) == W0
+        assert len(set(built)) == 1
+
+    def test_one_family_memo_entry(self, monkeypatch):
+        monkeypatch.setattr(families, "_FAMILY_MEMO", TermMemo())
+        h = beta_poly(BUILDS["tuple"]())
+        for make in BUILDS.values():
+            assert families._FAMILY_MEMO.get(make()) is h
+        assert beta_poly(BUILDS["list"]()) is h
+        assert len(families._FAMILY_MEMO._entries) == 1
+
+    @pytest.mark.parametrize("kind", BUILDS)
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda w: pickle.loads(pickle.dumps(w))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies(self, kind, clone):
+        w = BUILDS[kind]()
+        again = clone(w)
+        assert type(again) is Permutation and again == w == W0
+
+    @pytest.mark.parametrize("make", [
+        list, tuple, iter, lambda im: (v for v in im)],
+        ids=["list", "tuple", "iterator", "generator"])
+    def test_invalid_images_name_the_images(self, make):
+        with pytest.raises(ValueError, match=r"^not a permutation of "
+                           r"1\.\.3: \(1, 1, 2\)$"):
+            Permutation(make((1, 1, 2)))

@@ -17,6 +17,7 @@ from flagcalc.rings import (
     RingMismatchError,
     SparsePoly,
     ZZ,
+    _encode,
     beta_ring,
     compositional_inverse,
     divide_by_difference,
@@ -102,19 +103,38 @@ class TestArith:
             p.substitute({"x1": 2}, ring=target)
 
     def test_allows_generator(self):
-        # b only over Z[b]; m1..mK only over Q[m1..mK]; m<digits> nowhere
-        # else; any other name (m, mx, x1) is a variable in every ring
+        # b only over Z[b]; m1..mK, k in canonical decimal, only over
+        # Q[m1..mK]; m<digits> nowhere else; any other name (m, mx, x1) is
+        # a variable in every ring
         K = 3
-        names = ["b", "m", "m0", "m1", f"m{K}", f"m{K + 1}", "mx", "x1"]
+        names = ["b", "m", "m0", "m1", f"m{K}", f"m{K + 1}", "mx", "x1",
+                 "m01", "m001"]
+        no = [False, False]
         want = {
-            ZZ: [False, True, False, False, False, False, True, True],
-            QQ: [False, True, False, False, False, False, True, True],
-            beta_ring(): [True, True, False, False, False, False, True, True],
+            ZZ: [False, True, False, False, False, False, True, True] + no,
+            QQ: [False, True, False, False, False, False, True, True] + no,
+            beta_ring():
+                [True, True, False, False, False, False, True, True] + no,
             lazard_rational(K):
-                [False, True, False, True, True, False, True, True],
+                [False, True, False, True, True, False, True, True] + no,
         }
         for ring, allowed in want.items():
             assert [ring.allows_generator(v) for v in names] == allowed, ring
+
+    @pytest.mark.parametrize("name", ["m01", "m001"])
+    def test_padded_lazard_names_are_rejected(self, name):
+        ring = lazard_rational(2)
+        match = f"^generator '{name}' not in LazardRational$"
+        with pytest.raises(RingMismatchError, match=match):
+            SparsePoly(ring, {((name, 1),): 1})
+        with pytest.raises(RingMismatchError, match=match):
+            V(ring, name)
+        # no ring lets such a term in, so substitute's own check sees one
+        # only in a polynomial forged past the constructor
+        forged = SparsePoly._new(lazard_rational(3),
+                                 {_encode(((name, 1), ("x1", 1))): 1})
+        with pytest.raises(RingMismatchError, match=match):
+            forged.substitute({"x1": 2}, ring=ring)
 
     def test_no_fractions_over_integers(self):
         with pytest.raises(ValueError):
@@ -264,10 +284,12 @@ class TestLagrangeInversion:
         assert compositional_inverse(t + 3 * t ** 2 - t ** 5, 1) == t
 
     @pytest.mark.parametrize("bound", [0, -1, -5])
-    def test_bound_below_one_raises(self, bound):
+    def test_bound_below_one_is_zero(self, bound):
+        # t is above the bound, and the series is checked before it is cut
         t = V(QQ, "t")
+        assert compositional_inverse(t + t ** 2, bound).is_zero()
         with pytest.raises(ValueError, match="linear coefficient must be 1"):
-            compositional_inverse(t + t ** 2, bound)
+            compositional_inverse(2 * t + t ** 2, bound)
 
     def test_variables_besides_t_raise(self):
         t, x1 = V(QQ, "t"), V(QQ, "x1")
