@@ -84,6 +84,8 @@ class OperatorContext:
         fgl = self.fgl
         if fgl is None:
             raise ValueError("context has no formal group law")
+        if fgl.D < 1:
+            raise ValueError(f"A_op needs D >= 1, the law has D = {fgl.D}")
         key = (fgl, i)
         ginv = _GINV_MEMO.get(key)
         if ginv is None:

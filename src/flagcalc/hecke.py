@@ -10,7 +10,7 @@ z(i) < z(i+1) and a factor b at a descent.  Equality is a map comparison.
 from __future__ import annotations
 
 from .divdiff import OperatorContext
-from .families import beta_poly, oplus
+from .families import beta_poly, hecke_chain, oplus, pipe_rows
 from .perms import (Permutation, all_permutations, identity,
                     lex_smallest_reduced_word, transposition)
 from .rings import SparsePoly, beta_ring, sum_of_products
@@ -18,7 +18,6 @@ from .rings import SparsePoly, beta_ring, sum_of_products
 __all__ = [
     "HeckeElement",
     "hecke_one",
-    "h_factor",
     "build_Htilde",
     "build_Hxy",
     "alternative_product",
@@ -46,10 +45,8 @@ class HeckeElement:
 
     @staticmethod
     def from_dict(n: int, d: dict) -> "HeckeElement":
-        items = tuple(sorted(
-            ((w, c) for w, c in d.items() if not c.is_zero()),
-            key=lambda wc: wc[0]))
-        return HeckeElement(n, items)
+        return HeckeElement(n, tuple(sorted(
+            (w, c) for w, c in d.items() if not c.is_zero())))
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
@@ -111,17 +108,9 @@ def hecke_generator(n: int, i: int) -> HeckeElement:
         n, {transposition(n, i): SparsePoly.const(_RING, 1)})
 
 
-def h_factor(n: int, i: int, c: SparsePoly) -> HeckeElement:
-    """h_i(c) = 1 + c * u_i."""
-    return HeckeElement.from_dict(
-        n, {identity(n): SparsePoly.const(_RING, 1), transposition(n, i): c})
-
-
 def _chain(e: HeckeElement, factors) -> HeckeElement:
     """e h_{i_1}(c_1) h_{i_2}(c_2) ... for the (i, c) pairs of a word."""
-    for i, c in factors:
-        e = e * h_factor(e.n, i, c)
-    return e
+    return HeckeElement.from_dict(e.n, hecke_chain(e.as_dict(), factors))
 
 
 def _alpha(n: int, i: int, x: SparsePoly) -> list:
@@ -134,12 +123,6 @@ def _alpha_tilde(n: int, i: int, y: SparsePoly) -> list:
     return [(j, y) for j in range(i, n)]
 
 
-def _H_word(n: int) -> list:
-    """The word alpha_1(x_1) ... alpha_{n-1}(x_{n-1}) of H(x)."""
-    return [f for i in range(1, n)
-            for f in _alpha(n, i, SparsePoly.var(_RING, f"x{i}"))]
-
-
 def build_Htilde(n: int) -> HeckeElement:
     """alpha~_{n-1}(y_{n-1}) ... alpha~_1(y_1)."""
     return _chain(hecke_one(n), [
@@ -148,17 +131,15 @@ def build_Htilde(n: int) -> HeckeElement:
 
 
 def build_Hxy(n: int) -> HeckeElement:
-    """H~(y) H(x): the factors of H(x) chained onto H~(y) one at a time."""
-    return _chain(build_Htilde(n), _H_word(n))
+    """H~(y) chained with H(x) = alpha_1(x_1) ... alpha_{n-1}(x_{n-1})."""
+    return _chain(build_Htilde(n), [
+        f for i in range(1, n)
+        for f in _alpha(n, i, SparsePoly.var(_RING, f"x{i}"))])
 
 
 def alternative_product(n: int) -> HeckeElement:
-    """The double product of h_{i+j-1}(x_i (+) y_j), multiplied from left
-    to right with i ascending and j descending from n-i to 1."""
-    return _chain(hecke_one(n), [
-        (i + j - 1, oplus(SparsePoly.var(_RING, f"x{i}"),
-                          SparsePoly.var(_RING, f"y{j}")))
-        for i in range(1, n) for j in range(n - i, 0, -1)])
+    """The double product of h_{i+j-1}(x_i (+) y_j), row by row."""
+    return _chain(hecke_one(n), [f for row in pipe_rows(n) for f in row])
 
 
 def coefficient(e: HeckeElement, w: Permutation) -> SparsePoly:

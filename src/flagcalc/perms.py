@@ -180,10 +180,9 @@ def nu_triple(t: tuple) -> Permutation:
     return Permutation(images)
 
 
-def rank_function(w: Permutation):
-    """r(i, j) = #{l <= j : w(l) <= i}."""
-    def r(i: int, j: int) -> int:
-        if not (1 <= i <= w.n and 1 <= j <= w.n):
-            raise ValueError(f"({i},{j}) out of range for S_{w.n}")
-        return sum(1 for l in range(1, j + 1) if w(l) <= i)
-    return r
+def rank_function(w: Permutation) -> tuple:
+    """r(i, j) = #{l <= j : w(l) <= i} for i, j < n, row by row: v <= w in
+    Bruhat order exactly when no rank of v is below w's (Bjorner-Brenti
+    2.1.5)."""
+    return tuple(sum(v <= i for v in w[:j])
+                 for i in range(1, w.n) for j in range(1, w.n))

@@ -782,6 +782,8 @@ def series_reciprocal(p: SparsePoly, bound: int) -> SparsePoly:
 
     Requires the degree-0 part to be a unit constant: +-1 over Integers
     and BetaRing, any nonzero rational otherwise."""
+    if bound < 0:
+        raise ValueError(f"negative bound {bound}")
     ring, p = p.ring, p.truncate(bound)
     c0 = p.constant_term()
     c = c0.coeff(())

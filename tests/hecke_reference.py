@@ -12,12 +12,18 @@ word of h-factors is one pass per factor over them: ``chain_at_point``
 uses neither ``HeckeElement`` nor ``SparsePoly``, and ``evaluate`` gives
 each polynomial's value there."""
 
-from flagcalc.hecke import HeckeElement, h_factor, hecke_one
-from flagcalc.perms import all_reduced_words
+from flagcalc.hecke import HeckeElement, hecke_one
+from flagcalc.perms import all_reduced_words, identity, transposition
 from flagcalc.rings import SparsePoly, beta_ring
 
 _RING = beta_ring()
 P = 2 ** 61 - 1  # a Mersenne prime
+
+
+def h_factor(n: int, i: int, c: SparsePoly) -> HeckeElement:
+    """h_i(c) = 1 + c u_i, as one element."""
+    return HeckeElement.from_dict(
+        n, {identity(n): SparsePoly.const(_RING, 1), transposition(n, i): c})
 
 
 def mul_by_generator(e: HeckeElement, i: int) -> HeckeElement:

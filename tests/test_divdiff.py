@@ -270,6 +270,17 @@ class TestGeneralisedOperator:
             want = series_reciprocal(g, fgl.D - 1)
             assert ginv == want, i
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_multiplicative(2, 0),
+        lambda: make_universal_rational(1, 0),
+    ], ids=["multiplicative", "universal"])
+    def test_A_op_names_the_bound_at_D_0(self, build):
+        """A law builds at D = 0, but A_i truncates 1/g at D - 1."""
+        ctx = OperatorContext(3, fgl=build())
+        with pytest.raises(ValueError,
+                           match="^A_op needs D >= 1, the law has D = 0$"):
+            ctx.A_op(1, V(ctx.fgl.ring, "x1"))
+
     def test_kills_symmetric_to_unit_multiple(self):
         # A_i(1) for the multiplicative law is -(-b) = b times 1... the
         # eigenvalue is chi-linked: A_i(1) = -(-b) = b for parameter -b

@@ -9,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hecke_reference as ref
+from hecke_reference import h_factor
 from flagcalc import hecke
-from flagcalc.families import beta_poly, h_top, oplus
+from flagcalc.families import beta_poly, h_top, hecke_chain, oplus
 from flagcalc.hecke import (
     HeckeElement,
     alternative_product,
     build_Htilde,
     build_Hxy,
     coefficient,
-    h_factor,
     hecke_generator,
     hecke_one,
     identity_words,
@@ -206,24 +206,51 @@ class TestCanonicalElement:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_builders_apply_one_h_factor_per_product(self, n, monkeypatch):
-        """Every builder is one word of h-factors: n(n - 1)/2 factors for
-        H(x) and for the alternative product, n(n - 1) for H(x, y), and no
-        right operand with more than two coefficients."""
-        sizes = []
-        mul = HeckeElement.__mul__
+        """Every builder is one word of h-factors h_i(c) = 1 + c u_i, run
+        through the chain one step per factor: n(n - 1)/2 steps for H~(y)
+        and for the alternative product, n(n - 1) for H(x, y), each a
+        nonzero c at an index of S_n."""
+        steps = []
+        chain = hecke.hecke_chain
 
-        def counted(a, b):
-            sizes.append(len(b.coeffs))
-            return mul(a, b)
+        def counted(states, factors, keep=None):
+            def recorded():
+                for i, c in factors:
+                    steps.append((i, c))
+                    yield i, c
+            return chain(states, recorded(), keep)
 
-        monkeypatch.setattr(HeckeElement, "__mul__", counted)
-        for build, products in ((build_Hxy, n * (n - 1)),
-                                (alternative_product, n * (n - 1) // 2),
-                                (ref.build_H, n * (n - 1) // 2)):
-            sizes.clear()
+        monkeypatch.setattr(hecke, "hecke_chain", counted)
+        for build, factors in ((build_Hxy, n * (n - 1)),
+                               (alternative_product, n * (n - 1) // 2),
+                               (build_Htilde, n * (n - 1) // 2)):
+            steps.clear()
             build(n)
-            assert len(sizes) == products, build.__name__
-            assert max(sizes) <= 2, build.__name__
+            assert len(steps) == factors, build.__name__
+            assert all(1 <= i < n and c.ring == _R and not c.is_zero()
+                       for i, c in steps), build.__name__
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_chain_step_shares_the_coefficients_it_leaves(self, n):
+        """After a chain step h_i(c), the coefficient at every ascent w of i
+        is the object it was before the step; at a descent it is a new
+        polynomial, and the step is e * h_i(c).  No coefficient changes."""
+        e = build_Hxy(n)
+        c = oplus(V("x1"), V("y2"))
+        states = e.as_dict()
+        for i in range(1, n):
+            before = dict(states)
+            texts = {w: p.to_text() for w, p in before.items()}
+            hecke_chain(states, [(i, c)])
+            e = HeckeElement.from_dict(n, states)
+            assert e == ref.mul(HeckeElement.from_dict(n, before),
+                                h_factor(n, i, c))
+            for w, p in states.items():
+                if w(i) < w(i + 1):
+                    assert p is before[w]
+                else:
+                    assert all(p is not q for q in before.values())
+            assert {w: p.to_text() for w, p in before.items()} == texts
 
     def test_missing_basis_element_gives_zero(self):
         H = ref.build_H(2)  # only x-variables; still supported
@@ -378,6 +405,39 @@ class TestAtAPoint:
             for k, (lhs, rhs) in enumerate(pairs):
                 assert (_product_at(lhs, n, point)
                         == _product_at(rhs, n, point)), (name, k)
+
+    def test_short_members_of_S7(self, monkeypatch):
+        """beta_poly of s_6, s_5 s_6, s_6 s_5 and s_1 s_6, which comes from
+        the pruned chain in S_7, against build_Hxy(7)'s word at the point
+        of seed 7.  The word has 42 factors of degree 1, with the b of a
+        descent, so every coefficient has degree at most 84: a false pass
+        has probability at most 4 * 84 / P < 2e-16."""
+        point, H = _at_point(_word(build_Hxy, 7, monkeypatch), 7, seed=7)
+        for text in ("1 2 3 4 5 7 6", "1 2 3 4 6 7 5", "1 2 3 4 7 5 6",
+                     "2 1 3 4 5 7 6"):
+            w = Permutation.from_one_line(text)
+            assert H[w] == ref.evaluate(beta_poly(w), point), w
+
+    def test_bruhat_vanishing_at_short_members_of_S7(self):
+        """Billey's formula as on S_4 for w = s_6 and s_5 s_6 in S_7, at the
+        points of the first four p with w <= p^-1 and the first four
+        without among 100 drawn from seed 7 for each w.  b and x_1..x_7
+        come from seed 7.  Here h_w has degree at most 23, b counted, and
+        at most 2 in each y_j, so times the cleared denominators
+        (1 + b x_(p(j)))^2 it has degree at most 47: a false vanishing has
+        probability at most 16 * 47 / P < 4e-16."""
+        rng = random.Random(7)
+        points = dict(_fixed_points(7, seed=7))
+        for text in ("1 2 3 4 5 7 6", "1 2 3 4 6 7 5"):
+            w = Permutation.from_one_line(text)
+            h = beta_poly(w)
+            drawn = rng.sample(sorted(points), 100)
+            for below in (True, False):
+                ps = [p for p in drawn if _bruhat_le(w, p.inverse()) is below]
+                for p in ps[:4]:
+                    assert (ref.evaluate(h, points[p]) == 0) is not below, (
+                        p, w)
+                assert len(ps) >= 4
 
     def test_bruhat_vanishing_at_the_fixed_points_of_S4(self):
         """Billey's formula (Billey, Duke Math. J. 96, 1999): at

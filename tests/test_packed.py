@@ -321,7 +321,8 @@ def test_late_names_have_late_fields():
 # polynomial over each ring and a Hecke element
 _VALUES = """
 from fractions import Fraction
-from flagcalc.hecke import h_factor
+from flagcalc.hecke import HeckeElement
+from flagcalc.perms import Permutation
 from flagcalc.rings import QQ, ZZ, SparsePoly, beta_ring, lazard_rational
 Zb = beta_ring()
 values = [
@@ -329,7 +330,9 @@ values = [
     SparsePoly(QQ, {(("x2", 2), ("t", 1)): Fraction(1, 3), (): -1}),
     SparsePoly(Zb, {(("y2", 1), ("b", 1)): 3, (("x1", 1),): 1}),
     SparsePoly(lazard_rational(2), {(("x3", 1), ("m2", 1)): Fraction(-1, 2)}),
-    h_factor(3, 2, SparsePoly(Zb, {(("x2", 1),): 1, (("y1", 1),): -1}))]
+    HeckeElement.from_dict(3, {
+        Permutation((1, 2, 3)): SparsePoly.const(Zb, 1),
+        Permutation((1, 3, 2)): SparsePoly(Zb, {(("x2", 1),): 1, (("y1", 1),): -1})})]
 """
 
 

@@ -127,20 +127,26 @@ class TestNuTriple:
 
 class TestRankFunction:
     def test_s1(self):
-        assert rank_function(Permutation((2, 1)))(1, 1) == 0
+        assert rank_function(Permutation((2, 1))) == (0,)
 
     def test_identity_is_min(self):
-        r = rank_function(identity(3))
-        for i in range(1, 4):
-            for j in range(1, 4):
-                assert r(i, j) == min(i, j)
+        assert rank_function(identity(3)) == tuple(
+            min(i, j) for i in range(1, 3) for j in range(1, 3))
 
     def test_w0(self):
-        assert rank_function(longest_element(3))(2, 2) == 1
+        # r(2, 2) = #{l <= 2 : w0(l) <= 2} for w0 = 3 2 1, row 2, column 2
+        assert rank_function(longest_element(3))[3] == 1
 
-    def test_range_check(self):
-        with pytest.raises(ValueError):
-            rank_function(identity(3))(0, 1)
+    def test_ranks_give_the_bruhat_order(self):
+        """v <= w exactly when v is the product of a subword of a reduced
+        word of w (the subword property), on all pairs of S_4."""
+        for w in all_permutations(4):
+            below = {identity(4)}
+            for i in lex_smallest_reduced_word(w):
+                below |= {v.right_multiply(i) for v in below}
+            for v in all_permutations(4):
+                assert (v in below) == all(
+                    map(int.__ge__, rank_function(v), rank_function(w))), (v, w)
 
 
 class TestValueSemantics:

@@ -30,9 +30,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rings_reference as ref
+from hecke_reference import h_factor
 from flagcalc import fgl
 from flagcalc.flagring import FlagRingPresentation
-from flagcalc.hecke import h_factor
 from flagcalc.perms import Permutation, all_permutations, all_reduced_words
 from flagcalc.porteous import RankTriple, thom_porteous
 from flagcalc.rings import (

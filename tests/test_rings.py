@@ -184,6 +184,11 @@ class TestSeriesReciprocal:
         with pytest.raises(ValueError):
             series_reciprocal(V(ring, "x1"), 3)
 
+    def test_negative_bound_is_named(self, ring):
+        one = SparsePoly.const(ring, 1)
+        with pytest.raises(ValueError, match="^negative bound -1$"):
+            series_reciprocal(one + V(ring, "x1"), -1)
+
     def test_random_units_round_trip(self):
         ring = QQ
         rng = random.Random(11)
