@@ -65,17 +65,16 @@ def pipe_rows(n: int) -> list:
 
 
 def hecke_chain(states: dict, factors, keep=None) -> dict:
-    """sum_z states[z] u_z times h_i(c) = 1 + c u_i per (i, c) of factors,
-    in place: an ascent z(i) < z(i+1) keeps c_z and adds c c_z at z s_i if
-    keep(z s_i); a descent's c_z becomes c_z + b c c_z + c c_(z s_i).  A
-    step visits the states in permutation order: in insertion order the
-    heap reused freed coefficients worse (family_hecke peak RSS +2%)."""
+    """sum_z states[z] u_z times each h_i(c) = 1 + c u_i of factors, in
+    place: an ascent z(i) < z(i+1) keeps c_z and adds c c_z at z s_i if
+    keep(z s_i); a descent's c_z becomes c_z + b c c_z + c c_(z s_i).  The
+    states go in permutation order (insertion order raised peak RSS 2%)."""
     ring = beta_ring()
     one, b = SparsePoly.const(ring, 1), SparsePoly.var(ring, "b")
     for i, c in factors:
         bc = b * c
         for z in sorted(states):
-            zs = Permutation._trusted(z[:i - 1] + (z[i], z[i - 1]) + z[i + 1:])
+            zs = z.right_multiply(i)
             if z[i - 1] > z[i]:
                 states[z] = sum_of_products(
                     [(states[z], one), (states[z], bc)]
@@ -105,9 +104,8 @@ def _stable(w: Permutation) -> Permutation:
 
 
 def _pruned_chain(w: Permutation) -> SparsePoly:
-    """h_w from the chain of pipe_rows(n) on the states that can reach w:
-    those <= w in Bruhat order that, after row i (no later row moves
-    position i), agree with w at i."""
+    """h_w by the chain of pipe_rows(n) on the states <= w in Bruhat order
+    that agree with w at i after row i, the last row to move position i."""
     n, r_w = w.n, rank_function(w)
     states = {identity(n): SparsePoly.const(beta_ring(), 1)}
     for i, row in enumerate(pipe_rows(n), start=1):
@@ -126,12 +124,14 @@ def beta_poly(w: Permutation) -> SparsePoly:
     tail, the key a call in a smaller group reads.  Each prefix is the
     lex-smallest reduced word of w0*v_k, and h_v does not depend on the
     word, so a full sweep of S_n costs at most n! - 1 operator
-    applications.  In S_6 and up every w but w0 comes from _pruned_chain."""
+    applications.  In S_5 and up each w but w0 comes from _pruned_chain,
+    faster there cold and by sweep; in S_4 the walk's shared prefixes win."""
     w = _stable(w)
     n = w.n
-    if n >= 6 and w.length() < n * (n - 1) // 2:
-        return _FAMILY_MEMO.resume(w, lambda: ((), [w]),
-                                   lambda: _pruned_chain(w), None)
+    if n >= 5 and w.length() < n * (n - 1) // 2:
+        if (p := _FAMILY_MEMO.get(w)) is None:
+            _FAMILY_MEMO.put(w, p := _pruned_chain(w))
+        return p
 
     def walk():
         w0 = longest_element(n)

@@ -252,6 +252,12 @@ class TestCanonicalElement:
                     assert all(p is not q for q in before.values())
             assert {w: p.to_text() for w, p in before.items()} == texts
 
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_chain_rejects_an_index_outside_the_group(self, i):
+        states = {identity(3): SparsePoly.const(_R, 1)}
+        with pytest.raises(ValueError, match=f"index {i} out of range"):
+            hecke_chain(states, [(i, V("x1"))])
+
     def test_missing_basis_element_gives_zero(self):
         H = ref.build_H(2)  # only x-variables; still supported
         assert coefficient(hecke_one(2), Permutation((2, 1))).is_zero()
