@@ -147,6 +147,28 @@ class TestPrunedChain:
         assert chained == [w for w in walked_s5
                            if families._stable(w).n == 5 and w != w0]
 
+    def test_beta_poly_switches_at_w0_in_S6(self, monkeypatch):
+        """The walk from h_top(6) to a seeded member of S_6 of length 13,
+        one phi per letter, passes a member of each length from 15 down to
+        13: beta_poly, on an empty memo, takes the chain for each of them
+        but w0, and the chain and the walk agree on each, w0 included."""
+        w0 = longest_element(6)
+        w = random.Random(6).choice(
+            [w for w in all_permutations(6) if w.length() == 13])
+        ctx, v, p = OperatorContext(6), w0, h_top(6)
+        walked = {v: p}
+        for i in lex_smallest_reduced_word(w0.compose(w)):
+            v, p = v.right_multiply(i), ctx.phi_beta(i, p)
+            walked[v] = p
+        chain, chained = families._pruned_chain, []
+        monkeypatch.setattr(families, "_pruned_chain",
+                            lambda v: chained.append(v) or chain(v))
+        monkeypatch.setattr(families, "_FAMILY_MEMO", TermMemo())
+        for v, p in walked.items():
+            assert beta_poly(v) == p, v
+        assert chained == [v for v in walked if v != w0]
+        assert chain(w0) == walked[w0]
+
 
 def bialternant(w):
     """h_w for w with one descent, at m, by the Ikeda-Naruse formula:
