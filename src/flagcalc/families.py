@@ -5,13 +5,11 @@ classes attached to words over an arbitrary formal group law.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .divdiff import OperatorContext
 from .fgl import FormalGroupLaw
 from .memo import TermMemo
-from .perms import (Permutation, apply_word, identity,
-                    lex_smallest_reduced_word, longest_element, rank_function)
+from .perms import (Permutation, apply_word, identity, longest_element,
+                    rank_function)
 from .rings import ZZ, SparsePoly, beta_ring, sum_of_products
 
 __all__ = [
@@ -26,8 +24,7 @@ __all__ = [
     "bott_samelson_class",
 ]
 
-# h_v per permutation v without its fixed tail, filled along the walks
-# of beta_poly and by its chains
+# h_v per permutation v without its fixed tail, one pruned chain each
 _FAMILY_MEMO = TermMemo()
 # push-forward classes per (law, n, word)
 _BS_MEMO = TermMemo()
@@ -116,30 +113,13 @@ def _pruned_chain(w: Permutation) -> SparsePoly:
 
 
 def beta_poly(w: Permutation) -> SparsePoly:
-    """h_w, computed in the smallest S_n that holds w (h_w is stable under
-    embedding) along the lex-smallest reduced word of w0*w.
-
-    The walk h_{v_0} = h_top(n), h_{v_k} = phi_{i_k} h_{v_{k-1}} with
-    v_k = w0 s_{i_1} ... s_{i_k} is memoised by v_k without its fixed
-    tail, the key a call in a smaller group reads.  Each prefix is the
-    lex-smallest reduced word of w0*v_k, and h_v does not depend on the
-    word, so a full sweep of S_n costs at most n! - 1 operator
-    applications.  In S_5 and up each w but w0 comes from _pruned_chain,
-    faster there cold and by sweep; in S_4 the walk's shared prefixes win."""
+    """h_w by _pruned_chain in the smallest S_n that holds w (h_w is stable
+    under embedding), memoised under w without its fixed tail: w and
+    w.embed(n + 1) share one entry."""
     w = _stable(w)
-    n = w.n
-    if n >= 5 and w.length() < n * (n - 1) // 2:
-        if (p := _FAMILY_MEMO.get(w)) is None:
-            _FAMILY_MEMO.put(w, p := _pruned_chain(w))
-        return p
-
-    def walk():
-        w0 = longest_element(n)
-        word = lex_smallest_reduced_word(w0.compose(w))
-        return word, [*map(_stable, accumulate(
-            word, Permutation.right_multiply, initial=w0))]
-    return _FAMILY_MEMO.resume(w, walk, lambda: h_top(n),
-                               OperatorContext(n).phi_beta)
+    if (p := _FAMILY_MEMO.get(w)) is None:
+        _FAMILY_MEMO.put(w, p := _pruned_chain(w))
+    return p
 
 
 def double_schubert(w: Permutation) -> SparsePoly:

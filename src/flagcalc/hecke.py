@@ -151,12 +151,6 @@ def coefficient(e: HeckeElement, w: Permutation) -> SparsePoly:
 
 # -- verification suite -------------------------------------------------------
 
-def _phi_coefficientwise(e: HeckeElement, i: int) -> HeckeElement:
-    ctx = OperatorContext(e.n)
-    return HeckeElement.from_dict(
-        e.n, {w: ctx.phi_beta(i, c) for w, c in e.coeffs})
-
-
 def identity_words(n: int) -> dict:
     """The h-factor certificates of verify_identities by name, in its order,
     each a list of (lhs, rhs) pairs of words whose products are equal."""
@@ -217,16 +211,22 @@ def verify_identities(n: int) -> list:
     H = build_Hxy(n)
     record("alternative product equals H(x, y)", H == alternative_product(n))
 
-    # operator identity: phi_i H = H u_i - b H, coefficient-wise
+    # operator identity phi_i H = H u_i - b H, one coefficient at a time:
+    # (H u_i - b H)_w is c_(w s_i) at a descent i of w and -b c_w at an ascent
+    coeffs, zero = H.as_dict(), SparsePoly.zero(_RING)
+    ctx = OperatorContext(n)
     ok = True
     for i in range(1, n):
-        ok = ok and (_phi_coefficientwise(H, i)
-                     == H.mul_by_generator(i) - H.scale(b))
+        for w in all_permutations(n):
+            c = coeffs.get(w, zero)
+            rhs = (coeffs.get(w.right_multiply(i), zero) if w[i - 1] > w[i]
+                   else -(b * c))
+            ok = ok and ctx.phi_beta(i, c) == rhs
     record("divided-difference identity on H(x, y)", ok)
 
     ok = True
     for w in all_permutations(n):
-        ok = ok and coefficient(H, w) == beta_poly(w)
+        ok = ok and coeffs.get(w, zero) == beta_poly(w)
     record("coefficients reproduce the recursive family", ok)
 
     return results

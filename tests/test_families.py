@@ -124,34 +124,44 @@ def walked_s5():
 
 class TestPrunedChain:
     """The chain of pipe_rows(n) on the states that can still reach w,
-    which beta_poly takes for every member of S_5 and larger but w0."""
+    which beta_poly takes for every member, w0 included."""
 
     def test_equals_the_walk_on_S5(self, walked_s5):
         for w, p in walked_s5.items():
             assert families._pruned_chain(w) == p, w
 
-    def test_beta_poly_switches_at_S5(self, walked_s5, monkeypatch):
-        """On an empty memo beta_poly walks every member of S_4 and takes
-        the chain for every member of S_5 outside S_4 but w0, and each
-        equals the walk."""
-        chain, chained = families._pruned_chain, []
+    @pytest.fixture
+    def chained(self, monkeypatch):
+        """The arguments of every _pruned_chain call, on an empty memo."""
+        chain, calls = families._pruned_chain, []
         monkeypatch.setattr(families, "_pruned_chain",
-                            lambda v: chained.append(v) or chain(v))
+                            lambda v: calls.append(v) or chain(v))
         monkeypatch.setattr(families, "_FAMILY_MEMO", TermMemo())
-        for w in all_permutations(4):
+        return calls
+
+    def test_beta_poly_chains_once_per_stable_key_in_S5(self, walked_s5,
+                                                        chained):
+        """On an empty memo beta_poly takes the chain once for each member
+        of S_4, without its fixed tail, then once for each member of S_5
+        outside S_4, w0 included, and each equals the walk; a second sweep
+        takes it for none."""
+        s4 = [families._stable(w) for w in all_permutations(4)]
+        for w in s4:
             beta_poly(w)
-        assert chained == []
+        assert chained == s4
         for w, p in walked_s5.items():
             assert beta_poly(w) == p, w
-        w0 = longest_element(5)
-        assert chained == [w for w in walked_s5
-                           if families._stable(w).n == 5 and w != w0]
+        assert chained == s4 + [w for w in walked_s5
+                                if families._stable(w).n == 5]
+        for w in walked_s5:
+            beta_poly(w)
+        assert len(chained) == 120
 
-    def test_beta_poly_switches_at_w0_in_S6(self, monkeypatch):
+    def test_beta_poly_chains_w0_in_S6(self, chained):
         """The walk from h_top(6) to a seeded member of S_6 of length 13,
         one phi per letter, passes a member of each length from 15 down to
-        13: beta_poly, on an empty memo, takes the chain for each of them
-        but w0, and the chain and the walk agree on each, w0 included."""
+        13: beta_poly, on an empty memo, takes the chain once for each of
+        them, w0 included, and each equals the walk."""
         w0 = longest_element(6)
         w = random.Random(6).choice(
             [w for w in all_permutations(6) if w.length() == 13])
@@ -160,14 +170,14 @@ class TestPrunedChain:
         for i in lex_smallest_reduced_word(w0.compose(w)):
             v, p = v.right_multiply(i), ctx.phi_beta(i, p)
             walked[v] = p
-        chain, chained = families._pruned_chain, []
-        monkeypatch.setattr(families, "_pruned_chain",
-                            lambda v: chained.append(v) or chain(v))
-        monkeypatch.setattr(families, "_FAMILY_MEMO", TermMemo())
         for v, p in walked.items():
             assert beta_poly(v) == p, v
-        assert chained == [v for v in walked if v != w0]
-        assert chain(w0) == walked[w0]
+        assert chained == list(walked)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_w0_is_h_top(self, n, chained):
+        assert beta_poly(longest_element(n)) == h_top(n)
+        assert chained == [longest_element(n)]
 
 
 def bialternant(w):

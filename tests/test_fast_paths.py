@@ -1,5 +1,5 @@
 """The closed-form operators, the degree-bounded products and the
-weak-order family memo against their references: the
+family memo against their references: the
 substitute-swap-subtract-divide operators and the full-product reciprocal
 in divdiff_reference, the universal-law class built with full products,
 and h_w evaluated along an explicit reduced word.
@@ -228,32 +228,45 @@ def _count_tops(monkeypatch) -> list:
     return tops
 
 
-def test_full_sweep_costs_one_application_per_member(monkeypatch):
-    # each member is one application from a memoised one, or a top class:
-    # h_top(k) for k = 1..4, as the members fixing 4 are walked in S_3 and
-    # below
-    families._FAMILY_MEMO.clear()
-    calls, tops = _count_phi(monkeypatch), _count_tops(monkeypatch)
-    for w in all_permutations(4):
-        beta_poly(w)
-    assert sorted(tops) == [1, 2, 3, 4]
-    assert len(calls) == 24 - 4
+def _count_chains(monkeypatch) -> list:
+    chained = []
+    original = families._pruned_chain
+
+    def counted(w):
+        chained.append(w)
+        return original(w)
+
+    monkeypatch.setattr(families, "_pruned_chain", counted)
+    return chained
 
 
-def test_s4_in_s5_walks_share_the_trunk(monkeypatch):
-    # the walks stay in S_4, under the keys the sweep of S_4 uses
+def test_full_sweep_chains_once_per_member(monkeypatch):
+    # each member of S_4 is one chain, under the key without its fixed
+    # tail, and neither a phi nor a top class; a second sweep reads the memo
     families._FAMILY_MEMO.clear()
     calls, tops = _count_phi(monkeypatch), _count_tops(monkeypatch)
+    chained = _count_chains(monkeypatch)
+    for _ in range(2):
+        for w in all_permutations(4):
+            beta_poly(w)
+        assert chained == [families._stable(w) for w in all_permutations(4)]
+    assert calls == [] and tops == []
+
+
+def test_s4_in_s5_chains_share_the_s4_keys(monkeypatch):
+    # the chains run in S_4, under the keys the sweep of S_4 uses
+    families._FAMILY_MEMO.clear()
+    calls, chained = _count_phi(monkeypatch), _count_chains(monkeypatch)
     for w in all_permutations(4):
         beta_poly(w.embed(5))
-    assert len(calls) == 20
-    assert 5 not in tops
+    assert chained == [families._stable(w) for w in all_permutations(4)]
+    assert calls == []
     assert all(key.n < 5 for key in families._FAMILY_MEMO._entries)
     assert families._FAMILY_MEMO.terms <= memo.MAX_TERMS
 
 
 def test_fixed_tail_is_dropped_before_the_walk(monkeypatch):
-    # in S_9 the walk from h_top(9) is out of reach; s_1 is h_top(2)
+    # beta_poly reads s_1 and e of S_9 in S_2 and S_1: s_1 is h_top(2)
     families._FAMILY_MEMO.clear()
     calls = _count_phi(monkeypatch)
     ring = beta_ring()

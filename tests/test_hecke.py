@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import hecke_reference as ref
 from hecke_reference import h_factor
 from flagcalc import hecke
+from flagcalc.__main__ import main
 from flagcalc.families import beta_poly, h_top, hecke_chain, oplus
 from flagcalc.hecke import (
     HeckeElement,
@@ -293,6 +294,34 @@ class TestVerification:
             "coefficients reproduce the recursive family"]
         if n == 1:
             assert not any(identity_words(n).values())
+
+    @pytest.mark.parametrize("fault", ["shift", "drop"])
+    def test_a_planted_fault_fails_the_h_certificates(self, fault,
+                                                      monkeypatch, capsys):
+        """c_w of H(x, y) shifted by x1, or dropped, at a w with an ascent
+        (1) and a descent (2): the alternative-product and the
+        divided-difference certificates read false, the generator and
+        word certificates stay true, and the command exits 3."""
+        w, build = Permutation((1, 3, 2)), hecke.build_Hxy
+
+        def planted(n):
+            coeffs = build(n).as_dict()
+            if fault == "shift":
+                coeffs[w] = coeffs[w] + V("x1")
+            else:
+                del coeffs[w]
+            return HeckeElement.from_dict(n, coeffs)
+
+        monkeypatch.setattr(hecke, "build_Hxy", planted)
+        ok = {r["name"]: r["ok"] for r in verify_identities(3)}
+        assert not ok.pop("alternative product equals H(x, y)")
+        assert not ok.pop("divided-difference identity on H(x, y)")
+        assert not ok.pop("coefficients reproduce the recursive family")
+        assert all(ok.values()), ok
+        with pytest.raises(SystemExit) as exit_:
+            main(["hecke", "verify", "--n", "3"])
+        assert exit_.value.code == 3
+        assert '"ok": false' in capsys.readouterr().out
 
 
 # -- H(x, y) at a point -------------------------------------------------------
