@@ -81,6 +81,27 @@ def hecke_chain(states: dict, factors, keep=None) -> dict:
     return states
 
 
+def row_walk(n: int, rows, start=(), w=None):
+    """Yield (v, c_v) of e h(start) h(row_1) ... in lex order of v, by
+    hecke_chain.  Row k is the last to move position k, so its states split
+    by v(k) and each part runs the later rows alone, depth first.  With w,
+    only w's part and the states <= w in Bruhat order are kept."""
+    keep = None if w is None else (lambda v, r_w=rank_function(w): all(
+        map(int.__ge__, rank_function(v), r_w)))
+    stack = [(0, hecke_chain({identity(n): SparsePoly.const(beta_ring(), 1)},
+                             start, keep))]
+    while stack:
+        k, states = stack.pop()
+        if k == len(rows):
+            yield from sorted(states.items())
+            continue
+        parts: dict = {}
+        for v, c in hecke_chain(states, rows[k], keep).items():
+            if w is None or v[k] == w[k]:
+                parts.setdefault(v[k], {})[v] = c
+        stack += ((k + 1, parts[a]) for a in sorted(parts, reverse=True))
+
+
 def beta_poly_via_word(w: Permutation, word: tuple) -> SparsePoly:
     """Evaluate the family member for w along an explicit reduced word of
     w0*w; the result must not depend on the word (braid relations)."""
@@ -101,15 +122,8 @@ def _stable(w: Permutation) -> Permutation:
 
 
 def _pruned_chain(w: Permutation) -> SparsePoly:
-    """h_w by the chain of pipe_rows(n) on the states <= w in Bruhat order
-    that agree with w at i after row i, the last row to move position i."""
-    n, r_w = w.n, rank_function(w)
-    states = {identity(n): SparsePoly.const(beta_ring(), 1)}
-    for i, row in enumerate(pipe_rows(n), start=1):
-        hecke_chain(states, row,
-                    lambda v: all(map(int.__ge__, rank_function(v), r_w)))
-        states = {v: c for v, c in states.items() if v[i - 1] == w[i - 1]}
-    return states[w]
+    """h_w by the walk of pipe_rows(n) on w's part, the states <= w."""
+    return dict(row_walk(w.n, pipe_rows(w.n), w=w))[w]
 
 
 def beta_poly(w: Permutation) -> SparsePoly:

@@ -9,10 +9,12 @@ z(i) < z(i+1) and a factor b at a descent.  Equality is a map comparison.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .divdiff import OperatorContext
-from .families import beta_poly, hecke_chain, oplus, pipe_rows
-from .perms import (Permutation, all_permutations, identity,
-                    lex_smallest_reduced_word, transposition)
+from .families import beta_poly, h_top, oplus, pipe_rows, row_walk
+from .perms import (Permutation, all_permutations,
+                    lex_smallest_reduced_word, longest_element, transposition)
 from .rings import SparsePoly, beta_ring, sum_of_products
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "build_Htilde",
     "build_Hxy",
     "alternative_product",
+    "builder_word",
     "coefficient",
     "identity_words",
     "verify_identities",
@@ -50,20 +53,6 @@ class HeckeElement:
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
-
-    def _combine(self, other: "HeckeElement", op) -> "HeckeElement":
-        if self.n != other.n:
-            raise ValueError("ranks differ")
-        d = self.as_dict()
-        for w, c in other.coeffs:
-            d[w] = op(d.get(w, SparsePoly.zero(_RING)), c)
-        return HeckeElement.from_dict(self.n, d)
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        return self._combine(other, SparsePoly.__add__)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self._combine(other, SparsePoly.__sub__)
 
     def scale(self, c: SparsePoly) -> "HeckeElement":
         return HeckeElement.from_dict(
@@ -99,18 +88,12 @@ class HeckeElement:
 
 
 def hecke_one(n: int) -> HeckeElement:
-    return HeckeElement.from_dict(
-        n, {identity(n): SparsePoly.const(_RING, 1)})
+    return _collect(n, [])
 
 
 def hecke_generator(n: int, i: int) -> HeckeElement:
     return HeckeElement.from_dict(
         n, {transposition(n, i): SparsePoly.const(_RING, 1)})
-
-
-def _chain(e: HeckeElement, factors) -> HeckeElement:
-    """e h_{i_1}(c_1) h_{i_2}(c_2) ... for the (i, c) pairs of a word."""
-    return HeckeElement.from_dict(e.n, hecke_chain(e.as_dict(), factors))
 
 
 def _alpha(n: int, i: int, x: SparsePoly) -> list:
@@ -123,30 +106,35 @@ def _alpha_tilde(n: int, i: int, y: SparsePoly) -> list:
     return [(j, y) for j in range(i, n)]
 
 
+def builder_word(name: str, n: int) -> tuple:
+    """The builder called name as row_walk's (rows, start): H(x, y) runs
+    the rows alpha_i(x_i) of H(x) after H~(y) = alpha~_{n-1}(y_{n-1}) ..."""
+    if name == "alternative_product":
+        return pipe_rows(n), []
+    htilde = [f for i in range(n - 1, 0, -1)
+              for f in _alpha_tilde(n, i, SparsePoly.var(_RING, f"y{i}"))]
+    return ([_alpha(n, i, SparsePoly.var(_RING, f"x{i}")) for i in range(1, n)]
+            if name == "build_Hxy" else []), htilde
+
+
+def _collect(n: int, rows, start=()) -> HeckeElement:
+    return HeckeElement.from_dict(n, dict(row_walk(n, rows, start)))
+
+
 def build_Htilde(n: int) -> HeckeElement:
-    """alpha~_{n-1}(y_{n-1}) ... alpha~_1(y_1)."""
-    return _chain(hecke_one(n), [
-        f for i in range(n - 1, 0, -1)
-        for f in _alpha_tilde(n, i, SparsePoly.var(_RING, f"y{i}"))])
+    return _collect(n, *builder_word("build_Htilde", n))
 
 
 def build_Hxy(n: int) -> HeckeElement:
-    """H~(y) chained with H(x) = alpha_1(x_1) ... alpha_{n-1}(x_{n-1})."""
-    return _chain(build_Htilde(n), [
-        f for i in range(1, n)
-        for f in _alpha(n, i, SparsePoly.var(_RING, f"x{i}"))])
+    return _collect(n, *builder_word("build_Hxy", n))
 
 
 def alternative_product(n: int) -> HeckeElement:
-    """The double product of h_{i+j-1}(x_i (+) y_j), row by row."""
-    return _chain(hecke_one(n), [f for row in pipe_rows(n) for f in row])
+    return _collect(n, *builder_word("alternative_product", n))
 
 
 def coefficient(e: HeckeElement, w: Permutation) -> SparsePoly:
-    for v, c in e.coeffs:
-        if v == w:
-            return c
-    return SparsePoly.zero(_RING)
+    return e.as_dict().get(w, SparsePoly.zero(_RING))
 
 
 # -- verification suite -------------------------------------------------------
@@ -187,7 +175,6 @@ def verify_identities(n: int) -> list:
         results.append({"name": name, "ok": bool(ok)})
 
     b = SparsePoly.var(_RING, "b")
-    one = hecke_one(n)
 
     # defining relations on basis elements
     ok = True
@@ -206,27 +193,26 @@ def verify_identities(n: int) -> list:
     record("generator relations", ok)
 
     for name, pairs in identity_words(n).items():
-        record(name, all(_chain(one, a) == _chain(one, b) for a, b in pairs))
+        record(name, all(_collect(n, [], a) == _collect(n, [], b)
+                         for a, b in pairs))
 
-    H = build_Hxy(n)
-    record("alternative product equals H(x, y)", H == alternative_product(n))
-
-    # operator identity phi_i H = H u_i - b H, one coefficient at a time:
-    # (H u_i - b H)_w is c_(w s_i) at a descent i of w and -b c_w at an ascent
-    coeffs, zero = H.as_dict(), SparsePoly.zero(_RING)
-    ctx = OperatorContext(n)
-    ok = True
-    for i in range(1, n):
-        for w in all_permutations(n):
-            c = coeffs.get(w, zero)
-            rhs = (coeffs.get(w.right_multiply(i), zero) if w[i - 1] > w[i]
-                   else -(b * c))
-            ok = ok and ctx.phi_beta(i, c) == rhs
-    record("divided-difference identity on H(x, y)", ok)
-
-    ok = True
-    for w in all_permutations(n):
-        ok = ok and coeffs.get(w, zero) == beta_poly(w)
-    record("coefficients reproduce the recursive family", ok)
+    # one coefficient at a time: with every c_w = beta_poly(w), phi_i H =
+    # H u_i - b H is c_(w s_i) at a descent i of w and -b c_w at an ascent
+    ctx, w0 = OperatorContext(n), longest_element(n)
+    alt, dd, top = True, True, False
+    for (v, c), (u, a), w in zip_longest(
+            row_walk(n, *builder_word("build_Hxy", n)),
+            row_walk(n, *builder_word("alternative_product", n)),
+            all_permutations(n), fillvalue=(None, None)):
+        alt = alt and v == u == w and c == a
+        dd = dd and v == w and c == beta_poly(w) and all(
+            ctx.phi_beta(i, c) == (beta_poly(w.right_multiply(i))
+                                   if w[i - 1] > w[i] else -(b * c))
+            for i in range(1, n))
+        top = top or (w == v == w0 and c == h_top(n))
+    record("alternative product equals H(x, y)", alt)
+    record("divided-difference identity on H(x, y)", dd)
+    # with c_(w0), the descents of dd give every c_w down from w0
+    record("coefficients reproduce the recursive family", dd and top)
 
     return results

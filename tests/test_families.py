@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -127,8 +128,11 @@ class TestPrunedChain:
     which beta_poly takes for every member, w0 included."""
 
     def test_equals_the_walk_on_S5(self, walked_s5):
+        """The chain is the row walk with w given, which yields w alone."""
         for w, p in walked_s5.items():
             assert families._pruned_chain(w) == p, w
+            assert list(families.row_walk(
+                5, families.pipe_rows(5), w=w)) == [(w, p)], w
 
     @pytest.fixture
     def chained(self, monkeypatch):
@@ -179,6 +183,37 @@ class TestPrunedChain:
         assert beta_poly(longest_element(n)) == h_top(n)
         assert chained == [longest_element(n)]
 
+
+
+class TestRowWalk:
+    """families.row_walk: the coefficients of a word of rows, in lex order
+    of v, with each row run on one part at a time."""
+
+    def test_alternative_product_of_S5_is_the_walk(self, walked_s5):
+        """All 120 coefficients arrive once each, in lex order, and equal
+        the phi walk down from h_top(5)."""
+        got = list(families.row_walk(5, families.pipe_rows(5)))
+        assert [v for v, _ in got] == sorted(all_permutations(5))
+        assert dict(got) == walked_s5
+
+    def test_each_row_runs_on_one_part(self, monkeypatch):
+        """c_e arrives after the start and one run of each row.  Row k runs
+        once per part, the states that agree on positions 1..k-1, so it
+        leaves at most (n - k + 1)! of them."""
+        runs, chain = [], families.hecke_chain
+
+        def recorded(states, factors, keep=None):
+            out = chain(states, factors, keep)
+            runs.append((min((i for i, _ in factors), default=0), len(out)))
+            return out
+
+        monkeypatch.setattr(families, "hecke_chain", recorded)
+        walk = families.row_walk(5, families.pipe_rows(5))
+        assert next(walk)[0] == identity(5)
+        assert [k for k, _ in runs] == [0, 1, 2, 3, 4]
+        list(walk)
+        assert len(runs) == 1 + 1 + 5 + 5 * 4 + 5 * 4 * 3
+        assert all(size <= math.factorial(5 - k + 1) for k, size in runs[1:])
 
 def bialternant(w):
     """h_w for w with one descent, at m, by the Ikeda-Naruse formula:

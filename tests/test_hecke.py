@@ -18,6 +18,7 @@ from flagcalc.hecke import (
     alternative_product,
     build_Htilde,
     build_Hxy,
+    builder_word,
     coefficient,
     hecke_generator,
     hecke_one,
@@ -68,20 +69,14 @@ class TestRelations:
         with pytest.raises(ValueError):
             hecke_generator(3, 3)
 
-    def test_rank_mismatch(self):
-        with pytest.raises(ValueError):
-            hecke_one(2) + hecke_one(3)
-
 
 class TestArithmetic:
-    def test_sub_self_is_zero(self):
-        e = build_Hxy(2)
-        assert (e - e).is_zero()
-
     def test_scale_distributes(self):
         a, b = hecke_generator(3, 1), hecke_generator(3, 2)
         c = V("x1")
-        assert (a + b).scale(c) == a.scale(c) + b.scale(c)
+        both = HeckeElement.from_dict(3, {**a.as_dict(), **b.as_dict()})
+        assert both.scale(c).as_dict() == {**a.scale(c).as_dict(),
+                                           **b.scale(c).as_dict()}
 
     def test_mul_matches_generator_chain(self):
         # multiplying by the basis element u_{s1 s2} equals applying u_1, u_2
@@ -91,26 +86,9 @@ class TestArithmetic:
         assert e * basis == e.mul_by_generator(1).mul_by_generator(2)
 
     def test_zero_coefficients_dropped(self):
-        e = hecke_one(3) - hecke_one(3)
+        one = SparsePoly.const(_R, 1)
+        e = HeckeElement.from_dict(3, {identity(3): one - one})
         assert e.coeffs == ()
-
-    def test_sub_of_disjoint_supports(self):
-        a = HeckeElement.from_dict(3, {
-            identity(3): V("x1"), Permutation((2, 1, 3)): V("b") + 1})
-        b = HeckeElement.from_dict(3, {
-            Permutation((1, 3, 2)): V("y1"), Permutation((3, 2, 1)): -V("b")})
-        assert (a - b).as_dict() == {**a.as_dict(),
-                                     **{w: -c for w, c in b.coeffs}}
-        assert (b - a).as_dict() == {**b.as_dict(),
-                                     **{w: -c for w, c in a.coeffs}}
-        assert a - b == a + b.scale(SparsePoly.const(_R, -1))
-
-    def test_sub_cancels_to_zero(self):
-        e = build_Hxy(3)
-        twin = HeckeElement.from_dict(3, {w: c + 0 for w, c in e.coeffs})
-        assert (e - twin).coeffs == ()
-        part = HeckeElement.from_dict(3, dict(e.coeffs[::2]))
-        assert (e - part).as_dict() == dict(e.coeffs[1::2])
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_h_factor_shares_the_coefficients_it_leaves(self, n):
@@ -206,30 +184,27 @@ class TestCanonicalElement:
         assert ref.mul(build_Htilde(3), ref.build_H(3)) == build_Hxy(3)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_builders_apply_one_h_factor_per_product(self, n, monkeypatch):
-        """Every builder is one word of h-factors h_i(c) = 1 + c u_i, run
-        through the chain one step per factor: n(n - 1)/2 steps for H~(y)
-        and for the alternative product, n(n - 1) for H(x, y), each a
-        nonzero c at an index of S_n."""
-        steps = []
-        chain = hecke.hecke_chain
-
-        def counted(states, factors, keep=None):
-            def recorded():
-                for i, c in factors:
-                    steps.append((i, c))
-                    yield i, c
-            return chain(states, recorded(), keep)
-
-        monkeypatch.setattr(hecke, "hecke_chain", counted)
+    def test_builders_apply_one_h_factor_per_product(self, n):
+        """Every builder is one word of h-factors h_i(c) = 1 + c u_i, its
+        start and then its rows: n(n - 1)/2 factors for H~(y) and for the
+        alternative product, n(n - 1) for H(x, y), each a nonzero c at an
+        index of S_n.  Row k moves no position before k, as row_walk
+        needs; and up to n = 4, build(n) is the word's product at the point
+        of seed n."""
         for build, factors in ((build_Hxy, n * (n - 1)),
                                (alternative_product, n * (n - 1) // 2),
                                (build_Htilde, n * (n - 1) // 2)):
-            steps.clear()
-            build(n)
-            assert len(steps) == factors, build.__name__
+            rows, _ = builder_word(build.__name__, n)
+            word = _word(build, n)
+            assert len(word) == factors, build.__name__
             assert all(1 <= i < n and c.ring == _R and not c.is_zero()
-                       for i, c in steps), build.__name__
+                       for i, c in word), build.__name__
+            assert all(i >= k for k, row in enumerate(rows, start=1)
+                       for i, _ in row), build.__name__
+            if n <= 4:
+                point = _at_point([], n, seed=n)[0]
+                assert {w: ref.evaluate(c, point) for w, c in build(n).coeffs
+                        } == _product_at(word, n, point), build.__name__
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_chain_step_shares_the_coefficients_it_leaves(self, n):
@@ -295,24 +270,26 @@ class TestVerification:
         if n == 1:
             assert not any(identity_words(n).values())
 
-    @pytest.mark.parametrize("fault", ["shift", "drop"])
+    @pytest.mark.parametrize("fault", ["shift", "drop", "drop_w0"])
     def test_a_planted_fault_fails_the_h_certificates(self, fault,
                                                       monkeypatch, capsys):
-        """c_w of H(x, y) shifted by x1, or dropped, at a w with an ascent
-        (1) and a descent (2): the alternative-product and the
-        divided-difference certificates read false, the generator and
-        word certificates stay true, and the command exits 3."""
-        w, build = Permutation((1, 3, 2)), hecke.build_Hxy
+        """c_w of the H(x, y) walk shifted by x1, or dropped, at a w with
+        an ascent (1) and a descent (2), or c_(w0), the last, dropped: the
+        alternative-product, the divided-difference and the family
+        certificates read false, the generator and word certificates stay
+        true, and the command exits 3."""
+        w = Permutation((3, 2, 1) if fault == "drop_w0" else (1, 3, 2))
+        walk = hecke.row_walk
+        hxy_rows = builder_word("build_Hxy", 3)[0]
 
-        def planted(n):
-            coeffs = build(n).as_dict()
-            if fault == "shift":
-                coeffs[w] = coeffs[w] + V("x1")
-            else:
-                del coeffs[w]
-            return HeckeElement.from_dict(n, coeffs)
+        def planted(n, rows, start=()):
+            for v, c in walk(n, rows, start):
+                if rows != hxy_rows or v != w:
+                    yield v, c
+                elif fault == "shift":
+                    yield v, c + V("x1")
 
-        monkeypatch.setattr(hecke, "build_Hxy", planted)
+        monkeypatch.setattr(hecke, "row_walk", planted)
         ok = {r["name"]: r["ok"] for r in verify_identities(3)}
         assert not ok.pop("alternative product equals H(x, y)")
         assert not ok.pop("divided-difference identity on H(x, y)")
@@ -323,17 +300,40 @@ class TestVerification:
         assert exit_.value.code == 3
         assert '"ok": false' in capsys.readouterr().out
 
+    def test_a_wrong_top_fails_only_the_family_certificate(self, monkeypatch,
+                                                           capsys):
+        """h_top(n) shifted by x1: c_(w0) no longer matches the top of the
+        phi recursion, so the family certificate alone reads false, and
+        the command exits 3."""
+        top = hecke.h_top
+        monkeypatch.setattr(hecke, "h_top", lambda n: top(n) + V("x1"))
+        ok = {r["name"]: r["ok"] for r in verify_identities(3)}
+        assert not ok.pop("coefficients reproduce the recursive family")
+        assert all(ok.values()), ok
+        with pytest.raises(SystemExit) as exit_:
+            main(["hecke", "verify", "--n", "3"])
+        assert exit_.value.code == 3
+        assert '"ok": false' in capsys.readouterr().out
+
+    def test_verify_builds_no_whole_element(self, monkeypatch):
+        """verify_identities reads H(x, y) and the alternative product from
+        their walks, one coefficient at a time, and calls neither
+        builder."""
+        def whole(n):
+            raise AssertionError("a whole element was built")
+
+        monkeypatch.setattr(hecke, "build_Hxy", whole)
+        monkeypatch.setattr(hecke, "alternative_product", whole)
+        assert all(r["ok"] for r in verify_identities(4))
+
 
 # -- H(x, y) at a point -------------------------------------------------------
 
-def _word(build, n: int, monkeypatch) -> list:
-    """The (i, c) pairs that build(n) chains, in order, with nothing
-    multiplied: each _chain call records its pairs and returns its start."""
-    pairs = []
-    monkeypatch.setattr(hecke, "_chain",
-                        lambda e, factors: pairs.extend(factors) or e)
-    build(n)
-    return pairs
+def _word(build, n: int) -> list:
+    """The (i, c) pairs that build(n) chains, in order, as builder_word
+    gives them: the start, then each row; nothing is multiplied."""
+    rows, start = builder_word(build.__name__, n)
+    return [*start, *(f for row in rows for f in row)]
 
 
 def _at_point(word: list, n: int, seed: int, extra=()) -> tuple:
@@ -377,28 +377,28 @@ class TestAtAPoint:
     d / P (Schwartz-Zippel).  The seeds are fixed, so every run draws the
     same point."""
 
-    def test_family_of_S5(self, monkeypatch):
+    def test_family_of_S5(self):
         """build_Hxy(5)'s word has 20 factors, each of degree at most 2
         with the b of a descent, and beta_poly has total degree at most 30
         on S_5, b counted: a false pass has probability at most
         120 * 40 / P < 3e-15."""
-        point, H = _at_point(_word(build_Hxy, 5, monkeypatch), 5, seed=5)
+        point, H = _at_point(_word(build_Hxy, 5), 5, seed=5)
         for w in all_permutations(5):
             assert H.get(w, 0) == ref.evaluate(beta_poly(w), point), w
 
     @pytest.mark.parametrize("n", [6, 7])
-    def test_Hxy_word_equals_alternative_word(self, n, monkeypatch):
+    def test_Hxy_word_equals_alternative_word(self, n):
         """build_Hxy chains n(n-1) factors of degree 1 and
         alternative_product n(n-1)/2 of degree 3, with a b per descent, so
         every coefficient has degree at most 2n(n-1): a false pass has
         probability at most n! * 2n(n-1) / P, below 2e-13 at n = 7."""
-        hxy = _word(build_Hxy, n, monkeypatch)
-        alt = _word(alternative_product, n, monkeypatch)
+        hxy = _word(build_Hxy, n)
+        alt = _word(alternative_product, n)
         assert (len(hxy), len(alt)) == (n * (n - 1), n * (n - 1) // 2)
         assert _at_point(hxy, n, seed=n)[1] == _at_point(alt, n, seed=n)[1]
 
     @pytest.mark.parametrize("n", [6, 7])
-    def test_divided_difference_identity(self, n, monkeypatch):
+    def test_divided_difference_identity(self, n):
         """phi_i H = H u_i - b H for every i, coefficientwise at the point
         of seed 60 + n, x_n drawn last.  phi_i f is
         ((1 + b x_(i+1)) f - (1 + b x_i) sigma_i f) / (x_i - x_(i+1)), and
@@ -406,7 +406,7 @@ class TestAtAPoint:
         swapped.  Times x_i - x_(i+1), each side of a coefficient has degree
         at most 2n(n-1) + 2, b counted: a false pass has probability at
         most (n-1) * n! * (2n(n-1) + 2) / P, below 2e-12 at n = 7."""
-        word = _word(build_Hxy, n, monkeypatch)
+        word = _word(build_Hxy, n)
         point, H = _at_point(word, n, seed=60 + n, extra=[f"x{n}"])
         b = point["b"]
         for i in range(1, n):
@@ -441,13 +441,13 @@ class TestAtAPoint:
                 assert (_product_at(lhs, n, point)
                         == _product_at(rhs, n, point)), (name, k)
 
-    def test_short_members_of_S7(self, monkeypatch):
+    def test_short_members_of_S7(self):
         """beta_poly of s_6, s_5 s_6, s_6 s_5 and s_1 s_6, which comes from
         the pruned chain in S_7, against build_Hxy(7)'s word at the point
         of seed 7.  The word has 42 factors of degree 1, with the b of a
         descent, so every coefficient has degree at most 84: a false pass
         has probability at most 4 * 84 / P < 2e-16."""
-        point, H = _at_point(_word(build_Hxy, 7, monkeypatch), 7, seed=7)
+        point, H = _at_point(_word(build_Hxy, 7), 7, seed=7)
         for text in ("1 2 3 4 5 7 6", "1 2 3 4 6 7 5", "1 2 3 4 7 5 6",
                      "2 1 3 4 5 7 6"):
             w = Permutation.from_one_line(text)
@@ -492,7 +492,7 @@ class TestAtAPoint:
                 assert ((ref.evaluate(h, point) == 0)
                         == (not _bruhat_le(w, below))), (p, w)
 
-    def test_bruhat_vanishing_at_the_fixed_points_of_S5(self, monkeypatch):
+    def test_bruhat_vanishing_at_the_fixed_points_of_S5(self):
         """Billey's formula as on S_4, for all 14,400 pairs of p and w in
         S_5, on alternative_product(5)'s word at the point of each p; b
         and x_1..x_5 come from seed 5.  The word has 10 factors
@@ -501,7 +501,7 @@ class TestAtAPoint:
         in y_j; times the cleared denominators (1 + b x_(p(j)))^(5-j) it
         is a polynomial of degree at most 60: a false vanishing has
         probability at most 14,400 * 60 / P < 4e-13."""
-        word = _word(alternative_product, 5, monkeypatch)
+        word = _word(alternative_product, 5)
         for p, point in _fixed_points(5, seed=5):
             H = _product_at(word, 5, point)
             below = p.inverse()
