@@ -86,19 +86,16 @@ class OperatorContext:
             raise ValueError("context has no formal group law")
         if fgl.D < 1:
             raise ValueError(f"A_op needs D >= 1, the law has D = {fgl.D}")
-        key = (fgl, i)
-        ginv = _GINV_MEMO.get(key)
-        if ginv is None:
+
+        def build():
             xi = SparsePoly.var(fgl.ring, f"x{i}")
             xi1 = SparsePoly.var(fgl.ring, f"x{i + 1}")
             if i > 1:
-                ginv = self._denominator_unit(1).substitute({"x1": xi, "x2": xi1})
-            else:
-                denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
-                g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
-                ginv = series_reciprocal(g, fgl.D - 1)
-            _GINV_MEMO.put(key, ginv)
-        return ginv
+                return self._denominator_unit(1).substitute({"x1": xi, "x2": xi1})
+            denom = fgl.sum_series(xi, fgl.inverse_series(xi1))
+            g = divide_by_difference(denom, f"x{i}", f"x{i + 1}")
+            return series_reciprocal(g, fgl.D - 1)
+        return _GINV_MEMO.value((fgl, i), build)
 
     def A_op(self, i: int, p: SparsePoly) -> SparsePoly:
         """(1 + sigma_i)(p / F(x_i, chi(x_{i+1}))) modulo degree > D,

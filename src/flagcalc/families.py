@@ -62,14 +62,13 @@ def pipe_rows(n: int) -> list:
 
 
 def hecke_chain(states: dict, factors, keep=None) -> dict:
-    """sum_z states[z] u_z times each h_i(c) = 1 + c u_i of factors, in
-    place: an ascent z(i) < z(i+1) keeps c_z and adds c c_z at z s_i if
-    keep(z s_i); a descent's c_z becomes c_z + b c c_z + c c_(z s_i).  The
-    states go in permutation order (insertion order raised peak RSS 2%)."""
+    """sum_z states[z] u_z times each h_i(c) = 1 + c u_i of factors (i, c,
+    b c), in place: an ascent z(i) < z(i+1) keeps c_z and adds c c_z at
+    z s_i if keep(z s_i); a descent's c_z becomes c_z + b c c_z + c c_(z s_i).
+    States go in permutation order (insertion order raised peak RSS 2%)."""
     ring = beta_ring()
-    one, b = SparsePoly.const(ring, 1), SparsePoly.var(ring, "b")
-    for i, c in factors:
-        bc = b * c
+    one = SparsePoly.const(ring, 1)
+    for i, c, bc in factors:
         for z in sorted(states):
             zs = z.right_multiply(i)
             if z[i - 1] > z[i]:
@@ -88,6 +87,8 @@ def row_walk(n: int, rows, start=(), w=None):
     only w's part and the states <= w in Bruhat order are kept."""
     keep = None if w is None else (lambda v, r_w=rank_function(w): all(
         map(int.__ge__, rank_function(v), r_w)))
+    b = SparsePoly.var(beta_ring(), "b")
+    start, *rows = [[(i, c, b * c) for i, c in row] for row in (start, *rows)]
     stack = [(0, hecke_chain({identity(n): SparsePoly.const(beta_ring(), 1)},
                              start, keep))]
     while stack:
@@ -131,9 +132,7 @@ def beta_poly(w: Permutation) -> SparsePoly:
     under embedding), memoised under w without its fixed tail: w and
     w.embed(n + 1) share one entry."""
     w = _stable(w)
-    if (p := _FAMILY_MEMO.get(w)) is None:
-        _FAMILY_MEMO.put(w, p := _pruned_chain(w))
-    return p
+    return _FAMILY_MEMO.value(w, lambda: _pruned_chain(w))
 
 
 def double_schubert(w: Permutation) -> SparsePoly:
@@ -171,6 +170,5 @@ def bott_samelson_class(fgl: FormalGroupLaw, word: tuple, n: int
         if not 1 <= i <= n - 1:
             raise ValueError(f"index {i} out of range for n={n}")
     return _BS_MEMO.resume(
-        (fgl, n, word),
-        lambda: (word, [(fgl, n, word[:k]) for k in range(len(word) + 1)]),
+        word, lambda k: (fgl, n, word[:k]),
         lambda: bott_samelson_initial(fgl, n), OperatorContext(n, fgl=fgl).A_op)

@@ -6,8 +6,9 @@ the connective K-theory body of each degeneracy locus, the products of
 elementary symmetric polynomials and their tables of partition
 coefficients) is a ``TermMemo``: a map whose size is measured in stored
 polynomial terms or table rows, evicted least-recently-used first, with
-hit and miss counts for inspection.  ``TermMemo.resume`` is the one
-walk that resumes a chain of values memoised by prefix.
+hit and miss counts for inspection.  Callers reach a memo only through
+``TermMemo.value``, for a value built whole, and ``TermMemo.resume``, for a
+chain of values memoised by prefix.
 """
 
 from __future__ import annotations
@@ -55,26 +56,25 @@ class TermMemo:
             _, evicted = self._entries.popitem(last=False)
             self.terms -= len(evicted)
 
-    def resume(self, key, walk, start, op):
-        """The value at key.  On a miss, walk() gives a word and the keys of
-        its prefixes: keys[k] names the value after the first k letters, so
-        keys[0] names start()'s and keys[-1] is key.  The walk resumes at the
+    def value(self, key, build):
+        """The value at key; on a miss, build() stored under key."""
+        if (p := self.get(key)) is None:
+            self.put(key, p := build())
+        return p
+
+    def resume(self, word, key, start, op):
+        """The value after every letter of word: key(k) names the value after
+        its first k letters, and key(0) start()'s.  The walk resumes at the
         longest stored prefix, applies op(letter, p) for each further letter
         and stores every prefix it passes."""
-        p = self.get(key)
-        if p is not None:
-            return p
-        word, keys = walk()
         k = len(word)
-        while p is None and k > 0:
+        while (p := self.get(key(k))) is None and k > 0:
             k -= 1
-            p = self.get(keys[k])
         if p is None:
-            p = start()
-            self.put(keys[0], p)
+            self.put(key(0), p := start())
         for k in range(k, len(word)):
             p = op(word[k], p)
-            self.put(keys[k + 1], p)
+            self.put(key(k + 1), p)
         return p
 
     def clear(self) -> None:

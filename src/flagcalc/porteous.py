@@ -9,7 +9,7 @@ y-side).
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import itemgetter
 
 from .divdiff import OperatorContext
@@ -137,16 +137,14 @@ def _blocks(t: RankTriple):
 
 def _e_product(ring, block: list, exps: tuple) -> SparsePoly:
     """prod_j e_j(block)^exps[j-1], memoised by ring, block and exps along
-    the word of its factors: e_1 exps[0] times, then e_2 exps[1] times, ..."""
+    the word of its factors: e_1 exps[0] times, then e_2 exps[1] times, ...
+    A prefix is keyed by its count of each j; a hit probes exps itself."""
     block = tuple(block)
-
-    def walk():
-        word = [j for j, a in enumerate(exps, start=1) for _ in range(a)]
-        return word, [(ring, block, done) for done in accumulate(
-            word, lambda e, j: e[:j - 1] + (e[j - 1] + 1,) + e[j:],
-            initial=(0,) * len(exps))]
+    word = [j for j, a in enumerate(exps, start=1) for _ in range(a)]
     return _ELEMENTARY_MEMO.resume(
-        (ring, block, exps), walk, lambda: SparsePoly.const(ring, 1),
+        word, lambda k: (ring, block, exps if k == len(word) else tuple(
+            map(word[:k].count, range(1, len(exps) + 1)))),
+        lambda: SparsePoly.const(ring, 1),
         lambda j, p: p * elementary_symmetric(ring, j, block))
 
 
@@ -175,13 +173,9 @@ def _is_partition(a: tuple) -> bool:
 def _partitions(ring, block: list, exps: tuple) -> list:
     """The (mu, c) of _e_product(ring, block, exps).split(block), mu a
     partition."""
-    key = (ring, tuple(block), exps)
-    table = _PARTITION_MEMO.get(key)
-    if table is None:
-        parts = _e_product(ring, block, exps).split(block)
-        table = [(mu, c) for mu, c in parts.items() if _is_partition(mu)]
-        _PARTITION_MEMO.put(key, table)
-    return table
+    return _PARTITION_MEMO.value((ring, tuple(block), exps), lambda: [
+        (mu, c) for mu, c in _e_product(ring, block, exps).split(block).items()
+        if _is_partition(mu)])
 
 
 def _reduce_block(p: SparsePoly, prefix: str, block: list) -> SparsePoly:
@@ -240,10 +234,7 @@ def thom_porteous(t: RankTriple, theory: str = "ck") -> DPoly:
     assignment = {"ck": None, "k0": {"b": -1}, "ch": {"b": 0, **flips}}
     if theory not in assignment:
         raise ValueError(f"unknown theory {theory!r}")
-    body = _CK_MEMO.get(t)
-    if body is None:
-        body = _ck_body(t)
-        _CK_MEMO.put(t, body)
+    body = _CK_MEMO.value(t, lambda: _ck_body(t))
     if assignment[theory]:
         body = body.substitute(assignment[theory], ring=ZZ)
     d_label = "-c_j(Edual)" if theory == "ch" else "c_j(Edual)"

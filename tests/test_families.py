@@ -204,7 +204,7 @@ class TestRowWalk:
 
         def recorded(states, factors, keep=None):
             out = chain(states, factors, keep)
-            runs.append((min((i for i, _ in factors), default=0), len(out)))
+            runs.append((min((i for i, *_ in factors), default=0), len(out)))
             return out
 
         monkeypatch.setattr(families, "hecke_chain", recorded)
@@ -398,6 +398,28 @@ class TestBottSamelson:
             fresh = ctx.compose_word(
                 word, bott_samelson_initial(fgl, n), ctx.A_op)
             assert p == fresh
+
+    def test_memo_keys_every_prefix_of_the_word(self, monkeypatch):
+        """The class of (1, 2, 1) leaves its prefixes under (law, n,
+        prefix), so the class of (1, 2) is a hit and runs no A_op."""
+        ring = beta_ring()
+        fgl = make_multiplicative(V(ring, "b"), 4, ring)
+        word = (1, 2, 1)
+        families._BS_MEMO.clear()
+        bott_samelson_class(fgl, word, 3)
+        assert list(families._BS_MEMO._entries) == [
+            (fgl, 3, word[:k]) for k in range(4)]
+        calls = []
+        a_op = OperatorContext.A_op
+
+        def counted(ctx, i, p):
+            calls.append(i)
+            return a_op(ctx, i, p)
+        monkeypatch.setattr(OperatorContext, "A_op", counted)
+        ctx = OperatorContext(3, fgl=fgl)
+        fresh = a_op(ctx, 2, a_op(ctx, 1, bott_samelson_initial(fgl, 3)))
+        assert bott_samelson_class(fgl, (1, 2), 3) == fresh
+        assert calls == []
 
     def test_bad_index_rejected_after_a_memoised_prefix(self):
         fgl = make_additive(4, ZZ)

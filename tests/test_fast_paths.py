@@ -319,6 +319,35 @@ class TestTermMemo:
         m.put("big", list(range(6)))
         assert m.get("big") is None and m.terms == 4
 
+    def test_value_hit_never_builds(self):
+        m = memo.TermMemo()
+        m.put("a", self._poly(2))
+
+        def build():
+            raise AssertionError("built on a hit")
+        assert m.value("a", build) == self._poly(2)
+        assert (m.hits, m.misses) == (1, 0)
+
+    def test_value_miss_builds_once_and_stores(self):
+        m, calls = memo.TermMemo(), []
+
+        def build():
+            calls.append("build")
+            return self._poly(3)
+        assert m.value("a", build) == self._poly(3)
+        assert m.value("a", build) == self._poly(3)
+        assert calls == ["build"]
+        assert (m.hits, m.misses, m.terms) == (1, 1, 3)
+        assert m.get("a") == self._poly(3)
+
+    def test_value_returns_but_does_not_store_an_oversized_value(
+            self, monkeypatch):
+        monkeypatch.setattr(memo, "MAX_TERMS", 5)
+        m, big = memo.TermMemo(), self._poly(6)
+        assert m.value("big", lambda: big) is big
+        assert (m.hits, m.misses) == (0, 1)
+        assert m.get("big") is None and m.terms == 0
+
     def _resume(self, m, word, calls):
         """m.resume along word, keyed by prefix: start is the one-term y1
         and op(i, p) multiplies by x_i, each call recorded."""
@@ -331,9 +360,7 @@ class TestTermMemo:
         def op(i, p):
             calls.append(i)
             return p * SparsePoly.var(ring, f"x{i}")
-        return m.resume(
-            word, lambda: (word, [word[:k] for k in range(len(word) + 1)]),
-            start, op)
+        return m.resume(word, lambda k: word[:k], start, op)
 
     def _value(self, word):
         ring = beta_ring()
@@ -364,17 +391,19 @@ class TestTermMemo:
         m, calls = memo.TermMemo(), []
         self._resume(m, (2, 1), calls)
         calls.clear()
+        hits = m.hits
 
-        def walk():
-            raise AssertionError("walked on a hit")
-        assert m.resume((2, 1), walk, None, None) == self._value((2, 1))
-        assert (calls, m.hits) == ([], 1)
+        def key(k):
+            calls.append(("key", k))
+            return (2, 1)[:k]
+        assert m.resume((2, 1), key, None, None) == self._value((2, 1))
+        assert (calls, m.hits - hits) == ([("key", 2)], 1)
 
     def test_resume_returns_but_does_not_store_an_oversized_value(
             self, monkeypatch):
         monkeypatch.setattr(memo, "MAX_TERMS", 5)
         m, big = memo.TermMemo(), self._poly(6)
-        got = m.resume("big", lambda: ((), ["big"]), lambda: big, None)
+        got = m.resume((), lambda k: "big", lambda: big, None)
         assert got is big
         assert m.get("big") is None and m.terms == 0
 

@@ -217,7 +217,7 @@ class TestCanonicalElement:
         for i in range(1, n):
             before = dict(states)
             texts = {w: p.to_text() for w, p in before.items()}
-            hecke_chain(states, [(i, c)])
+            hecke_chain(states, [(i, c, V("b") * c)])
             e = HeckeElement.from_dict(n, states)
             assert e == ref.mul(HeckeElement.from_dict(n, before),
                                 h_factor(n, i, c))
@@ -232,7 +232,7 @@ class TestCanonicalElement:
     def test_chain_rejects_an_index_outside_the_group(self, i):
         states = {identity(3): SparsePoly.const(_R, 1)}
         with pytest.raises(ValueError, match=f"index {i} out of range"):
-            hecke_chain(states, [(i, V("x1"))])
+            hecke_chain(states, [(i, V("x1"), V("x1") * V("b"))])
 
     def test_missing_basis_element_gives_zero(self):
         H = ref.build_H(2)  # only x-variables; still supported

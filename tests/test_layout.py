@@ -26,8 +26,9 @@ Modules import only at their top and only downward: no function body
 imports, and families, which h_top and beta_poly live in, imports
 nothing from hecke, the oracle that checks them.
 
-A chain of values memoised by prefix is walked by ``TermMemo.resume``
-alone: outside memo.py no loop stores into a ``*_MEMO``."""
+A module reaches its memo through ``TermMemo.value`` or
+``TermMemo.resume`` alone: outside memo.py no code calls ``get`` or
+``put`` on a ``*_MEMO``."""
 
 import ast
 import importlib
@@ -161,54 +162,46 @@ def test_only_the_law_builds_a_series(module):
     assert bool(SERIES.search(text)) is (module == "fgl.py")
 
 
-# the one prefix walk of a memoised chain is TermMemo.resume: a put on a
-# module memo inside a loop or comprehension is a second one
-LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
-         ast.DictComp, ast.GeneratorExp)
-
-
+# the memo protocol lives in memo.py: a get or put on a module memo
+# elsewhere is a hand-written copy of TermMemo.value or TermMemo.resume
 def _name(node) -> str:
     """The name of a name node, the last part of an attribute, else ''."""
     return getattr(node, "id", getattr(node, "attr", ""))
 
 
-def _memo_puts_in_loops(module: str, text: str) -> list:
-    """The lines that call .put on a name or attribute ending in _MEMO
-    inside a loop, each once."""
-    found = {node.lineno for loop in ast.walk(ast.parse(text))
-             if isinstance(loop, LOOPS)
-             for node in ast.walk(loop)
+def _memo_accesses(module: str, text: str) -> list:
+    """The lines that call .get or .put on a name or attribute ending in
+    _MEMO, each once."""
+    found = {node.lineno for node in ast.walk(ast.parse(text))
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "put"
+             and node.func.attr in ("get", "put")
              and _name(node.func.value).endswith("_MEMO")}
     lines = text.splitlines()
     return [f"{module}:{k}: {lines[k - 1].strip()}" for k in sorted(found)]
 
 
-def test_memo_loop_guard_flags_planted_walks():
-    planted = ("def _e_product(ring, block, exps):\n"
-               "    for j, a in enumerate(exps):\n"
-               "        for k in range(1, a + 1):\n"
-               "            q = _ELEMENTARY_MEMO.get(key)\n"
-               "            _ELEMENTARY_MEMO.put(key, q)\n"
-               "    while k:\n"
-               "        porteous._CK_MEMO.put(k, p)\n"
-               "    [_BS_MEMO.put(key, p) for key in keys]\n"
-               "def thom_porteous(t):\n"
+def test_memo_guard_flags_planted_accesses():
+    planted = ("def thom_porteous(t):\n"
                "    _CK_MEMO.put(t, body)\n"
+               "    q = _ELEMENTARY_MEMO.get(key)\n"
+               "    porteous._CK_MEMO.put(k, p)\n"
+               "    [_BS_MEMO.put(key, p) for key in keys]\n"
                "    for key in keys:\n"
-               "        cache.put(key, p)\n")
-    assert _memo_puts_in_loops("porteous.py", planted) == [
-        "porteous.py:5: _ELEMENTARY_MEMO.put(key, q)",
-        "porteous.py:7: porteous._CK_MEMO.put(k, p)",
-        "porteous.py:8: [_BS_MEMO.put(key, p) for key in keys]"]
+               "        cache.put(key, p)\n"
+               "        cache.get(key)\n"
+               "    return _PARTITION_MEMO.value(key, build)\n")
+    assert _memo_accesses("porteous.py", planted) == [
+        "porteous.py:2: _CK_MEMO.put(t, body)",
+        "porteous.py:3: q = _ELEMENTARY_MEMO.get(key)",
+        "porteous.py:4: porteous._CK_MEMO.put(k, p)",
+        "porteous.py:5: [_BS_MEMO.put(key, p) for key in keys]"]
 
 
 @pytest.mark.parametrize("module", sorted(
     p.name for p in PACKAGE.glob("*.py") if p.name != "memo.py"))
-def test_memoised_chains_walk_through_resume(module):
-    found = _memo_puts_in_loops(module, (PACKAGE / module).read_text())
+def test_memos_are_reached_through_value_and_resume(module):
+    found = _memo_accesses(module, (PACKAGE / module).read_text())
     assert not found, "\n".join(found)
 
 

@@ -311,6 +311,23 @@ class TestPartitionTables:
                 to_elementary(bad, t)
         assert 0 < porteous._PARTITION_MEMO.terms <= memo.MAX_TERMS
 
+    def test_elementary_products_are_keyed_by_prefix(self, ring):
+        """e_1^2 e_2 is walked e_1, e_1, e_2: each prefix is stored under
+        the exponents it has used, and holds their product."""
+        block = ["x1", "x2", "x3"]
+        porteous._ELEMENTARY_MEMO.clear()
+        got = porteous._e_product(ring, block, (2, 1, 0))
+        entries = porteous._ELEMENTARY_MEMO._entries
+        assert list(entries) == [
+            (ring, tuple(block), exps)
+            for exps in [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0)]]
+        for (_, _, exps), p in entries.items():
+            direct = SparsePoly.const(ring, 1)
+            for j, a in enumerate(exps, start=1):
+                direct *= elementary_symmetric(ring, j, block) ** a
+            assert p == direct
+        assert got is entries[(ring, tuple(block), (2, 1, 0))]
+
 
 class TestTheories:
     def test_line_bundles_ck(self, ring):
