@@ -1,10 +1,11 @@
 """The degenerate Hecke algebra on generators u_i with u_i^2 = b u_i,
 braid and commutation relations, over Z[b][x, y].
 
-Elements are kept in the basis {u_w : w in S_n} at all times.  One rule
-multiplies them, u_z u_w = b^k u_{z*w} with * the Demazure product: walk z
-along the lex-smallest reduced word of w, taking z <- z s_i at an ascent
-z(i) < z(i+1) and a factor b at a descent.  Equality is a map comparison.
+Elements are kept in the basis {u_w : w in S_n}.  Every builder, identity
+word and coefficient certificate is a word of factors h_i(c) = 1 + c u_i run
+by families.row_walk through families.hecke_chain; HeckeElement.__mul__, the
+Demazure product u_z u_w = b^k u_{z*w} along the lex-smallest reduced word of
+w, serves only the generator-relations certificate.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ def builder_word(name: str, n: int) -> tuple:
     the rows alpha_i(x_i) of H(x) after H~(y) = alpha~_{n-1}(y_{n-1}) ..."""
     if name == "alternative_product":
         return pipe_rows(n), []
+    if name not in ("build_Hxy", "build_Htilde"):
+        raise ValueError(f"no Hecke builder named {name!r}")
     htilde = [f for i in range(n - 1, 0, -1)
               for f in _alpha_tilde(n, i, SparsePoly.var(_RING, f"y{i}"))]
     return ([_alpha(n, i, SparsePoly.var(_RING, f"x{i}")) for i in range(1, n)]

@@ -7,8 +7,8 @@ elementary symmetric polynomials and their tables of partition
 coefficients) is a ``TermMemo``: a map whose size is measured in stored
 polynomial terms or table rows, evicted least-recently-used first, with
 hit and miss counts for inspection.  Callers reach a memo only through
-``TermMemo.value``, for a value built whole, and ``TermMemo.resume``, for a
-chain of values memoised by prefix.
+``TermMemo.value``, for a value built whole, and ``TermMemo.resume``, for the
+push-forward classes, a chain of values memoised by prefix.
 """
 
 from __future__ import annotations

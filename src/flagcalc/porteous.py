@@ -10,6 +10,7 @@ y-side).
 from __future__ import annotations
 
 from itertools import combinations
+from math import prod
 from operator import itemgetter
 
 from .divdiff import OperatorContext
@@ -136,16 +137,11 @@ def _blocks(t: RankTriple):
 
 
 def _e_product(ring, block: list, exps: tuple) -> SparsePoly:
-    """prod_j e_j(block)^exps[j-1], memoised by ring, block and exps along
-    the word of its factors: e_1 exps[0] times, then e_2 exps[1] times, ...
-    A prefix is keyed by its count of each j; a hit probes exps itself."""
-    block = tuple(block)
-    word = [j for j, a in enumerate(exps, start=1) for _ in range(a)]
-    return _ELEMENTARY_MEMO.resume(
-        word, lambda k: (ring, block, exps if k == len(word) else tuple(
-            map(word[:k].count, range(1, len(exps) + 1)))),
-        lambda: SparsePoly.const(ring, 1),
-        lambda j, p: p * elementary_symmetric(ring, j, block))
+    """prod_j e_j(block)^exps[j-1], memoised by ring, block and exps."""
+    return _ELEMENTARY_MEMO.value((ring, tuple(block), exps), lambda: prod(
+        (elementary_symmetric(ring, j, block) ** a
+         for j, a in enumerate(exps, start=1) if a),
+        start=SparsePoly.const(ring, 1)))
 
 
 def _symmetric(parts: dict) -> bool:

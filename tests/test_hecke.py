@@ -206,6 +206,13 @@ class TestCanonicalElement:
                 assert {w: ref.evaluate(c, point) for w, c in build(n).coeffs
                         } == _product_at(word, n, point), build.__name__
 
+    @pytest.mark.parametrize("name", ["build_hxy", "Hxy", "build_H", ""])
+    def test_builder_word_rejects_an_unknown_name(self, name):
+        """A misspelt builder raises, naming it, and does not fall back to
+        the word of H~(y)."""
+        with pytest.raises(ValueError, match=repr(name)):
+            builder_word(name, 3)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_chain_step_shares_the_coefficients_it_leaves(self, n):
         """After a chain step h_i(c), the coefficient at every ascent w of i

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 
@@ -311,22 +312,28 @@ class TestPartitionTables:
                 to_elementary(bad, t)
         assert 0 < porteous._PARTITION_MEMO.terms <= memo.MAX_TERMS
 
-    def test_elementary_products_are_keyed_by_prefix(self, ring):
-        """e_1^2 e_2 is walked e_1, e_1, e_2: each prefix is stored under
-        the exponents it has used, and holds their product."""
+    def test_elementary_products_are_keyed_by_exponents(self, ring,
+                                                        monkeypatch):
+        """e_1^2 e_2 is stored under its own exponents alone, a repeat call
+        builds no e_j, and every product of a 3-variable block with
+        exponents in {0, 1, 2} is the direct product."""
         block = ["x1", "x2", "x3"]
         porteous._ELEMENTARY_MEMO.clear()
         got = porteous._e_product(ring, block, (2, 1, 0))
-        entries = porteous._ELEMENTARY_MEMO._entries
-        assert list(entries) == [
-            (ring, tuple(block), exps)
-            for exps in [(0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0)]]
-        for (_, _, exps), p in entries.items():
+        assert list(porteous._ELEMENTARY_MEMO._entries) == [
+            (ring, tuple(block), (2, 1, 0))]
+        built = []
+        monkeypatch.setattr(porteous, "elementary_symmetric",
+                            lambda *args: built.append(args)
+                            or elementary_symmetric(*args))
+        assert porteous._e_product(ring, block, (2, 1, 0)) is got
+        assert built == []
+        for exps in itertools.product(range(3), repeat=3):
             direct = SparsePoly.const(ring, 1)
             for j, a in enumerate(exps, start=1):
                 direct *= elementary_symmetric(ring, j, block) ** a
-            assert p == direct
-        assert got is entries[(ring, tuple(block), (2, 1, 0))]
+            assert porteous._e_product(ring, block, exps) == direct, exps
+        assert built  # the spy sees the builds of the misses
 
 
 class TestTheories:
