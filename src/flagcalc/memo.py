@@ -2,13 +2,14 @@
 
 Every cache of polynomials in flagcalc (the h_w family, the inverse
 denominator units of the generalised operators, the push-forward classes,
-the connective K-theory body of each degeneracy locus, the products of
-elementary symmetric polynomials and their tables of partition
-coefficients) is a ``TermMemo``: a map whose size is measured in stored
-polynomial terms or table rows, evicted least-recently-used first, with
-hit and miss counts for inspection.  Callers reach a memo only through
-``TermMemo.value``, for a value built whole, and ``TermMemo.resume``, for the
-push-forward classes, a chain of values memoised by prefix.
+the connective K-theory body of each degeneracy locus and the Schur
+polynomials it sums, the products of elementary symmetric polynomials and
+their tables of partition coefficients) is a ``TermMemo``: a map whose
+size is measured in stored polynomial terms or table rows, evicted
+least-recently-used first, with hit and miss counts for inspection.
+Callers reach a memo only through ``TermMemo.value``, for a value built
+whole, and ``TermMemo.resume``, for the push-forward classes, a chain of
+values memoised by prefix.
 """
 
 from __future__ import annotations

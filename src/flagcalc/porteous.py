@@ -2,20 +2,21 @@
 
 The single rank condition (e, f, r) is encoded by a Grassmannian-type
 permutation; the corresponding family member is symmetric separately in
-the surviving x- and y-variables and is rewritten in the elementary
+the surviving x- and y-variables and is written in the elementary
 symmetric functions of the two blocks (c_i for the x-side, d_j for the
-y-side).
+y-side).  That body is built in the slots directly, as a bialternant
+evaluated by Cauchy-Binet, with no phi step and no rewrite; to_elementary
+rewrites any block-symmetric polynomial.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from operator import itemgetter
 
-from .divdiff import OperatorContext
 from .memo import TermMemo
-from .perms import Permutation, lex_smallest_reduced_word, nu_triple
+from .perms import Permutation, nu_triple
 from .rings import SparsePoly, ZZ, beta_ring, sum_of_products
 
 __all__ = [
@@ -33,6 +34,8 @@ __all__ = [
 # the CK body of each triple's locus, from which every theory is derived
 _CK_MEMO = TermMemo()
 _ELEMENTARY_MEMO = TermMemo()
+# s_lam(x_1..x_f) in the c-slots, keyed by (lam, f)
+_SCHUR_MEMO = TermMemo()
 # each product's (partition, coefficient) pairs, sized by their number
 _PARTITION_MEMO = TermMemo()
 
@@ -70,14 +73,6 @@ class RankTriple(tuple):
         # identity l = (e - r)(f - r)
         return nu_triple((self.e, self.f, self.r))
 
-    def dominant(self) -> Permutation:
-        """u = (e+1, ..., n, 1, ..., e): dominant, its diagram the (f - r)
-        x e rectangle.  The triple's permutation lies r(f - r) steps below
-        it in the right weak order: its inverted value pairs are u's whose
-        smaller value is above r."""
-        return Permutation([*range(self.e + 1, self.n + 1),
-                            *range(1, self.e + 1)])
-
 
 class DPoly(tuple):
     """A body in c_1..c_f (x-side) and d_1..d_e (y-side) for a triple;
@@ -110,24 +105,61 @@ def specialize_nu(t: RankTriple, n_pad: int = 0) -> SparsePoly:
     return from_elementary(thom_porteous(t, "ck"))
 
 
+def _minors(entry, rows: int, cols: int, ring) -> dict:
+    """The determinant on each ascending cols-subset of range(rows) and the
+    columns 0..cols-1 of the matrix entry(a, k): the minor on s rows is
+    expanded along its last column, one sum_of_products over the minors
+    on s - 1 rows."""
+    minors = {(): SparsePoly.const(ring, 1)}
+    for k in range(cols):
+        column = [entry(a, k) for a in range(rows)]
+        signed = (column, [-p for p in column])
+        minors = {keep: sum_of_products([
+            (signed[(i + k) % 2][a], minor) for i, a in enumerate(keep)
+            if column[a] and (minor := minors[keep[:i] + keep[i + 1:]])], ring)
+            for keep in combinations(range(rows), k + 1)}
+    return minors
+
+
+def _schur(lam: tuple, f: int) -> SparsePoly:
+    """s_lam(x_1..x_f) in the c-slots by dual Jacobi-Trudi,
+    det(c_(lam'_i - i + j)) with c_0 = 1 and c_k = 0 outside 0..f."""
+    def build():
+        ring, size = beta_ring(), max(lam, default=0)
+        conj = [sum(p > i for p in lam) for i in range(size)]
+        c = {k: SparsePoly.var(ring, f"c{k}") for k in range(1, f + 1)}
+        c[0], zero = SparsePoly.const(ring, 1), SparsePoly.zero(ring)
+        return _minors(lambda i, j: c.get(conj[i] - i + j, zero),
+                       size, size, ring)[tuple(range(size))]
+    return _SCHUR_MEMO.value((lam, f), build)
+
+
 def _ck_body(t: RankTriple) -> SparsePoly:
-    """The CK body: the walk from the dominant u = t.dominant(), whose
-    member is the product over its rectangle, applying phi along the
-    lex-smallest reduced word of u^-1 nu (r(f - r) steps on x_1..x_f),
-    started in the d-slots; then only the x-block is rewritten.  A row of
-    the start is prod_j (x + y_j + b x y_j) = sum_k x^(e - k) (1 + b x)^k d_k
-    with d_0 = 1; phi never touches y."""
-    ring = beta_ring()
-    d = [1] + [SparsePoly.var(ring, f"d{k}") for k in range(1, t.e + 1)]
-    start = SparsePoly.const(ring, 1)
-    for x in (SparsePoly.var(ring, f"x{i}") for i in range(1, t.f - t.r + 1)):
-        unit = 1 + SparsePoly.var(ring, "b") * x
-        start *= sum(x ** (t.e - k) * unit ** k * d[k] for k in range(t.e + 1))
-    word = lex_smallest_reduced_word(t.dominant().inverse().compose(
-        t.permutation()))
-    ctx = OperatorContext(t.n)
-    return _reduce_block(ctx.compose_word(word, start, ctx.phi_beta),
-                         *_blocks(t)[0])
+    """The CK body.  The walk of phi along the Grassmannian coset word,
+    r(f - r) steps, is the factorial Grothendieck bialternant of Ikeda &
+    Naruse (2013), det(P_k(x_i)) / prod_(i<j) (x_j - x_i) over i, k < f,
+    where P_k(x) is x^k (1 + b x)^(f - r) for k < r and x^(k - r) R(x) for
+    k >= r, and R(x) = sum_q x^(e - q) (1 + b x)^q d_q (d_0 = 1) is a row of
+    the rectangle.  By Cauchy-Binet it is sum_A det(G_A) s_lam(c): A runs
+    over the ascending f-subsets of the exponents 0..n-1, G_A is those rows
+    of G, G_ak the coefficient of x^a in P_k, and
+    lam_j = a_(f+1-j) - (f - j)."""
+    ring, e, m = beta_ring(), t.e, t.f - t.r
+    d = [()] + [((f"d{q}", 1),) for q in range(1, e + 1)]
+    # the coefficients of x^s in (1 + b x)^m and in R(x), sums of
+    # C(q, j) b^j d_q with b^j from (1 + b x)^q
+    unit = [SparsePoly(ring, {(("b", j),): comb(m, j)}) for j in range(m + 1)]
+    row = [SparsePoly(ring, {(("b", s - e + q),) + d[q]: comb(q, s - e + q)
+                             for q in range(e - s, e + 1)})
+           for s in range(e + 1)]
+    zero = SparsePoly.zero(ring)
+
+    def entry(a, k):
+        s, coeffs = (a - k, unit) if k < t.r else (a - k + t.r, row)
+        return coeffs[s] if 0 <= s < len(coeffs) else zero
+    return sum_of_products([
+        (g, _schur(tuple(a - i for i, a in enumerate(A))[::-1], t.f))
+        for A, g in _minors(entry, t.n, t.f, ring).items() if g], ring)
 
 
 def _blocks(t: RankTriple):
@@ -219,7 +251,9 @@ def from_elementary(dp: DPoly) -> SparsePoly:
 
 
 def thom_porteous(t: RankTriple, theory: str = "ck") -> DPoly:
-    """The universal polynomial for the rank <= r locus of a map E -> F.
+    """The universal polynomial for the rank <= r locus of a map E -> F,
+    read from the CK body, the bialternant of _ck_body, built once per
+    triple and memoised.
 
     theory: "ck" keeps the symbolic parameter b and "k0" sets b = -1; in
     both the d-slots stand for c_j(E^dual).  "ch" sets b = 0 and flips

@@ -470,11 +470,12 @@ class SparsePoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = SparsePoly.const(self.ring, 1)
-        base = self
+        if n == 0:
+            return SparsePoly.const(self.ring, 1)
+        result, base = None, self  # no product with the constant 1
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
         return result

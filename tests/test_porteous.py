@@ -24,12 +24,14 @@ from flagcalc.porteous import (
 )
 from flagcalc.rings import SparsePoly, ZZ, beta_ring
 from locus_reference import (
+    dominant,
     expected_codim,
     from_elementary_by_substitution,
     is_dominant,
     symmetric_by_swaps,
     walk_from_dominant,
     walk_from_top,
+    walk_in_d_slots,
 )
 
 
@@ -54,13 +56,11 @@ TRIPLES_3 = [t for t in TRIPLES_4 if t.e <= 3 and t.f <= 3]
 EDGE_TRIPLES = [RankTriple(0, f, 0) for f in (1, 2, 3)] + \
     [RankTriple(e, 0, 0) for e in (1, 2, 3)]
 
-# the triples with max(e, f) = 5 but (5,5,0), (5,5,1) and (5,5,2), whose
-# CK bodies take 2.4 s to 3.8 s each; the CH determinant below is a
-# Laplace expansion, 0.2 s or less on every triple here
+# every triple with max(e, f) = 5; the CH determinant below is a Laplace
+# expansion, under a second on every triple here
 TRIPLES_5 = [RankTriple(e, f, r)
              for e in range(1, 6) for f in range(1, 6)
-             for r in range(min(e, f) + 1)
-             if max(e, f) == 5 and (e, f) != (5, 5)]
+             for r in range(min(e, f) + 1) if max(e, f) == 5]
 
 
 def laplace_det(rows, one):
@@ -195,7 +195,7 @@ class TestSpecialize:
                     if e + f - r < 1:
                         continue
                     t = RankTriple(e, f, r)
-                    u, nu = t.dominant(), t.permutation()
+                    u, nu = dominant(t), t.permutation()
                     assert is_dominant(u), t
                     assert set(u.diagram()) == {
                         (i, j) for i in range(1, f - r + 1)
@@ -208,19 +208,21 @@ class TestSpecialize:
     @pytest.mark.parametrize("t", [RankTriple(3, 3, 1), RankTriple(2, 3, 2),
                                    RankTriple(3, 2, 0)], ids=str)
     def test_walk_length(self, t, monkeypatch):
-        # the one walk is the CK body's, on a cold memo; the member and the
-        # other theories then read the memoised body
-        steps = []
-        phi = OperatorContext.phi_beta
+        # the CK body is a bialternant, so no phi step runs; a cold memo
+        # builds it once, and the member and the other theories then read
+        # the memoised body
+        steps, built = [], []
+        phi, body = OperatorContext.phi_beta, porteous._ck_body
         monkeypatch.setattr(OperatorContext, "phi_beta",
                             lambda ctx, i, p: steps.append(i) or phi(ctx, i, p))
+        monkeypatch.setattr(porteous, "_ck_body",
+                            lambda t: built.append(t) or body(t))
         porteous._CK_MEMO.clear()
         specialize_nu(t)
-        assert len(steps) == t.r * (t.f - t.r)
-        assert all(i < t.f for i in steps)
         specialize_nu(t, n_pad=1)
         thom_porteous(t, "ch")
-        assert len(steps) == t.r * (t.f - t.r)
+        assert steps == [] and built == [t]
+        assert (porteous._CK_MEMO.misses, porteous._CK_MEMO.hits) == (1, 2)
 
 
 class TestElementaryRewrite:
@@ -365,18 +367,17 @@ class TestTheories:
     def test_unknown_theory_fails_before_the_walk(self, monkeypatch):
         def no_walk(*args):
             raise AssertionError("locus built for an unknown theory")
-        # the walk in the d-slots is one compose_word, even with no steps
-        monkeypatch.setattr(OperatorContext, "compose_word", no_walk)
+        monkeypatch.setattr(porteous, "_ck_body", no_walk)
         porteous._CK_MEMO.clear()
         with pytest.raises(ValueError, match="unknown theory"):
             thom_porteous(RankTriple(3, 3, 0), "ko")
-        # a known theory on the empty memo runs the patched walk
+        # a known theory on the empty memo runs the patched builder
         with pytest.raises(AssertionError, match="unknown theory"):
             thom_porteous(RankTriple(3, 3, 0), "ck")
 
     def test_body_does_not_walk_in_x_and_y(self, monkeypatch):
-        # the CK body comes from the walk in the d-slots alone; the x, y
-        # walk and its two-block rewrite are the reference it must equal
+        # the CK body comes from the bialternant alone; the x, y walk and
+        # its two-block rewrite are the reference it must equal
         want = {t: to_elementary(walk_from_dominant(t), t).body
                 for t in TRIPLES_3[::4]}
 
@@ -387,6 +388,12 @@ class TestTheories:
         porteous._CK_MEMO.clear()
         for t, body in want.items():
             assert thom_porteous(t, "ck").body == body
+
+    @pytest.mark.parametrize("t", TRIPLES_4 + EDGE_TRIPLES + [
+        RankTriple(5, 4, 2), RankTriple(4, 5, 2)], ids=str)
+    def test_body_matches_the_walk_in_d_slots(self, t):
+        # the bialternant against r(f - r) phi steps from the rectangle
+        assert porteous._ck_body(t) == walk_in_d_slots(t)
 
     @pytest.mark.parametrize("t", TRIPLES_3 + EDGE_TRIPLES, ids=str)
     def test_theories_share_one_rewrite(self, t):

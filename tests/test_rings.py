@@ -57,6 +57,28 @@ class TestArith:
         p = V(ring, "x1") + V(ring, "y1")
         assert p * SparsePoly.const(ring, 1) == p
 
+    def test_power_forms_no_product_with_one(self, ring, monkeypatch):
+        # by squaring, p ** n takes bit_length - 1 squares and
+        # popcount - 1 further products: none with the constant 1
+        p = V(ring, "x1") + V(ring, "y1")
+        calls = []
+        monkeypatch.setattr(flagcalc.rings, "sum_of_products",
+                            lambda pairs, *args: calls.append(pairs)
+                            or sum_of_products(pairs, *args))
+        direct = SparsePoly.const(ring, 1)
+        for n in range(9):
+            calls.clear()
+            got = p ** n
+            assert got == direct, n
+            assert len(calls) == max(0, n.bit_length() + n.bit_count() - 2)
+            assert not any(a == 1 or b == 1 for pairs in calls
+                           for a, b in pairs), n
+            direct = sum_of_products([(direct, p)], ring)
+        assert p ** 1 is p
+        assert p ** 0 == 1 and (p ** 0).ring == ring
+        with pytest.raises(ValueError, match="negative power"):
+            p ** -1
+
     def test_distribute_by_hand(self, ring):
         # (x1 + y1 + b x1 y1) * x2, expanded manually
         b = V(ring, "b")
