@@ -28,6 +28,7 @@ __all__ = [
 _FAMILY_MEMO = TermMemo()
 # push-forward classes per (law, n, word)
 _BS_MEMO = TermMemo()
+_PIPE_MEMO = TermMemo()  # pipe_rows(n) per n
 
 
 def oplus(a: SparsePoly, b: SparsePoly) -> SparsePoly:
@@ -53,12 +54,13 @@ def h_top(n: int) -> SparsePoly:
     return cell_product(beta_ring(), longest_element(n).diagram(), oplus)
 
 
-def pipe_rows(n: int) -> list:
-    """Row i < n holds h_{i+j-1}(x_i (+) y_j), j from n-i down to 1."""
+def pipe_rows(n: int) -> tuple:
+    """Row i < n holds h_{i+j-1}(x_i (+) y_j), j = n-i..1; built once."""
     ring = beta_ring()
-    return [[(i + j - 1, oplus(SparsePoly.var(ring, f"x{i}"),
-                               SparsePoly.var(ring, f"y{j}")))
-             for j in range(n - i, 0, -1)] for i in range(1, n)]
+    return _PIPE_MEMO.value(n, lambda: tuple(
+        tuple((i + j - 1, oplus(SparsePoly.var(ring, f"x{i}"),
+                                SparsePoly.var(ring, f"y{j}")))
+              for j in range(n - i, 0, -1)) for i in range(1, n)))
 
 
 def hecke_chain(states: dict, factors, keep=None) -> dict:

@@ -3,9 +3,10 @@ braid and commutation relations, over Z[b][x, y].
 
 Elements are kept in the basis {u_w : w in S_n}.  Every builder, identity
 word and coefficient certificate is a word of factors h_i(c) = 1 + c u_i run
-by families.row_walk through families.hecke_chain; HeckeElement.__mul__, the
-Demazure product u_z u_w = b^k u_{z*w} along the lex-smallest reduced word of
-w, serves only the generator-relations certificate.
+by families.row_walk through families.hecke_chain, and the generator
+relations are the Demazure rule on pairs (w, k), b^k u_w.  The product
+HeckeElement.__mul__, u_z u_w = b^k u_{z*w} along the lex-smallest reduced
+word of w, serves the tests and the layers of bench/trace_layers.py only.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .divdiff import OperatorContext
 from .families import beta_poly, h_top, oplus, pipe_rows, row_walk
 from .perms import (Permutation, all_permutations,
                     lex_smallest_reduced_word, longest_element, transposition)
-from .rings import SparsePoly, beta_ring, sum_of_products
+from .rings import SparsePoly, beta_ring, sum_of_products, symmetric
 
 __all__ = [
     "HeckeElement",
@@ -142,6 +143,15 @@ def coefficient(e: HeckeElement, w: Permutation) -> SparsePoly:
 
 # -- verification suite -------------------------------------------------------
 
+def _demazure(w: Permutation, word) -> tuple:
+    """u_w u_i ... over the letters i of word as (v, k), b^k u_v: u_(w s_i)
+    at an ascent i of w and b u_w at a descent, as in hecke_chain."""
+    k = 0
+    for i in word:
+        w, k = (w, k + 1) if w[i - 1] > w[i] else (w.right_multiply(i), k)
+    return w, k
+
+
 def identity_words(n: int) -> dict:
     """The h-factor certificates of verify_identities by name, in its order,
     each a list of (lhs, rhs) pairs of words whose products are equal."""
@@ -177,22 +187,17 @@ def verify_identities(n: int) -> list:
     def record(name, ok):
         results.append({"name": name, "ok": bool(ok)})
 
-    b = SparsePoly.var(_RING, "b")
-
     # defining relations on basis elements
     ok = True
     for w in all_permutations(n):
-        e = HeckeElement.from_dict(n, {w: SparsePoly.const(_RING, 1)})
-        u = {i: e.mul_by_generator(i) for i in range(1, n)}  # e u_i
         for i in range(1, n):
-            ok = ok and u[i].mul_by_generator(i) == u[i].scale(b)
+            v, k = _demazure(w, (i,))
+            ok = ok and _demazure(w, (i, i)) == (v, k + 1)
             for j in range(i + 2, n):
-                ok = ok and (u[i].mul_by_generator(j)
-                             == u[j].mul_by_generator(i))
+                ok = ok and _demazure(w, (i, j)) == _demazure(w, (j, i))
             if i + 1 < n:
-                ok = ok and (u[i].mul_by_generator(i + 1).mul_by_generator(i)
-                             == u[i + 1].mul_by_generator(i)
-                             .mul_by_generator(i + 1))
+                ok = ok and (_demazure(w, (i, i + 1, i))
+                             == _demazure(w, (i + 1, i, i + 1)))
     record("generator relations", ok)
 
     for name, pairs in identity_words(n).items():
@@ -200,7 +205,8 @@ def verify_identities(n: int) -> list:
                          for a, b in pairs))
 
     # one coefficient at a time: with every c_w = beta_poly(w), phi_i H =
-    # H u_i - b H is c_(w s_i) at a descent i of w and -b c_w at an ascent
+    # H u_i - b H is c_(w s_i) at a descent i of w and -b c_w at an ascent,
+    # that is c_w symmetric in x_i and x_(i+1)
     ctx, w0 = OperatorContext(n), longest_element(n)
     alt, dd, top = True, True, False
     for (v, c), (u, a), w in zip_longest(
@@ -209,8 +215,8 @@ def verify_identities(n: int) -> list:
             all_permutations(n), fillvalue=(None, None)):
         alt = alt and v == u == w and c == a
         dd = dd and v == w and c == beta_poly(w) and all(
-            ctx.phi_beta(i, c) == (beta_poly(w.right_multiply(i))
-                                   if w[i - 1] > w[i] else -(b * c))
+            ctx.phi_beta(i, c) == beta_poly(w.right_multiply(i))
+            if w[i - 1] > w[i] else symmetric(c.split((f"x{i}", f"x{i + 1}")))
             for i in range(1, n))
         top = top or (w == v == w0 and c == h_top(n))
     record("alternative product equals H(x, y)", alt)

@@ -17,7 +17,7 @@ from operator import itemgetter
 
 from .memo import TermMemo
 from .perms import Permutation, nu_triple
-from .rings import SparsePoly, ZZ, beta_ring, sum_of_products
+from .rings import SparsePoly, ZZ, beta_ring, sum_of_products, symmetric
 
 __all__ = [
     "RankTriple",
@@ -176,16 +176,9 @@ def _e_product(ring, block: list, exps: tuple) -> SparsePoly:
         start=SparsePoly.const(ring, 1)))
 
 
-def _symmetric(parts: dict) -> bool:
-    """Whether each key of a split map has its adjacent swaps' coefficient."""
-    return all(parts.get(a[:i] + (a[i + 1], a[i]) + a[i + 2:]) == c
-               for a, c in parts.items() for i in range(len(a) - 1)
-               if a[i] != a[i + 1])
-
-
 def check_rect_symmetry(p: SparsePoly, t: RankTriple) -> bool:
     """Invariance under all permutations inside each block."""
-    return all(_symmetric(p.split(block)) for _, block in _blocks(t))
+    return all(symmetric(p.split(block)) for _, block in _blocks(t))
 
 
 def elementary_symmetric(ring, k: int, names: list) -> SparsePoly:
@@ -215,7 +208,7 @@ def _reduce_block(p: SparsePoly, prefix: str, block: list) -> SparsePoly:
     largest l left as c_l prod e_j^(l_j - l_(j+1)), and subtract c_l times
     that product's partition coefficients, the largest of which is 1 at l."""
     parts = p.split(block)
-    if not _symmetric(parts):
+    if not symmetric(parts):
         raise SymmetryError(f"input not symmetric in {block}")
     lams = {a: c for a, c in parts.items() if _is_partition(a)}
     slots = [f"{prefix}{i}" for i in range(1, len(block) + 1)]

@@ -46,6 +46,7 @@ __all__ = [
     "MAX_EXP",
     "SparsePoly",
     "sum_of_products",
+    "symmetric",
     "divided_difference",
     "divide_monic",
     "divide_by_difference",
@@ -669,6 +670,14 @@ def sum_of_products(pairs, ring: CoefficientRing,
                     acc[m] = get(m, 0) + c1 * c2
     _check_guard(acc)
     return SparsePoly._new(ring, _clean(acc, ring.rational))
+
+
+def symmetric(parts: dict) -> bool:
+    """Whether the polynomial that split into parts is symmetric in the
+    split's names: each key has its adjacent swaps' coefficient."""
+    return all(parts.get(a[:i] + (a[i + 1], a[i]) + a[i + 2:]) == c
+               for a, c in parts.items() for i in range(len(a) - 1)
+               if a[i] != a[i + 1])
 
 
 def divided_difference(parts, va: str, vb: str) -> SparsePoly:

@@ -134,6 +134,21 @@ class TestPrunedChain:
             assert list(families.row_walk(
                 5, families.pipe_rows(5), w=w)) == [(w, p)], w
 
+    def test_pipe_rows_are_built_once_per_n(self, monkeypatch):
+        """The first chain in S_4 builds the six factors x_i (+) y_j of
+        pipe_rows(4), on an empty memo; a second chain at the same n builds
+        none and walks the same immutable rows."""
+        calls, top = [], h_top(4)
+        monkeypatch.setattr(families, "_PIPE_MEMO", TermMemo())
+        monkeypatch.setattr(families, "oplus",
+                            lambda a, b: calls.append((a, b)) or oplus(a, b))
+        families._pruned_chain(Permutation((2, 1, 4, 3)))
+        rows = families.pipe_rows(4)
+        assert len(calls) == 6
+        assert families._pruned_chain(Permutation((4, 3, 2, 1))) == top
+        assert len(calls) == 6 and families.pipe_rows(4) is rows
+        assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+
     @pytest.fixture
     def chained(self, monkeypatch):
         """The arguments of every _pruned_chain call, on an empty memo."""

@@ -12,6 +12,7 @@ import hecke_reference as ref
 from hecke_reference import h_factor
 from flagcalc import hecke
 from flagcalc.__main__ import main
+from flagcalc.divdiff import OperatorContext
 from flagcalc.families import beta_poly, h_top, hecke_chain, oplus
 from flagcalc.hecke import (
     HeckeElement,
@@ -26,7 +27,7 @@ from flagcalc.hecke import (
     verify_identities,
 )
 from flagcalc.perms import Permutation, all_permutations, identity
-from flagcalc.rings import SparsePoly, beta_ring
+from flagcalc.rings import SparsePoly, beta_ring, symmetric
 
 _R = beta_ring()
 
@@ -332,6 +333,94 @@ class TestVerification:
         monkeypatch.setattr(hecke, "build_Hxy", whole)
         monkeypatch.setattr(hecke, "alternative_product", whole)
         assert all(r["ok"] for r in verify_identities(4))
+
+    def test_a_planted_rule_fails_only_the_generator_relations(
+            self, monkeypatch, capsys):
+        """A rule that sends a descent i of w to w s_i, as it does an
+        ascent, in place of b u_w breaks u_i^2 = b u_i: the generator
+        certificate alone reads false, and the command exits 3."""
+        def planted(w, word):
+            for i in word:
+                w = w.right_multiply(i)
+            return w, 0
+
+        monkeypatch.setattr(hecke, "_demazure", planted)
+        ok = {r["name"]: r["ok"] for r in verify_identities(3)}
+        assert not ok.pop("generator relations")
+        assert all(ok.values()), ok
+        with pytest.raises(SystemExit) as exit_:
+            main(["hecke", "verify", "--n", "3"])
+        assert exit_.value.code == 3
+        assert '"ok": false' in capsys.readouterr().out
+
+    def test_phi_runs_only_at_descents(self, monkeypatch):
+        """verify_identities(4) applies phi_i to c_w at the 36 descents i
+        of w alone, in the walk's order; its ascents take the symmetry
+        test."""
+        calls = []
+        phi = OperatorContext.phi_beta
+        monkeypatch.setattr(OperatorContext, "phi_beta", lambda self, i, p: (
+            calls.append((i, p)) or phi(self, i, p)))
+        assert all(r["ok"] for r in verify_identities(4))
+        assert calls == [(i, beta_poly(w)) for w in all_permutations(4)
+                         for i in range(1, 4) if w(i) > w(i + 1)]
+        assert len(calls) == 36
+
+
+# -- ascents by symmetry ------------------------------------------------------
+
+VARS = ("b", "x1", "x2", "x3", "x4", "y1", "y2")
+
+
+def _swapped(p: SparsePoly, i: int) -> SparsePoly:
+    """sigma_i p: x_i and x_(i+1) exchanged."""
+    return p.substitute({f"x{i}": V(f"x{i + 1}"), f"x{i + 1}": V(f"x{i}")})
+
+
+def _symmetric_at(p: SparsePoly, i: int) -> bool:
+    return symmetric(p.split((f"x{i}", f"x{i + 1}")))
+
+
+@st.composite
+def polys(draw, max_terms):
+    """A polynomial over Z[b] in x1..x4 and y1, y2 of up to max_terms
+    terms, every exponent at most 2."""
+    terms = draw(st.lists(st.tuples(
+        st.integers(-3, 3).filter(bool),
+        st.tuples(*[st.integers(0, 2)] * len(VARS))), max_size=max_terms))
+    return SparsePoly(_R, {tuple(zip(VARS, e)): c for c, e in terms})
+
+
+class TestAscentsBySymmetry:
+    """At an ascent i of w, verify_identities tests c_w for symmetry in
+    x_i and x_(i+1) in place of phi_i c_w = -b c_w: phi_i c + b c is
+    (1 + b x_i)(c - sigma_i c) / (x_i - x_(i+1)), which vanishes exactly
+    when c = sigma_i c."""
+
+    @pytest.mark.parametrize("i", [1, 2, 3])
+    @fixed
+    @given(data=st.data())
+    def test_symmetric_exactly_when_phi_is_minus_b(self, i, data):
+        """On p + sigma_i p, which is symmetric, and on that sum plus one
+        stray monomial, which mostly is not."""
+        ctx, b = OperatorContext(4), V("b")
+        p = data.draw(polys(6))
+        stray = data.draw(polys(1).filter(len))
+        sym = p + _swapped(p, i)
+        assert _symmetric_at(sym, i)
+        for q in (sym, sym + stray):
+            assert _symmetric_at(q, i) == (ctx.phi_beta(i, q) == -(b * q))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_agrees_with_phi_on_the_family(self, n):
+        """At every ascent of every w in S_n, c_w is symmetric and phi_i c_w
+        is -b c_w; at every descent neither holds."""
+        ctx, b = OperatorContext(n), V("b")
+        for w in all_permutations(n):
+            c = beta_poly(w)
+            for i in range(1, n):
+                assert (_symmetric_at(c, i) == (w(i) < w(i + 1))
+                        == (ctx.phi_beta(i, c) == -(b * c))), (w, i)
 
 
 # -- H(x, y) at a point -------------------------------------------------------
